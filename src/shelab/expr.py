@@ -211,20 +211,14 @@ def parse(source: str) -> Node:
     return _Parser(source).parse()
 
 
-def _check_finite(out, what):
-    bad = ~np.isfinite(np.asarray(out))
-    if bad.any():
-        raise EvalDomainError(f"non-finite result from {what}")
-    return out
-
-
 def evaluate(node: Node, t, x):
     """Evaluate ``node`` at time ``t`` (scalar) and state ``x`` (scalar or array)."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         out = _eval(node, float(t), x)
         out = np.broadcast_to(np.asarray(out, dtype=float), x.shape)
-    _check_finite(out, to_source(node))
+    if not np.isfinite(out).all():
+        raise EvalDomainError(f"non-finite result from {to_source(node)}")
     if x.ndim == 0:
         return float(out)
     return np.array(out)

@@ -45,7 +45,7 @@ class GridSpec:
             raise GridError(
                 f"explicit scheme unstable: dt={self.dt:g} exceeds dx^2={self.dx * self.dx:g}"
             )
-        if self.n_cells < 1:
+        if self.n_points < 1:
             raise GridError("grid has zero cells")
         if self.n_steps < 1:
             raise GridError(f"horizon T={self.T:g} is shorter than one time step dt={self.dt:g}")
@@ -59,10 +59,6 @@ class GridSpec:
     def n_points(self) -> int:
         """Number of lattice sites (cells), including both ends."""
         return int(round(2.0 * self.R / self.dx)) + 1
-
-    @property
-    def n_cells(self) -> int:
-        return self.n_points
 
     @property
     def n_steps(self) -> int:

@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -84,11 +85,26 @@ _CONST_KEYS = {"c", "L_b", "L_sigma", "sigma_sup", "inflate_L_sigma"}
 _GRID_KEYS = {"R", "dx", "dt", "T", "boundary"}
 _U0_KEYS = {"kind", "value", "a", "b", "source", "bound"}
 _PROBE_KEYS = {"x_stride", "times", "n_times"}
+# the experiments use e^N, e^(N+1) and 10 e^N of a clamp level N; all stay finite
+_MAX_LEVEL = 700.0
 
 
 def _require(cond, clause):
     if not cond:
         raise ConfigError(clause)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    """A finite number; JSON ``true`` is a Python int but not a number here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_number_list(v) -> bool:
+    return isinstance(v, list) and len(v) > 0 and all(map(_is_number, v))
 
 
 def _check_keys(obj, allowed, where):
@@ -181,24 +197,14 @@ def parse_config(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"grid: {err}") from err
 
     reps = doc["replications"]
-    _require(isinstance(reps, int) and reps >= 1, "replications must be a positive integer")
+    _require(_is_int(reps) and reps >= 1, "replications must be a positive integer")
 
     levels = doc["levels"]
-    _require(
-        isinstance(levels, list) and levels and all(isinstance(v, (int, float)) for v in levels),
-        "levels must be a non-empty list of numbers",
-    )
-    _require(all(v >= 0 for v in levels), "clamp levels must be non-negative")
-    _require(
-        all(b_ > a_ for a_, b_ in zip(levels, levels[1:])),
-        "levels must be strictly increasing",
-    )
+    _require(_is_number_list(levels), "levels must be a non-empty list of numbers")
+    _check_clamp_levels(levels, "levels")
 
     orders = doc["orders"]
-    _require(
-        isinstance(orders, list) and orders and all(isinstance(v, (int, float)) for v in orders),
-        "orders must be a non-empty list of numbers",
-    )
+    _require(_is_number_list(orders), "orders must be a non-empty list of numbers")
     _require(all(k >= 1 for k in orders), "moment orders must be at least 1")
     _require(
         all(k <= _est.DEFAULT_ORDER_CAP for k in orders),
@@ -206,7 +212,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     )
 
     seed = doc["seed"]
-    _require(isinstance(seed, int) and 0 <= seed < 2 ** 64, "seed must be a 64-bit unsigned integer")
+    _require(_is_int(seed) and 0 <= seed < 2 ** 64, "seed must be a 64-bit unsigned integer")
 
     bounded = doc.get("bounded_sigma", False)
     _require(isinstance(bounded, bool), "bounded_sigma must be a boolean")
@@ -214,11 +220,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     const_doc = doc.get("constants", {})
     _check_keys(const_doc, _CONST_KEYS, "constants")
     c_val = const_doc.get("c", 2.0)
-    _require(isinstance(c_val, (int, float)) and c_val > 1, "constants.c must exceed 1")
+    _require(_is_number(c_val) and c_val > 1, "constants.c must exceed 1")
     for key in ("L_b", "L_sigma", "sigma_sup"):
         if key in const_doc:
             _require(
-                isinstance(const_doc[key], (int, float)) and const_doc[key] >= 0,
+                _is_number(const_doc[key]) and const_doc[key] >= 0,
                 f"constants.{key} must be a non-negative number",
             )
     inflate = const_doc.get("inflate_L_sigma", False)
@@ -227,22 +233,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
     probes_doc = doc.get("probes", {})
     _check_keys(probes_doc, _PROBE_KEYS, "probes")
     stride = probes_doc.get("x_stride", 10)
-    _require(isinstance(stride, int) and stride >= 1, "probes.x_stride must be a positive integer")
+    _require(_is_int(stride) and stride >= 1, "probes.x_stride must be a positive integer")
     n_times = probes_doc.get("n_times", 20)
-    _require(isinstance(n_times, int) and n_times >= 1, "probes.n_times must be a positive integer")
+    _require(_is_int(n_times) and n_times >= 1, "probes.n_times must be a positive integer")
     times = probes_doc.get("times")
     if times is not None:
-        _require(
-            isinstance(times, list) and times and all(isinstance(v, (int, float)) for v in times),
-            "probes.times must be a non-empty list of numbers",
-        )
+        _require(_is_number_list(times), "probes.times must be a non-empty list of numbers")
         _require(all(0 < t <= grid.T * (1 + 1e-12) for t in times), "probe times must lie in (0, T]")
 
     assumption_levels = doc.get("assumption_levels", [1.0, 2.0, 3.0, 4.0])
     _require(
-        isinstance(assumption_levels, list) and len(assumption_levels) >= 4,
+        _is_number_list(assumption_levels) and len(assumption_levels) >= 4,
         "assumption_levels must list at least 4 clamp levels",
     )
+    _check_clamp_levels(assumption_levels, "assumption_levels")
 
     return ExperimentConfig(
         raw=doc,
@@ -264,6 +268,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
         probe_times=None if times is None else tuple(float(t) for t in times),
         probe_n_times=n_times,
         assumption_levels=tuple(float(v) for v in assumption_levels),
+    )
+
+
+def _check_clamp_levels(levels, key):
+    _require(all(v >= 0 for v in levels), f"{key}: clamp levels must be non-negative")
+    _require(all(b_ > a_ for a_, b_ in zip(levels, levels[1:])), f"{key} must be strictly increasing")
+    _require(
+        all(v <= _MAX_LEVEL for v in levels),
+        f"{key}: clamp levels above {_MAX_LEVEL:g} make e^N overflow",
     )
 
 

@@ -50,9 +50,6 @@ class NoiseSpec:
         if not 0 <= int(self.replication) < 2 ** 64:
             raise ValueError("replication index must fit in 64 bits")
 
-    def with_replication(self, replication: int) -> "NoiseSpec":
-        return NoiseSpec(self.seed, replication, self.grid)
-
 
 def _philox_words(c0, c1, c2, c3, k0, k1):
     """Ten Philox4x32 rounds; returns the first two output words (uint32)."""
@@ -107,7 +104,7 @@ class NoiseField:
     """Immutable lattice of increments ``dW[m, j]`` with variance dt*dx."""
 
     spec: NoiseSpec
-    increments: np.ndarray  # shape (n_steps, n_cells), read-only
+    increments: np.ndarray  # shape (n_steps, n_points), read-only
 
     def row(self, m: int) -> np.ndarray:
         return self.increments[m]
@@ -118,10 +115,10 @@ class NoiseField:
 
 
 def generate(spec: NoiseSpec) -> NoiseField:
-    """Materialise the full (n_steps, n_cells) increment field for one replication."""
+    """Materialise the full (n_steps, n_points) increment field for one replication."""
     g = spec.grid
     steps = np.arange(g.n_steps, dtype=np.uint64)[:, None]
-    cells = np.arange(g.n_cells, dtype=np.uint64)[None, :]
+    cells = np.arange(g.n_points, dtype=np.uint64)[None, :]
     z = standard_normals(spec.seed, np.uint64(spec.replication), steps, cells)
     dw = z * math.sqrt(g.dt * g.dx)
     dw.setflags(write=False)

@@ -14,10 +14,12 @@ inside every step.
 Boundary handling: ``dirichlet`` freezes the two end cells at their initial
 values (no drift or noise applied there); ``periodic`` wraps the Laplacian.
 
-Replications are independent by construction (counter-based noise), so a
-batch of replications is advanced as one (B, J) array; the arithmetic is
-elementwise, hence bit-identical to solving the replications one at a time,
-which the test suite verifies.
+:func:`solve_batch` is the only stepping loop.  Replications are independent
+by construction (counter-based noise), so a batch of replications is
+advanced as one (B, J) array; the arithmetic is elementwise, hence
+bit-identical however the replications are batched.  The single-replication
+full-lattice solves (:func:`solve_truncated`, :func:`solve_pair_coupled`)
+are views of that loop: one replication, every step and cell probed.
 """
 
 from __future__ import annotations
@@ -31,20 +33,24 @@ import numpy as np
 
 from .coeff import Coefficient, truncated_fn, _as_level
 from .grid import GridSpec, BOUNDARIES
-from .noise import NoiseSpec, NoiseField, generate, standard_normals, stream_for_level_pair
+from .noise import NoiseSpec, standard_normals
+# unused here, kept importable: benchmark/tracer.py wraps them by name on this module
+from .noise import generate, stream_for_level_pair  # noqa: F401
 
 __all__ = [
     "SolverBlowupError",
     "FieldTrajectory",
     "AbortRecord",
     "BatchSolution",
-    "step_explicit",
     "solve_truncated",
     "solve_pair_coupled",
     "solve_batch",
     "save_trajectory",
     "load_trajectory",
 ]
+
+
+_BLOCK_DRAWS = 1 << 15  # noise draws per standard_normals call in solve_batch
 
 
 class SolverBlowupError(RuntimeError):
@@ -69,19 +75,9 @@ def _advance(state, t, dw, drift_fn, diffusion_fn, grid):
     return out
 
 
-def step_explicit(state, m, noise_row, drift_fn, diffusion_fn, grid: GridSpec):
-    """Advance one row of values by one time step; aborts on non-finite output."""
-    state = np.asarray(state, dtype=float)
-    nxt = _advance(state, m * grid.dt, np.asarray(noise_row, dtype=float), drift_fn, diffusion_fn, grid)
-    bad = ~np.isfinite(nxt)
-    if bad.any():
-        raise SolverBlowupError(m, int(np.argmax(bad)))
-    return nxt
-
-
 @dataclass(frozen=True)
 class FieldTrajectory:
-    """Solution values on the full (n_steps+1, n_cells) lattice."""
+    """Solution values on the full (n_steps+1, n_points) lattice."""
 
     values: np.ndarray
     grid: GridSpec
@@ -100,51 +96,35 @@ class FieldTrajectory:
         return float(np.max(np.abs(self.values)))
 
 
-def _provenance(level, b, sigma, u0, grid, noise_spec, coupled_with=None):
-    prov = {
-        "level": float(level.level),
-        "drift": b.name,
-        "diffusion": sigma.name,
-        "u0": u0.describe(),
-        "grid": grid.describe(),
-        "seed": int(noise_spec.seed),
-        "replication": int(noise_spec.replication),
-    }
-    if coupled_with is not None:
-        prov["coupled_with_level"] = float(coupled_with)
-    return prov
-
-
 def solve_truncated(level, b: Coefficient, sigma: Coefficient, u0, grid: GridSpec,
-                    noise_spec: NoiseSpec, noise_field: NoiseField | None = None) -> FieldTrajectory:
+                    noise_spec: NoiseSpec) -> FieldTrajectory:
     """Integrate one replication at clamp level ``N`` over the full horizon."""
-    level = _as_level(level)
-    field_ = noise_field if noise_field is not None else generate(noise_spec)
-    drift = truncated_fn(b, level)
-    diffusion = truncated_fn(sigma, level)
-    vals = np.empty((grid.n_steps + 1, grid.n_points))
-    vals[0] = u0(grid.xs)
-    for m in range(grid.n_steps):
-        vals[m + 1] = step_explicit(vals[m], m, field_.row(m), drift, diffusion, grid)
-    vals.setflags(write=False)
-    return FieldTrajectory(
-        values=vals,
-        grid=grid,
-        level=level.level,
-        noise_spec=noise_spec,
-        provenance=_provenance(level, b, sigma, u0, grid, noise_spec),
-    )
+    (traj,) = _full_lattice((_as_level(level),), b, sigma, u0, grid, noise_spec)
+    return traj
 
 
 def solve_pair_coupled(level, b, sigma, u0, grid, noise_spec):
     """Solve at clamp levels N and N+1 under pathwise-identical noise."""
     level = _as_level(level)
-    lo_field, hi_field = stream_for_level_pair(noise_spec)
-    low = solve_truncated(level, b, sigma, u0, grid, noise_spec, noise_field=lo_field)
-    high = solve_truncated(level.successor(), b, sigma, u0, grid, noise_spec, noise_field=hi_field)
-    low.provenance["coupled_with_level"] = level.level + 1.0
-    high.provenance["coupled_with_level"] = level.level
-    return low, high
+    return _full_lattice((level, level.successor()), b, sigma, u0, grid, noise_spec)
+
+
+def _full_lattice(levels, b, sigma, u0, grid, noise_spec):
+    """One replication through :func:`solve_batch`, every lattice point probed."""
+    sol = solve_batch(levels, b, sigma, u0, grid, noise_spec.seed, [noise_spec.replication],
+                      np.arange(grid.n_steps + 1), np.arange(grid.n_points))
+    if sol.aborted:
+        raise SolverBlowupError(sol.aborted[0].step, sol.aborted[0].cell)
+    trajs = []
+    for level, other, vals in zip(levels, levels[::-1], sol.samples[:, 0]):
+        vals.setflags(write=False)
+        prov = {"level": float(level.level), "drift": b.name, "diffusion": sigma.name,
+                "u0": u0.describe(), "grid": grid.describe(),
+                "seed": int(noise_spec.seed), "replication": int(noise_spec.replication)}
+        if len(levels) == 2:
+            prov["coupled_with_level"] = float(other.level)
+        trajs.append(FieldTrajectory(vals, grid, level.level, noise_spec, prov))
+    return trajs
 
 
 @dataclass(frozen=True)
@@ -196,6 +176,11 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     ``levels`` is a tuple of one or two clamp levels; with two, both solves
     share each replication's noise realisation (common random numbers).
+    This is the package's one stepping loop: :func:`solve_truncated` and
+    :func:`solve_pair_coupled` are views of it with one replication and
+    every lattice point probed.  Noise is drawn for a block of steps per
+    call (up to ``_BLOCK_DRAWS`` draws); each draw depends only on
+    ``(seed, replication, m, j)``, so the block size never changes a bit.
     """
     levels = tuple(_as_level(v) for v in levels)
     reps = np.asarray(replications, dtype=np.uint64)
@@ -212,10 +197,12 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     path_max = np.full(B, float(np.max(np.abs(row0))))
     sup_diff = np.zeros(B) if len(levels) == 2 else None
     alive = np.ones(B, dtype=bool)
+    death_step = np.full(B, grid.n_steps)
     aborted = []
 
-    cells = np.arange(grid.n_points, dtype=np.uint64)[None, :]
-    reps_col = reps[:, None]
+    cells = np.arange(grid.n_points, dtype=np.uint64)
+    reps_col = reps[:, None, None]
+    block = max(1, _BLOCK_DRAWS // (B * grid.n_points))
     scale = math.sqrt(grid.dt * grid.dx)
 
     if 0 in slot_of_step:
@@ -223,13 +210,16 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             samples[i, :, slot_of_step[0], :] = st[:, probe_x_idx]
 
     for m in range(grid.n_steps):
-        dw = standard_normals(seed, reps_col, np.uint64(m), cells) * scale
+        if m % block == 0:
+            steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
+            noise = standard_normals(seed, reps_col, steps, cells) * scale  # (B, block, J)
+        dw = noise[:, m % block]
         t = m * grid.dt
         for i, (drift, diffusion) in enumerate(fns):
             states[i] = _advance(states[i], t, dw, drift, diffusion, grid)
 
-        finite = np.ones(B, dtype=bool)
-        for st in states:
+        finite = np.isfinite(states[0]).all(axis=-1)
+        for st in states[1:]:
             finite &= np.isfinite(st).all(axis=-1)
         newly_dead = alive & ~finite
         if newly_dead.any():
@@ -238,21 +228,26 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                 for st in states[1:]:
                     bad |= ~np.isfinite(st[r])
                 aborted.append(AbortRecord(int(reps[r]), m, int(np.argmax(bad))))
+            death_step[newly_dead] = m
             alive &= finite
+            if not alive.any():
+                break
+        if aborted:
             for st in states:
-                st[~alive] = 0.0  # keep the rest of the batch numerically clean
+                st[~alive] = 0.0  # dead rows add nothing to path max or sup difference
 
-        live = alive
         for st in states:
-            np.maximum(path_max, np.where(live, np.abs(st).max(axis=-1), path_max), out=path_max)
+            np.maximum(path_max, np.abs(st).max(axis=-1), out=path_max)
         if sup_diff is not None:
-            d = np.abs(states[1] - states[0]).max(axis=-1)
-            np.maximum(sup_diff, np.where(live, d, sup_diff), out=sup_diff)
+            np.maximum(sup_diff, np.abs(states[1] - states[0]).max(axis=-1), out=sup_diff)
 
         slot = slot_of_step.get(m + 1)
         if slot is not None:
             for i, st in enumerate(states):
-                samples[i, :, slot, :] = np.where(live[:, None], st[:, probe_x_idx], np.nan)
+                samples[i, :, slot, :] = st[:, probe_x_idx]
+
+    # a replication's probes after the step it died at are NaN
+    samples[:, probe_step_idx[None, :] > death_step[:, None]] = np.nan
 
     return BatchSolution(
         levels=tuple(lv.level for lv in levels),

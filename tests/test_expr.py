@@ -95,6 +95,12 @@ class TestErrors:
         with pytest.raises(expr.EvalDomainError):
             ev(source, x=x)
 
+    def test_non_finite_result_names_the_expression(self):
+        with pytest.raises(expr.EvalDomainError, match=r"non-finite result from exp\(x\)"):
+            ev("exp(x)", x=1000.0)
+        with pytest.raises(expr.EvalDomainError, match=r"from 2.0 \* exp\(x\)"):
+            ev("2*exp(x)", x=np.array([0.0, 1000.0]))
+
 
 def test_parser_determinism():
     node1 = expr.parse("sin(1000*(1+abs(x))^0.25) - t/3")

@@ -81,6 +81,32 @@ class TestConfigRejection:
         with pytest.raises(ConfigError, match=fragment.strip()):
             parse_config(doc)
 
+    @pytest.mark.parametrize(
+        "mutate,fragment",
+        [
+            (lambda d: d.update(replications=True), "replications must be a positive integer"),
+            (lambda d: d.update(seed=True), "seed must be a 64-bit unsigned integer"),
+            (lambda d: d["probes"].update(x_stride=True), "probes.x_stride must be a positive integer"),
+            (lambda d: d["probes"].update(n_times=True), "probes.n_times must be a positive integer"),
+            (lambda d: d.update(assumption_levels=["a", "b", "c", "d"]), "assumption_levels must list"),
+            (lambda d: d.update(assumption_levels=[4.0, 3.0, 2.0, 1.0]), "assumption_levels must be strictly"),
+            (lambda d: d.update(assumption_levels=[1.0, 2.0, 3.0, 1e6]), "assumption_levels: .* overflow"),
+            (lambda d: d.update(levels=[1e6]), "levels: clamp levels above 700 make e\\^N overflow"),
+            (lambda d: d.update(levels=[True]), "levels must be a non-empty list of numbers"),
+            (lambda d: d["constants"].update(L_b=float("inf")), "constants.L_b"),
+        ],
+    )
+    def test_config_holes_exit_1_naming_the_clause(self, mutate, fragment, tmp_path, capsys):
+        doc = base_doc()
+        mutate(doc)
+        with pytest.raises(ConfigError, match=fragment):
+            parse_config(doc)
+        cfgp = tmp_path / "config.json"
+        cfgp.write_text(json.dumps(doc))
+        assert cli.main(["--out", str(tmp_path / "out"), "verify-moments", str(cfgp)]) == 1
+        err = capsys.readouterr().err
+        assert "config rejected" in err and "Traceback" not in err
+
     def test_valid_config_parses(self):
         cfg = parse_config(base_doc())
         assert cfg.levels == (1.0, 2.0)

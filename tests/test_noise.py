@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from shelab.grid import GridSpec, GridError
-from shelab.noise import NoiseSpec, generate, standard_normals, stream_for_level_pair
+from shelab.noise import NoiseSpec, _philox_words, generate, standard_normals, stream_for_level_pair
 
 
 def small_grid(**kw):
@@ -17,12 +17,29 @@ def small_grid(**kw):
         return GridSpec(**args)
 
 
+# Random123 philox4x32_10 known-answer vectors: (counter, key) -> first two
+# output words (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3")
+@pytest.mark.parametrize(
+    "ctr,key,words",
+    [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D)),
+        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB)),
+    ],
+)
+def test_philox_known_answer_vectors(ctr, key, words):
+    c = [np.array([v], dtype=np.uint64) for v in ctr]
+    w0, w1 = _philox_words(*c, np.uint32(key[0]), np.uint32(key[1]))
+    assert (int(w0[0]), int(w1[0])) == words
+
+
 def test_regeneration_is_bit_identical():
     spec = NoiseSpec(seed=987654321, replication=3, grid=small_grid())
     a = generate(spec)
     b = generate(spec)
     assert np.array_equal(a.increments, b.increments)
-    assert a.shape == (spec.grid.n_steps, spec.grid.n_cells)
+    assert a.shape == (spec.grid.n_steps, spec.grid.n_points)
 
 
 def test_increments_are_read_only():

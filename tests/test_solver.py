@@ -7,7 +7,8 @@ import pytest
 from shelab.coeff import Coefficient
 from shelab.grid import GridSpec
 from shelab.kernel import InitialCondition, initial_convolution
-from shelab.noise import NoiseSpec, generate
+from shelab import solver
+from shelab.noise import NoiseSpec, standard_normals
 from shelab.solver import (
     SolverBlowupError,
     load_trajectory,
@@ -15,7 +16,6 @@ from shelab.solver import (
     solve_batch,
     solve_pair_coupled,
     solve_truncated,
-    step_explicit,
 )
 
 ZERO = Coefficient.builtin("zero")
@@ -31,47 +31,51 @@ def mkgrid(**kw):
         return GridSpec(**args)
 
 
-def zero_noise_row(grid):
-    return np.zeros(grid.n_points)
+def cell_increments(grid, seed, rep, m):
+    """The noise increments dW[m, :] of one replication, drawn directly."""
+    cells = np.arange(grid.n_points, dtype=np.uint64)
+    return standard_normals(seed, rep, m, cells) * math.sqrt(grid.dt * grid.dx)
 
 
 class TestStepExplicit:
+    """The explicit step, observed on the lattice that the one loop records."""
+
     def test_constant_row_is_fixed_point_without_forcing(self):
         g = mkgrid()
-        row = np.full(g.n_points, 3.25)
-        nxt = step_explicit(row, 0, zero_noise_row(g), ZERO, ZERO, g)
-        assert np.array_equal(nxt, row)
+        traj = solve_truncated(5.0, ZERO, ZERO, InitialCondition.constant(3.25), g,
+                               NoiseSpec(seed=0, replication=0, grid=g))
+        assert np.all(traj.values == 3.25)
 
     def test_unit_drift_accumulates_dt_per_step_periodic(self):
         g = mkgrid(boundary="periodic")
-        row = np.zeros(g.n_points)
+        traj = solve_truncated(5.0, ONE, ZERO, InitialCondition.constant(0.0), g,
+                               NoiseSpec(seed=0, replication=0, grid=g))
         expected = 0.0
-        for m in range(g.n_steps):
-            row = step_explicit(row, m, zero_noise_row(g), ONE, ZERO, g)
+        for row in traj.values[1:]:
             expected += g.dt
             assert np.all(row == expected)
         assert expected == pytest.approx(g.n_steps * g.dt, rel=1e-12)
 
     def test_unit_drift_first_step_dirichlet_interior(self):
         g = mkgrid()
-        row = step_explicit(np.zeros(g.n_points), 0, zero_noise_row(g), ONE, ZERO, g)
+        traj = solve_truncated(5.0, ONE, ZERO, InitialCondition.constant(0.0), g,
+                               NoiseSpec(seed=0, replication=0, grid=g))
+        row = traj.values[1]
         assert np.all(row[1:-1] == g.dt)
-        assert row[0] == 0.0 and row[-1] == 0.0  # frozen ends
+        assert np.all(traj.values[:, 0] == 0.0) and np.all(traj.values[:, -1] == 0.0)  # frozen ends
 
     def test_one_step_additive_noise_is_scaled_increments(self):
         g = mkgrid()
-        field = generate(NoiseSpec(seed=3, replication=0, grid=g))
-        row = step_explicit(np.zeros(g.n_points), 0, field.row(0), ZERO, ONE, g)
-        assert np.array_equal(row[1:-1], field.row(0)[1:-1] / g.dx)
+        traj = solve_truncated(5.0, ZERO, ONE, InitialCondition.constant(0.0), g,
+                               NoiseSpec(seed=3, replication=0, grid=g))
+        dw = cell_increments(g, 3, 0, 0)
+        assert np.array_equal(traj.values[1, 1:-1], dw[1:-1] / g.dx)
 
     def test_one_step_noise_variance_is_dt_over_dx(self):
         g = mkgrid(R=2.0)
-        vals = []
-        for rep in range(200):
-            field = generate(NoiseSpec(seed=91, replication=rep, grid=g))
-            row = step_explicit(np.zeros(g.n_points), 0, field.row(0), ZERO, ONE, g)
-            vals.extend(row[1:-1])
-        vals = np.asarray(vals)
+        batch = solve_batch((5.0,), ZERO, ONE, InitialCondition.constant(0.0), g, 91,
+                            np.arange(200), np.array([1]), np.arange(g.n_points))
+        vals = batch.samples[0, :, 0, 1:-1].ravel()
         target = g.dt / g.dx
         # chi-square band: sd of the sample variance is target * sqrt(2/n)
         assert np.var(vals) == pytest.approx(target, abs=5 * target * math.sqrt(2.0 / vals.size))
@@ -80,12 +84,20 @@ class TestStepExplicit:
         g = mkgrid()
         explode = Coefficient.from_callable(
             "explode",
-            lambda t, x: np.where(np.arange(x.shape[-1]) == 17, np.inf, 0.0) * np.ones_like(x),
+            lambda t, x: np.where((np.arange(x.shape[-1]) == 17) & (t >= 4 * g.dt), np.inf, 0.0)
+            * np.ones_like(x),
         )
+        u0 = InitialCondition.constant(0.0)
         with pytest.raises(SolverBlowupError) as exc:
-            step_explicit(np.zeros(g.n_points), 4, zero_noise_row(g), explode, ZERO, g)
+            solve_truncated(5.0, explode, ZERO, u0, g, NoiseSpec(seed=0, replication=0, grid=g))
         assert exc.value.step == 4
         assert exc.value.cell == 18  # interior offset 17 maps to lattice cell 18
+        with pytest.raises(SolverBlowupError) as exc:
+            solve_pair_coupled(5.0, explode, ZERO, u0, g, NoiseSpec(seed=0, replication=0, grid=g))
+        assert (exc.value.step, exc.value.cell) == (4, 18)
+        batch = solve_batch((5.0,), explode, ZERO, u0, g, 0, np.arange(2), np.array([4, 5]), np.array([18]))
+        assert [(a.replication, a.step, a.cell) for a in batch.aborted] == [(0, 4, 18), (1, 4, 18)]
+        assert np.all(batch.samples[0, :, 0] == 0.0) and np.all(np.isnan(batch.samples[0, :, 1]))
 
 
 class TestSolveTruncated:
@@ -113,12 +125,9 @@ class TestSolveTruncated:
         assert np.array_equal(a.values, b.values)
         # and identical to integrating the raw, unclamped coefficients
         raw = np.empty_like(a.values)
-        field = generate(spec)
         raw[0] = u0(g.xs)
         for m in range(g.n_steps):
-            raw[m + 1] = step_explicit(
-                raw[m], m, field.row(m), lambda t, x: ZERO(t, x), lambda t, x: LINEAR(t, x), g
-            )
+            raw[m + 1] = solver._advance(raw[m], m * g.dt, cell_increments(g, 17, 0, m), ZERO, LINEAR, g)
         assert np.array_equal(a.values, raw)
 
     def test_determinism(self):
@@ -180,6 +189,14 @@ class TestSolvePairCoupled:
         assert np.array_equal(low.values, high.values)
         assert low.level == 20.0 and high.level == 21.0
 
+    def test_provenance_names_the_coupled_level(self):
+        g = mkgrid()
+        spec = NoiseSpec(seed=8, replication=2, grid=g)
+        low, high = solve_pair_coupled(3.0, ZERO, LINEAR, InitialCondition.constant(1.0), g, spec)
+        assert (low.provenance["level"], low.provenance["coupled_with_level"]) == (3.0, 4.0)
+        assert (high.provenance["level"], high.provenance["coupled_with_level"]) == (4.0, 3.0)
+        assert low.provenance["replication"] == 2 and not low.values.flags.writeable
+
     def test_sup_difference_recorded_and_finite(self):
         g = mkgrid()
         u0 = InitialCondition.constant(1.0)
@@ -222,6 +239,16 @@ class TestSolveBatch:
             assert batch.sup_abs_diff[rep] == pytest.approx(
                 float(np.max(np.abs(high.values - low.values))), rel=0, abs=0
             )
+
+    def test_noise_block_size_does_not_change_bits(self, monkeypatch):
+        g = mkgrid()
+        u0 = InitialCondition.constant(1.0)
+        args = ((0.5, 1.5), ZERO, LINEAR, u0, g, 123, np.arange(3), np.arange(g.n_steps + 1), np.arange(g.n_points))
+        whole = solve_batch(*args)  # one draw covers the horizon
+        monkeypatch.setattr(solver, "_BLOCK_DRAWS", 7 * 3 * g.n_points)  # 50 steps = 7 blocks of 7, then 1
+        blocked = solve_batch(*args)
+        assert np.array_equal(whole.samples, blocked.samples)
+        assert np.array_equal(whole.sup_abs_diff, blocked.sup_abs_diff)
 
     def test_blowup_is_recorded_and_isolated(self):
         # a drift that returns inf once the state crosses a threshold kills
