@@ -8,11 +8,13 @@ the digests below in the same change.
 
 import hashlib
 import json
+import pathlib
 
 import numpy as np
+import pytest
 
 from shelab import cli
-from shelab.harness import parse_config
+from shelab.harness import load_config, parse_config
 from shelab.noise import standard_normals
 
 # expression coefficients exercise expr.evaluate inside the solver loop;
@@ -37,6 +39,21 @@ SIMULATE_SHA256 = {
 }
 UNIQUENESS_CSV_SHA256 = "23c90a887e555007996d2035cb75ea76516e22cc7e4a89bae10fcd8ec0f93af2"
 
+PILOT_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
+# result CSVs of the three pilot experiments at --threads 1
+PILOT_CSV_SHA256 = {
+    ("verify-moments", "pilot_moments.json"): {
+        "verify-moments_{tag}.csv": "01d034c8a7c4d02eb53a288376a2edb5a7b21573b14e488498428495a7e7a2cd",
+    },
+    ("convergence", "pilot_convergence.json"): {
+        "convergence_{tag}.csv": "c197f0243073aca2562053dd4a4fbac0ba2c501a7e0560166ca5aba98887654a",
+        "convergence_{tag}_plot.csv": "7e753037ebbd16f270babda99a3e63abdf8ce565b8330679a9462e661feeea44",
+    },
+    ("verify-tails", "pilot_tails.json"): {
+        "verify-tails_{tag}.csv": "b47fe0247c05a33d6294604d932ccb3b74474a7bc1b775a2694434d928478715",
+    },
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -59,3 +76,14 @@ def test_simulate_and_uniqueness_digests(tmp_path):
     got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in SIMULATE_SHA256}
     assert got == SIMULATE_SHA256
     assert sha256((out / f"uniqueness_{tag}.csv").read_bytes()) == UNIQUENESS_CSV_SHA256
+
+
+@pytest.mark.parametrize("command,config", sorted(PILOT_CSV_SHA256))
+def test_pilot_result_digests(command, config, tmp_path):
+    path = PILOT_CONFIGS / config
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "--threads", "1", command, str(path)]) == 0
+    tag = load_config(path).hash16
+    expected = PILOT_CSV_SHA256[(command, config)]
+    got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in expected}
+    assert got == expected
