@@ -7,6 +7,8 @@ estimators are
 
 * ``lk_norm``: sample moment E|u(t,x)|^k with a CLT confidence interval,
   reported both as the raw power mean and as its k-th root,
+* ``moment_estimates``: ``lk_norm`` at every probe of an ensemble in one
+  pass (what the moment experiment uses),
 * ``weighted_norm``: max over probes of exp(-beta t) * ||u(t,x)||_k,
 * ``tail_probability``: empirical exceedance frequency with a Wilson score
   interval (valid at zero counts),
@@ -15,7 +17,14 @@ estimators are
 
 Moment sums are carried exactly (binary floats are scaled integers), so
 estimates computed from replication shards merge to bit-identical values
-regardless of shard boundaries.
+regardless of shard boundaries.  The sums are bucketed integer sums, column
+by column: ``np.frexp`` splits each value into a 53-bit integer mantissa and
+an exponent, mantissas are added in int64 per (column, exponent) bucket with
+at most 1023 rows per pass (1023 * 2^53 < 2^63), and the few buckets of a
+column are folded into one Python integer by shifts.  The integers are the
+exact sums of the values in units of 2^-1074, independent of how the
+samples are split into passes or shards.  A pass holds at most 2^15
+samples, so the working memory does not grow with the ensemble.
 """
 
 from __future__ import annotations
@@ -35,6 +44,7 @@ __all__ = [
     "MomentAccumulator",
     "Ensemble",
     "PairEnsemble",
+    "moment_estimates",
     "lk_norm",
     "weighted_norm",
     "tail_probability",
@@ -49,6 +59,9 @@ DEFAULT_ORDER_CAP = 8
 # All finite float64 values are integer multiples of 2^-1074.
 _DEN_BITS = 1074
 _DEN = 1 << _DEN_BITS
+_MANT_BITS = 53
+_ROWS = 1023  # mantissas per int64 bucket: 1023 * 2^53 < 2^63
+_BLOCK = 1 << 15  # samples per pass; bounds the working memory
 
 
 class ProbeError(KeyError):
@@ -59,15 +72,70 @@ class CouplingError(ValueError):
     pass
 
 
-def _exact_add(total: int, values) -> int:
-    for v in values:
-        num, den = float(v).as_integer_ratio()
-        total += num * (_DEN // den)
-    return total
+def _bucket_sums(y: np.ndarray) -> np.ndarray:
+    """Exact column sums of a finite block of at most ``_ROWS`` rows.
+
+    Returns one Python integer per column, in units of 2^-(1074 + 53).
+    """
+    frac, exp = np.frexp(y)
+    mant = np.ldexp(frac, _MANT_BITS).astype(np.int64).ravel()
+    # one key per (column, exponent); exp + 1074 lies in [1, 2098] for finite values
+    key = ((np.arange(y.shape[1], dtype=np.int64) << 12) + (exp + _DEN_BITS)).ravel()
+    order = np.argsort(key)
+    key = key[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    sums = np.add.reduceat(mant[order], first).astype(object)
+    key = key[first]
+    terms = sums << (key & 0xFFF).astype(object)
+    col = key >> 12
+    first = np.flatnonzero(np.diff(col, prepend=-1))
+    out = np.zeros(y.shape[1], dtype=object)
+    out[col[first]] = np.add.reduceat(terms, first)
+    return out
+
+
+def _raise_nonfinite(x: np.ndarray, order: float):
+    """Raise what ``float.as_integer_ratio`` raises for the first non-finite
+    power or squared power, scanning column by column."""
+    for col in x.T:
+        y = np.abs(col) ** order
+        for v in (y, y * y):
+            bad = ~np.isfinite(v)
+            if bad.any():
+                float(v[bad.argmax()]).as_integer_ratio()  # ValueError (NaN) or OverflowError
+
+
+def _power_sums(x: np.ndarray, order: float):
+    """Exact sums of |x|^order and of its square down each column of a 2-D
+    array, as integers in units of 2^-1074."""
+    n, m = x.shape
+    width = max(1, _BLOCK // max(1, min(n, _ROWS)))
+    sum_pow = np.zeros(m, dtype=object)
+    sum_sq = np.zeros(m, dtype=object)
+    for c0 in range(0, m, width):
+        cols = x[:, c0:c0 + width]
+        for r0 in range(0, n, _ROWS):
+            y = np.abs(cols[r0:r0 + _ROWS]) ** order
+            y2 = y * y
+            if not np.isfinite(y2).all():
+                _raise_nonfinite(cols, order)
+            sum_pow[c0:c0 + width] += _bucket_sums(y)
+            sum_sq[c0:c0 + width] += _bucket_sums(y2)
+    return [int(v) >> _MANT_BITS for v in sum_pow], [int(v) >> _MANT_BITS for v in sum_sq]
 
 
 def _exact_float(total: int, scale: int = 1) -> float:
     return float(Fraction(total, _DEN * scale))
+
+
+def _columns(samples: np.ndarray) -> np.ndarray:
+    """(replications, ...) samples as a (replications, probes) array."""
+    return samples.reshape(samples.shape[0], math.prod(samples.shape[1:]))
+
+
+def _column_estimates(x: np.ndarray, k: float) -> list:
+    sums = zip(*_power_sums(x, k))
+    return [MomentAccumulator(k, x.shape[0], s_pow, s_sq).estimate() for s_pow, s_sq in sums]
 
 
 @dataclass
@@ -80,10 +148,11 @@ class MomentAccumulator:
     _sum_sq: int = 0
 
     def add(self, samples) -> "MomentAccumulator":
-        y = np.abs(np.asarray(samples, dtype=float)).ravel() ** self.order
-        self.count += y.size
-        self._sum_pow = _exact_add(self._sum_pow, y)
-        self._sum_sq = _exact_add(self._sum_sq, y * y)
+        x = np.asarray(samples, dtype=float).reshape(-1, 1)
+        (s_pow,), (s_sq,) = _power_sums(x, self.order)
+        self.count += x.shape[0]
+        self._sum_pow += s_pow
+        self._sum_sq += s_sq
         return self
 
     def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
@@ -181,6 +250,14 @@ def _close(a, b):
     return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
 
 
+def _first_close(points: np.ndarray, v: float):
+    """Index of the first of ``points`` within ``_close`` of v, or None."""
+    points = np.asarray(points, dtype=float)
+    scale = np.maximum(np.maximum(np.abs(points), abs(v)), 1.0)
+    hits = np.flatnonzero(np.abs(points - v) <= 1e-9 * scale)
+    return int(hits[0]) if hits.size else None
+
+
 @dataclass
 class Ensemble:
     """Samples of one clamp level's solution at the probe lattice."""
@@ -224,25 +301,42 @@ class Ensemble:
         return self.samples.shape[0]
 
     def probe_index(self, t: float, x: float):
-        for it, pt in enumerate(self.probe_times):
-            if _close(pt, t):
-                for ix, px in enumerate(self.probe_xs):
-                    if _close(px, x):
-                        return it, ix
-        raise ProbeError(f"({t}, {x}) is not a probe point of this ensemble")
+        """First probe time and first probe x within ``_close`` of (t, x)."""
+        it, ix = _first_close(self.probe_times, t), _first_close(self.probe_xs, x)
+        if it is None or ix is None:
+            raise ProbeError(f"({t}, {x}) is not a probe point of this ensemble")
+        return it, ix
 
     def samples_at(self, t: float, x: float) -> np.ndarray:
         it, ix = self.probe_index(t, x)
         return self.samples[:, it, ix]
 
 
-def lk_norm(ensemble: Ensemble, k: float, t: float, x: float,
-            order_cap: int = DEFAULT_ORDER_CAP) -> MomentEstimate:
-    """Sample estimate of E|u(t,x)|^k, reported with its k-th root."""
+def _check_order(k: float, order_cap: int):
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
     if k > order_cap:
         raise ValueError(f"moment order {k} exceeds the cap {order_cap}; high orders are variance-fragile")
+
+
+def _times_in_window(probe_times: np.ndarray, T: float) -> list:
+    keep = [it for it, pt in enumerate(probe_times) if 0 < pt <= T * (1 + 1e-12)]
+    if not keep:
+        raise ValueError(f"no probe times in (0, {T}]")
+    return keep
+
+
+def moment_estimates(ensemble: Ensemble, k: float,
+                     order_cap: int = DEFAULT_ORDER_CAP) -> list:
+    """``lk_norm`` at every probe of the ensemble, in (t, x) order, in one pass."""
+    _check_order(k, order_cap)
+    return _column_estimates(_columns(ensemble.samples), k)
+
+
+def lk_norm(ensemble: Ensemble, k: float, t: float, x: float,
+            order_cap: int = DEFAULT_ORDER_CAP) -> MomentEstimate:
+    """Sample estimate of E|u(t,x)|^k, reported with its k-th root."""
+    _check_order(k, order_cap)
     return MomentAccumulator(k).add(ensemble.samples_at(t, x)).estimate()
 
 
@@ -253,17 +347,13 @@ def weighted_norm(ensemble: Ensemble, k: float, beta: float, T: float,
         raise ValueError("weight exponent beta must be positive")
     if ensemble.horizon is not None and T > ensemble.horizon * (1 + 1e-12):
         raise ValueError(f"T={T} exceeds the ensemble horizon {ensemble.horizon}")
-    best = None
-    for it, pt in enumerate(ensemble.probe_times):
-        if pt <= 0 or pt > T * (1 + 1e-12):
-            continue
-        for ix, px in enumerate(ensemble.probe_xs):
-            est = lk_norm(ensemble, k, pt, px, order_cap)
-            val = math.exp(-beta * pt) * est.root_mean
-            best = val if best is None else max(best, val)
-    if best is None:
-        raise ValueError(f"no probe times in (0, {T}]")
-    return best
+    keep = _times_in_window(ensemble.probe_times, T)
+    _check_order(k, order_cap)
+    estimates = iter(_column_estimates(_columns(ensemble.samples[:, keep]), k))
+    return max(
+        math.exp(-beta * ensemble.probe_times[it]) * next(estimates).root_mean
+        for it in keep for _ in ensemble.probe_xs
+    )
 
 
 def tail_probability(ensemble: Ensemble, threshold: float, t: float, x: float) -> TailEstimate:
@@ -350,15 +440,6 @@ def coupled_sup_difference(pair: PairEnsemble, k: float, T: float,
     """Max over probes with t <= T of the k-norm of the coupled difference."""
     if pair.count == 0:
         raise ValueError("no completed replication pairs")
-    best = 0.0
-    found = False
-    for it, pt in enumerate(pair.probe_times):
-        if pt <= 0 or pt > T * (1 + 1e-12):
-            continue
-        found = True
-        for ix in range(pair.probe_xs.size):
-            est = MomentAccumulator(k).add(pair.diff_samples[:, it, ix]).estimate()
-            best = max(best, est.root_mean)
-    if not found:
-        raise ValueError(f"no probe times in (0, {T}]")
-    return best
+    keep = _times_in_window(pair.probe_times, T)
+    estimates = _column_estimates(_columns(pair.diff_samples[:, keep]), k)
+    return max([0.0] + [est.root_mean for est in estimates])

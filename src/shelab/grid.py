@@ -45,6 +45,8 @@ class GridSpec:
             raise GridError(
                 f"explicit scheme unstable: dt={self.dt:g} exceeds dx^2={self.dx * self.dx:g}"
             )
+        if not (math.isfinite(2.0 * self.R / self.dx) and math.isfinite(self.T / self.dt)):
+            raise GridError("grid has too many lattice points to count")
         if self.n_points < 1:
             raise GridError("grid has zero cells")
         if self.n_steps < 1:

@@ -87,6 +87,11 @@ _U0_KEYS = {"kind", "value", "a", "b", "source", "bound"}
 _PROBE_KEYS = {"x_stride", "times", "n_times"}
 # the experiments use e^N, e^(N+1) and 10 e^N of a clamp level N; all stay finite
 _MAX_LEVEL = 700.0
+# resource budget: a config that parses runs in bounded memory and time
+_MAX_TRAJECTORY = 1 << 27  # space-time points of one replication (1 GiB stored)
+_MAX_CHUNK_CELLS = 1 << 24  # cells x replications of one solver chunk (128 MiB per array)
+_MAX_PROBE_SAMPLES = 1 << 27  # samples kept per clamp level (1 GiB)
+_MAX_CELL_STEPS = 10 ** 11  # cell-steps solved per clamp level
 
 
 def _require(cond, clause):
@@ -168,6 +173,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     u0_doc = doc["u0"]
     _check_keys(u0_doc, _U0_KEYS, "u0")
+    for key in ("value", "a", "b", "bound"):
+        if key in u0_doc:
+            _require(_is_number(u0_doc[key]), f"u0.{key} must be a number")
+    if "source" in u0_doc:
+        _require(isinstance(u0_doc["source"], str), "u0.source must be an expression string")
     kind = u0_doc.get("kind")
     try:
         if kind == "constant":
@@ -185,6 +195,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
     grid_doc = doc["grid"]
     _check_keys(grid_doc, _GRID_KEYS, "grid")
+    for key in ("R", "dx", "dt", "T"):
+        _require(key in grid_doc, f"grid is missing required key {key!r}")
+        _require(_is_number(grid_doc[key]), f"grid.{key} must be a number")
     try:
         grid = GridSpec(
             R=float(grid_doc["R"]),
@@ -193,7 +206,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             T=float(grid_doc["T"]),
             boundary=grid_doc.get("boundary", "dirichlet"),
         )
-    except (KeyError, TypeError, ValueError, GridError) as err:
+    except (TypeError, ValueError, GridError) as err:
         raise ConfigError(f"grid: {err}") from err
 
     reps = doc["replications"]
@@ -247,6 +260,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "assumption_levels must list at least 4 clamp levels",
     )
     _check_clamp_levels(assumption_levels, "assumption_levels")
+    _check_budget(grid, reps, n_times if times is None else len(times), stride)
 
     return ExperimentConfig(
         raw=doc,
@@ -278,6 +292,18 @@ def _check_clamp_levels(levels, key):
         all(v <= _MAX_LEVEL for v in levels),
         f"{key}: clamp levels above {_MAX_LEVEL:g} make e^N overflow",
     )
+
+
+def _check_budget(grid: GridSpec, reps: int, n_probe_times: int, x_stride: int):
+    points, steps = grid.n_points, grid.n_steps
+    probe_points = n_probe_times * ((points - 1) // x_stride + 1)
+    for what, amount, limit in (
+        ("space-time points in one replication", points * (steps + 1), _MAX_TRAJECTORY),
+        ("cells x replications in one solver chunk", points * min(reps, _CHUNK), _MAX_CHUNK_CELLS),
+        ("probe samples per clamp level", reps * probe_points, _MAX_PROBE_SAMPLES),
+        ("cell-steps per clamp level", reps * points * steps, _MAX_CELL_STEPS),
+    ):
+        _require(amount <= limit, f"resource budget: {amount:.4g} {what} exceed the limit {limit:.4g}")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -522,10 +548,11 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         aborted_all += batch.aborted
         ens = _est.Ensemble.from_batch(batch, cfg.grid)
         for k in cfg.orders:
+            estimates = iter(_est.moment_estimates(ens, k))
             for pt in ens.probe_times:
                 outcome = bound_fn(k, float(pt))
                 for px in ens.probe_xs:
-                    est = _est.lk_norm(ens, k, float(pt), float(px))
+                    est = next(estimates)
                     report = _bounds.BoundReport.compare(outcome, est.power_hi)
                     if report.verdict == "dominates" and est.power_hi and est.power_hi > 0:
                         min_margin = min(min_margin, report.bound_log - math.log(est.power_hi))

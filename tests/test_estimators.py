@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shelab import estimators
 from shelab.estimators import (
     CouplingError,
     Ensemble,
@@ -13,6 +14,7 @@ from shelab.estimators import (
     Z_95,
     coupled_sup_difference,
     lk_norm,
+    moment_estimates,
     tail_probability,
     weighted_norm,
     wilson_interval,
@@ -105,6 +107,116 @@ class TestMergeAssociativity:
     def test_merge_order_mismatch(self):
         with pytest.raises(ValueError):
             MomentAccumulator(2).merge(MomentAccumulator(4))
+
+
+def reference_sum(values) -> int:
+    """Exact sum in units of 2^-1074, one ``as_integer_ratio`` per element."""
+    total = 0
+    for v in values:
+        num, den = float(v).as_integer_ratio()
+        total += num * ((1 << 1074) // den)
+    return total
+
+
+def reference_power_sums(column, k):
+    y = np.abs(np.asarray(column, dtype=float)) ** k
+    return reference_sum(y), reference_sum(y * y)
+
+
+edge_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 2.0 ** -1074, -(2.0 ** -1074), 2.0 ** -1022, 1e300, -1e300,
+                     float(np.nextafter(2.0, 0.0))]),
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+)
+columns = st.integers(min_value=1, max_value=4)
+
+
+class TestBucketedSum:
+    @given(st.data(), columns, st.integers(min_value=1, max_value=80))
+    @settings(max_examples=150, deadline=None)
+    def test_bucket_sums_match_per_element_reference(self, data, n_cols, n_rows):
+        values = data.draw(st.lists(edge_floats, min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        x = np.array(values).reshape(n_rows, n_cols)
+        got = [int(v) >> 53 for v in estimators._bucket_sums(x)]
+        assert got == [reference_sum(col) for col in x.T]
+
+    @given(st.data(), columns, st.integers(min_value=1, max_value=60), st.sampled_from([1.0, 2.0, 4.0]))
+    @settings(max_examples=100, deadline=None)
+    def test_power_sums_match_reference(self, data, n_cols, n_rows, k):
+        finite_sq = st.floats(min_value=-1e30, max_value=1e30, allow_nan=False)
+        values = data.draw(st.lists(st.one_of(finite_sq, st.sampled_from([0.0, 2.0 ** -1074])),
+                                    min_size=n_rows * n_cols, max_size=n_rows * n_cols))
+        x = np.array(values).reshape(n_rows, n_cols)
+        s_pow, s_sq = estimators._power_sums(x, k)
+        assert list(zip(s_pow, s_sq)) == [reference_power_sums(col, k) for col in x.T]
+
+    @given(st.floats(min_value=0.0, max_value=1e150), st.integers(min_value=2501, max_value=3100))
+    @settings(max_examples=20, deadline=None)
+    def test_long_column_crosses_int64_chunks(self, fill, n_rows):
+        # 2500+ equal values share one (column, exponent) bucket: summed in one
+        # int64 they would overflow, so the rows must be chunked
+        col = np.full(n_rows, fill)
+        col[::7] = np.nextafter(2.0, 0.0)  # the largest mantissa, 2^53 - 1
+        s_pow, s_sq = estimators._power_sums(col[:, None], 1.0)
+        assert (s_pow[0], s_sq[0]) == reference_power_sums(col, 1.0)
+
+    @given(st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=40),
+           st.sampled_from([float("inf"), -float("inf"), float("nan"), 1e160]),
+           st.integers(min_value=0, max_value=40), st.sampled_from([1, 2]))
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_raises_as_before(self, values, bad, where, k):
+        values.insert(min(where, len(values)), bad)
+        with pytest.raises((OverflowError, ValueError)) as want:
+            reference_power_sums(values, k)
+        with pytest.raises(want.type):
+            MomentAccumulator(k).add(values)
+        ens = one_probe_ensemble(values)
+        with pytest.raises(want.type):
+            moment_estimates(ens, k)
+
+    def test_non_finite_error_kinds(self):
+        with pytest.raises(OverflowError):
+            MomentAccumulator(2).add([1.0, float("inf")])
+        with pytest.raises(OverflowError):  # finite power, overflowing square
+            MomentAccumulator(1).add([1e160, 1.0])
+        with pytest.raises(ValueError):
+            MomentAccumulator(2).add([float("nan"), 1.0])
+
+
+class TestMomentEstimates:
+    def test_matches_lk_norm_at_every_probe(self):
+        times, xs = [0.1, 0.2, 0.3], np.linspace(-1.0, 1.0, 90)
+        # 400 x 270 samples span several passes of 2^15
+        z = standard_normals(5, 1, np.arange(400, dtype=np.uint64)[:, None],
+                             np.arange(270, dtype=np.uint64)[None, :])
+        ens = grid_ensemble(np.exp(z).reshape(400, 3, 90), times, xs)
+        for k in (1.0, 2.0, 4.0):
+            got = moment_estimates(ens, k)
+            want = [lk_norm(ens, k, t, x) for t in times for x in xs]
+            assert got == want  # bit-exact
+
+    def test_order_cap(self):
+        ens = one_probe_ensemble(np.ones(50))
+        with pytest.raises(ValueError, match="cap"):
+            moment_estimates(ens, 9)
+        with pytest.raises(ValueError, match=">= 1"):
+            moment_estimates(ens, 0.5)
+
+
+class TestProbeIndex:
+    def test_first_match_within_tolerance(self):
+        ens = grid_ensemble(np.zeros((2, 3, 2)), [0.5, 1.0, 1.0 + 1e-12], [-1.0, 2.0])
+        assert ens.probe_index(1.0 + 5e-10, 2.0 - 1e-9) == (1, 1)
+        assert ens.probe_index(0.5, -1.0) == (0, 0)
+        assert all(type(i) is int for i in ens.probe_index(0.5, -1.0))
+
+    def test_off_lattice_point_raises(self):
+        ens = grid_ensemble(np.zeros((2, 2, 2)), [0.5, 1.0], [-1.0, 2.0])
+        for t, x in ((0.75, 2.0), (1.0, 0.5), (1.0 + 1e-6, 2.0)):
+            with pytest.raises(ProbeError):
+                ens.probe_index(t, x)
+        with pytest.raises(ProbeError):
+            tail_probability(ens, 1.0, 0.5, 2.0 + 1e-6)
 
 
 class TestWeightedNorm:

@@ -94,6 +94,26 @@ class TestConfigRejection:
             (lambda d: d.update(levels=[1e6]), "levels: clamp levels above 700 make e\\^N overflow"),
             (lambda d: d.update(levels=[True]), "levels must be a non-empty list of numbers"),
             (lambda d: d["constants"].update(L_b=float("inf")), "constants.L_b"),
+            (lambda d: d["grid"].update(R="4"), "grid.R must be a number"),
+            (lambda d: d["grid"].update(dx=True), "grid.dx must be a number"),
+            (lambda d: d["grid"].update(dt="0.005"), "grid.dt must be a number"),
+            (lambda d: d["grid"].update(T=False), "grid.T must be a number"),
+            (lambda d: d["grid"].pop("T"), "grid is missing required key 'T'"),
+            (lambda d: d["u0"].update(value=True), "u0.value must be a number"),
+            (lambda d: d["u0"].update(value="1.0"), "u0.value must be a number"),
+            (lambda d: d.update(u0={"kind": "indicator", "a": "0", "b": 1.0}), "u0.a must be a number"),
+            (lambda d: d.update(u0={"kind": "indicator", "a": 0.0, "b": True}), "u0.b must be a number"),
+            (lambda d: d.update(u0={"kind": "expr", "source": "1", "bound": "1"}), "u0.bound must be a number"),
+            (lambda d: d.update(u0={"kind": "expr", "source": 1}), "u0.source must be an expression string"),
+            (lambda d: d["grid"].update(R=1e308, dx=1.0, dt=1.0), "grid: .*too many lattice points"),
+            (lambda d: d["grid"].update(R=1e7, dx=0.1), "resource budget: .* space-time points"),
+            (lambda d: d["grid"].update(T=1e9, dt=0.005), "resource budget: .* space-time points"),
+            (lambda d: d.update(grid={**d["grid"], "R": 2e5, "T": 0.005}, probes={"times": [0.005]}),
+             "resource budget: .* one solver chunk"),
+            (lambda d: d.update(replications=10 ** 7, probes={"x_stride": 1}), "resource budget: .* probe samples"),
+            (lambda d: d["probes"].update(x_stride=1, times=[0.25] * 100000), "resource budget: .* probe samples"),
+            (lambda d: d.update(replications=10 ** 8, probes={"x_stride": 10 ** 6, "n_times": 1}),
+             "resource budget: .* cell-steps"),
         ],
     )
     def test_config_holes_exit_1_naming_the_clause(self, mutate, fragment, tmp_path, capsys):
