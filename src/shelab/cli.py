@@ -91,10 +91,11 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             cfg = _load(args)
             os.makedirs(args.out, exist_ok=True)
+            spec = NoiseSpec(seed=cfg.seed, replication=0, grid=cfg.grid)
+            sol = solver.solve_lattice(cfg.levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid, spec)
             for level in cfg.levels:
-                spec = NoiseSpec(seed=cfg.seed, replication=0, grid=cfg.grid)
-                traj = solver.solve_truncated(level, cfg.drift, cfg.diffusion,
-                                              cfg.u0, cfg.grid, spec)
+                (traj,) = solver.field_trajectories(sol, (level,), cfg.drift, cfg.diffusion,
+                                                    cfg.u0, cfg.grid, spec)
                 base = os.path.join(args.out, f"trajectory_N{level:g}_{cfg.hash16}")
                 solver.save_trajectory(traj, base + ".bin", base + ".json")
                 print(base + ".bin")

@@ -282,18 +282,20 @@ class Ensemble:
         )
 
     @classmethod
-    def from_batch(cls, batch, grid, level_index: int = 0, provenance=None) -> "Ensemble":
-        vals = batch.samples[level_index]
+    def from_batch(cls, batch, grid, level=None, provenance=None) -> "Ensemble":
+        """The batch's solve at clamp level ``level`` (default: its lowest level)."""
+        level = batch.levels[0] if level is None else float(level)
+        vals = batch.samples[batch.levels.index(level)]
         ok = np.isfinite(vals).all(axis=(1, 2))
         return cls(
             probe_times=batch.probe_step_idx * grid.dt,
             probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
             samples=vals[ok],
-            level=batch.levels[level_index],
+            level=level,
             horizon=grid.T,
             provenance=provenance or {},
-            aborted=list(batch.aborted),
-            path_max_abs=batch.path_max_abs[ok],
+            aborted=list(batch.aborted[(level,)]),
+            path_max_abs=batch.path_max_abs[(level,)][ok],
         )
 
     @property
@@ -382,21 +384,24 @@ class PairEnsemble:
     aborted: list = field(default_factory=list)
 
     @classmethod
-    def from_batch(cls, batch, grid, provenance=None) -> "PairEnsemble":
-        if len(batch.levels) != 2:
-            raise CouplingError("pair ensemble needs a two-level batch")
-        diff = batch.samples[1] - batch.samples[0]
+    def from_batch(cls, batch, grid, level=None, provenance=None) -> "PairEnsemble":
+        """The batch's coupled pair (N, N + 1) at ``N = level`` (default: its lowest level)."""
+        key = batch.levels[0] if level is None else float(level)
+        key = (key, key + 1.0)
+        if key not in batch.sup_abs_diff:
+            raise CouplingError(f"batch has no coupled pair of levels {key}")
+        diff = batch.samples[batch.levels.index(key[1])] - batch.samples[batch.levels.index(key[0])]
         ok = np.isfinite(diff).all(axis=(1, 2))
         return cls(
-            level_low=batch.levels[0],
-            level_high=batch.levels[1],
+            level_low=key[0],
+            level_high=key[1],
             probe_times=batch.probe_step_idx * grid.dt,
             probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
             diff_samples=diff[ok],
-            sup_abs_diff=batch.sup_abs_diff[ok],
-            path_max_abs=batch.path_max_abs[ok],
+            sup_abs_diff=batch.sup_abs_diff[key][ok],
+            path_max_abs=batch.path_max_abs[key][ok],
             provenance=provenance or {},
-            aborted=list(batch.aborted),
+            aborted=list(batch.aborted[key]),
         )
 
     @classmethod

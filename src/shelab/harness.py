@@ -32,7 +32,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -88,9 +88,12 @@ _PROBE_KEYS = {"x_stride", "times", "n_times"}
 # the experiments use e^N, e^(N+1) and 10 e^N of a clamp level N; all stay finite
 _MAX_LEVEL = 700.0
 # resource budget: a config that parses runs in bounded memory and time
-_MAX_TRAJECTORY = 1 << 27  # space-time points of one replication (1 GiB stored)
-_MAX_CHUNK_CELLS = 1 << 24  # cells x replications of one solver chunk (128 MiB per array)
-_MAX_PROBE_SAMPLES = 1 << 27  # samples kept per clamp level (1 GiB)
+# one solver pass stacks every level an experiment reads: at most 2 len(levels)
+# (convergence: {N} and {N+1}); a full-lattice pass holds at most
+# max(len(levels), 5) trajectories (simulate: every level; uniqueness: 4 + 1)
+_MAX_TRAJECTORY = 1 << 27  # space-time points of the trajectories one pass holds (1 GiB stored)
+_MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
+_MAX_PROBE_SAMPLES = 1 << 27  # probe samples one pass keeps over all its levels (1 GiB)
 _MAX_CELL_STEPS = 10 ** 11  # cell-steps solved per clamp level
 
 
@@ -260,7 +263,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "assumption_levels must list at least 4 clamp levels",
     )
     _check_clamp_levels(assumption_levels, "assumption_levels")
-    _check_budget(grid, reps, n_times if times is None else len(times), stride)
+    _check_budget(grid, reps, len(levels), n_times if times is None else len(times), stride)
 
     return ExperimentConfig(
         raw=doc,
@@ -294,13 +297,15 @@ def _check_clamp_levels(levels, key):
     )
 
 
-def _check_budget(grid: GridSpec, reps: int, n_probe_times: int, x_stride: int):
+def _check_budget(grid: GridSpec, reps: int, n_levels: int, n_probe_times: int, x_stride: int):
     points, steps = grid.n_points, grid.n_steps
     probe_points = n_probe_times * ((points - 1) // x_stride + 1)
+    stacked = 2 * n_levels
     for what, amount, limit in (
-        ("space-time points in one replication", points * (steps + 1), _MAX_TRAJECTORY),
-        ("cells x replications in one solver chunk", points * min(reps, _CHUNK), _MAX_CHUNK_CELLS),
-        ("probe samples per clamp level", reps * probe_points, _MAX_PROBE_SAMPLES),
+        ("space-time points in one full-lattice pass", points * (steps + 1) * max(n_levels, 5), _MAX_TRAJECTORY),
+        ("levels x cells x replications in one solver chunk", stacked * points * min(reps, _CHUNK),
+         _MAX_CHUNK_CELLS),
+        ("probe samples in one solver pass", stacked * reps * probe_points, _MAX_PROBE_SAMPLES),
         ("cell-steps per clamp level", reps * points * steps, _MAX_CELL_STEPS),
     ):
         _require(amount <= limit, f"resource budget: {amount:.4g} {what} exceed the limit {limit:.4g}")
@@ -410,6 +415,9 @@ class Record:
     config_hash: str
 
 
+_RECORD_FIELDS = tuple(f.name for f in fields(Record))
+
+
 @dataclass
 class ResultSet:
     experiment: str
@@ -420,7 +428,8 @@ class ResultSet:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "records": [asdict(r) for r in self.records],
+            # a shallow dict per record: every field is a str, int, float or None
+            "records": [{f: getattr(r, f) for f in _RECORD_FIELDS} for r in self.records],
             "diagnostics": self.diagnostics,
             "provenance": self.provenance,
         }
@@ -475,7 +484,7 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
 
 
 def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1):
-    """Solve all replications at the given clamp level(s), chunked; order-stable."""
+    """Solve all replications at every given clamp level in one pass per chunk; order-stable."""
     n = cfg.replications
     starts = list(range(0, n, _CHUNK))
 
@@ -502,12 +511,13 @@ def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1)
     return merged
 
 
-def _abort_budget(batch, cfg):
-    frac = len(batch.aborted) / cfg.replications
+def _abort_budget(aborted, cfg):
+    """Abort records of one level's or one coupled pair's run, checked against the 1% budget."""
+    frac = len(aborted) / cfg.replications
     if frac > 0.01:
-        first = batch.aborted[0]
+        first = aborted[0]
         raise ExperimentError(
-            f"{len(batch.aborted)} of {cfg.replications} replications aborted "
+            f"{len(aborted)} of {cfg.replications} replications aborted "
             f"(> 1% budget); first at replication {first.replication}, "
             f"step {first.step}, cell {first.cell}"
         )
@@ -542,11 +552,11 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     records = []
     min_margin = math.inf
     aborted_all = []
+    batch = _collect(cfg, cfg.levels, probe_steps, probe_x_idx, threads)
     for level in cfg.levels:
-        batch = _collect(cfg, (level,), probe_steps, probe_x_idx, threads)
-        _abort_budget(batch, cfg)
-        aborted_all += batch.aborted
-        ens = _est.Ensemble.from_batch(batch, cfg.grid)
+        _abort_budget(batch.aborted[(level,)], cfg)
+        aborted_all += batch.aborted[(level,)]
+        ens = _est.Ensemble.from_batch(batch, cfg.grid, level)
         for k in cfg.orders:
             estimates = iter(_est.moment_estimates(ens, k))
             for pt in ens.probe_times:
@@ -597,12 +607,12 @@ def run_tail_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
 
     records = []
     aborted_all = []
+    # the tail statement concerns the level-(N+1) solution against e^N
+    batch = _collect(cfg, tuple(sorted({level + 1.0 for level in cfg.levels})), probe_steps, probe_x_idx, threads)
     for level in cfg.levels:
-        # the tail statement concerns the level-(N+1) solution against e^N
-        batch = _collect(cfg, (level + 1.0,), probe_steps, probe_x_idx, threads)
-        _abort_budget(batch, cfg)
-        aborted_all += batch.aborted
-        ens = _est.Ensemble.from_batch(batch, cfg.grid)
+        _abort_budget(batch.aborted[(level + 1.0,)], cfg)
+        aborted_all += batch.aborted[(level + 1.0,)]
+        ens = _est.Ensemble.from_batch(batch, cfg.grid, level + 1.0)
         threshold = math.exp(level)
         for pt in ens.probe_times:
             outcome = bound_fn(level, float(pt))
@@ -638,11 +648,12 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
     aborted_all = []
     table = {float(k): [] for k in cfg.orders}  # k -> [(N, value, active)]
     plateau_level = None
+    union = sorted(set(cfg.levels) | {level + 1.0 for level in cfg.levels})
+    batch = _collect(cfg, tuple(union), probe_steps, probe_x_idx, threads)
     for level in sorted(cfg.levels):
-        batch = _collect(cfg, (level, level + 1.0), probe_steps, probe_x_idx, threads)
-        _abort_budget(batch, cfg)
-        aborted_all += batch.aborted
-        pair = _est.PairEnsemble.from_batch(batch, cfg.grid)
+        _abort_budget(batch.aborted[(level, level + 1.0)], cfg)
+        aborted_all += batch.aborted[(level, level + 1.0)]
+        pair = _est.PairEnsemble.from_batch(batch, cfg.grid, level)
         active = bool(np.any(pair.path_max_abs > math.exp(level)))
         max_diff = float(np.max(pair.sup_abs_diff)) if pair.count else math.nan
         if max_diff == 0.0 and plateau_level is None:
@@ -700,7 +711,9 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     probe_steps, probe_x_idx = _probe_indices(cfg)
     records = []
     diag = {"checked_replications": [], "active_clamp_rows": 0}
-    top = max(cfg.levels)
+    top, bottom = max(cfg.levels), min(cfg.levels)
+    # one pass over every level the b1/s1 comparisons read, one b2/s2 pass at the top
+    union = tuple(sorted({bottom, bottom + 1.0, top, top + 1.0}))
     n_checked = min(cfg.replications, 4)
 
     def fresh_pair():
@@ -711,8 +724,14 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
         b1, s1 = fresh_pair()
         b2, s2 = fresh_pair()
-        t_a = _solver.solve_truncated(top, b1, s1, cfg.u0, cfg.grid, spec)
-        t_b = _solver.solve_truncated(top, b2, s2, cfg.u0, cfg.grid, spec)
+        sol_1 = _solver.solve_lattice(union, b1, s1, cfg.u0, cfg.grid, spec)
+        sol_2 = _solver.solve_lattice((top,), b2, s2, cfg.u0, cfg.grid, spec)
+
+        def views(sol, levels, b, s):
+            return _solver.field_trajectories(sol, levels, b, s, cfg.u0, cfg.grid, spec)
+
+        (t_a,) = views(sol_1, (top,), b1, s1)
+        (t_b,) = views(sol_2, (top,), b2, s2)
         _assert_identical(t_a, t_b, f"re-parsed coefficients at level {top:g}, replication {rep}")
         records.append(Record(
             experiment="uniqueness", N=float(top), k=None, t=None, x=None,
@@ -721,7 +740,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         ))
 
         clamp_inactive = t_a.path_max_abs < math.exp(top)
-        low, high = _solver.solve_pair_coupled(top, b1, s1, cfg.u0, cfg.grid, spec)
+        low, high = views(sol_1, (top, top + 1.0), b1, s1)
         if clamp_inactive:
             _assert_identical(low, high, f"levels {top:g} vs {top + 1:g}, replication {rep}")
             records.append(Record(
@@ -739,9 +758,8 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
             diag["active_clamp_rows"] += 1
 
         # documented active-clamp row at the lowest configured level
-        bottom = min(cfg.levels)
         if bottom < top:
-            low, high = _solver.solve_pair_coupled(bottom, b1, s1, cfg.u0, cfg.grid, spec)
+            low, high = views(sol_1, (bottom, bottom + 1.0), b1, s1)
             diff = float(np.max(np.abs(high.values - low.values)))
             verdict = "recorded" if diff > 0 else "identical"
             if diff > 0:

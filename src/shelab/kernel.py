@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from . import expr as _expr
@@ -132,6 +131,9 @@ def initial_convolution(u0: InitialCondition, t: float, x: float) -> float:
     if u0.kind == "indicator":
         a, b = u0.interval
         return float(gaussian_cdf((b - x) / sd) - gaussian_cdf((a - x) / sd))
+    # imported here: scipy.integrate is slow to import and only expression profiles need it
+    from scipy import integrate
+
     ast = _expr.parse(u0.source)
 
     def integrand(y):

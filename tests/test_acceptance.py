@@ -108,7 +108,7 @@ def additive_variance_run(dx, dt, reps, seed=746083):
     cfg = parse_config(doc)
     steps, xs = _probe_indices(cfg)
     batch = _collect(cfg, (3.0,), steps, xs, threads=2)
-    assert not batch.aborted
+    assert not batch.aborted[(3.0,)]
     ens = Ensemble.from_batch(batch, cfg.grid)
     return float(np.var(ens.samples_at(0.25, 0.0), ddof=1))
 
@@ -159,7 +159,7 @@ def test_criterion_03_mean_preservation():
     cfg = parse_config(doc)
     steps, xs = _probe_indices(cfg)
     batch = _collect(cfg, (3.0,), steps, xs, threads=2)
-    assert not batch.aborted
+    assert not batch.aborted[(3.0,)]
     ens = Ensemble.from_batch(batch, cfg.grid)
     vals = ens.samples_at(0.25, 0.0)
     se = float(vals.std(ddof=1)) / math.sqrt(vals.size)

@@ -40,7 +40,7 @@ SIMULATE_SHA256 = {
 UNIQUENESS_CSV_SHA256 = "23c90a887e555007996d2035cb75ea76516e22cc7e4a89bae10fcd8ec0f93af2"
 
 PILOT_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
-# result CSVs of the three pilot experiments at --threads 1
+# result CSVs of the three pilot experiments, the same at --threads 1 and 2
 PILOT_CSV_SHA256 = {
     ("verify-moments", "pilot_moments.json"): {
         "verify-moments_{tag}.csv": "01d034c8a7c4d02eb53a288376a2edb5a7b21573b14e488498428495a7e7a2cd",
@@ -78,11 +78,13 @@ def test_simulate_and_uniqueness_digests(tmp_path):
     assert sha256((out / f"uniqueness_{tag}.csv").read_bytes()) == UNIQUENESS_CSV_SHA256
 
 
+@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("command,config", sorted(PILOT_CSV_SHA256))
-def test_pilot_result_digests(command, config, tmp_path):
+def test_pilot_result_digests(command, config, threads, tmp_path):
+    # thread chunking of the stacked solver passes never changes a bit
     path = PILOT_CONFIGS / config
     out = tmp_path / "out"
-    assert cli.main(["--out", str(out), "--threads", "1", command, str(path)]) == 0
+    assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0
     tag = load_config(path).hash16
     expected = PILOT_CSV_SHA256[(command, config)]
     got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in expected}

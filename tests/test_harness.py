@@ -112,8 +112,15 @@ class TestConfigRejection:
              "resource budget: .* one solver chunk"),
             (lambda d: d.update(replications=10 ** 7, probes={"x_stride": 1}), "resource budget: .* probe samples"),
             (lambda d: d["probes"].update(x_stride=1, times=[0.25] * 100000), "resource budget: .* probe samples"),
-            (lambda d: d.update(replications=10 ** 8, probes={"x_stride": 10 ** 6, "n_times": 1}),
+            (lambda d: d.update(replications=3 * 10 ** 7, probes={"x_stride": 10 ** 6, "n_times": 1}),
              "resource budget: .* cell-steps"),
+            # one solver pass stacks every level: 300 levels hold 600 x the per-level arrays
+            (lambda d: d.update(replications=256, levels=[0.5 * i for i in range(300)],
+                                grid={**d["grid"], "R": 200.0}),
+             "resource budget: .* one solver chunk"),
+            (lambda d: d.update(replications=10 ** 5, levels=[0.5 * i for i in range(300)],
+                                probes={"times": [0.1, 0.25], "x_stride": 1}),
+             "resource budget: .* probe samples"),
         ],
     )
     def test_config_holes_exit_1_naming_the_clause(self, mutate, fragment, tmp_path, capsys):

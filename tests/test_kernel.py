@@ -1,10 +1,15 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+import shelab
 from shelab.kernel import (
     InitialCondition,
     heat_kernel,
@@ -127,3 +132,13 @@ class TestInitialCondition:
         ind = InitialCondition.indicator(-1.0, 1.0)
         assert np.array_equal(ind(xs), np.array([0.0, 1.0, 1.0, 1.0, 0.0]))
         assert np.array_equal(InitialCondition.constant(2.5)(xs), np.full(5, 2.5))
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # only the quadrature for expression profiles needs it; it is slow to import
+    src = str(pathlib.Path(shelab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, shelab.cli; print('scipy.integrate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

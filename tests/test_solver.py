@@ -1,19 +1,23 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from shelab.coeff import Coefficient
+from shelab import harness
+from shelab.coeff import Coefficient, truncated_fn
 from shelab.grid import GridSpec
 from shelab.kernel import InitialCondition, initial_convolution
 from shelab import solver
 from shelab.noise import NoiseSpec, standard_normals
 from shelab.solver import (
     SolverBlowupError,
+    field_trajectories,
     load_trajectory,
     save_trajectory,
     solve_batch,
+    solve_lattice,
     solve_pair_coupled,
     solve_truncated,
 )
@@ -96,7 +100,7 @@ class TestStepExplicit:
             solve_pair_coupled(5.0, explode, ZERO, u0, g, NoiseSpec(seed=0, replication=0, grid=g))
         assert (exc.value.step, exc.value.cell) == (4, 18)
         batch = solve_batch((5.0,), explode, ZERO, u0, g, 0, np.arange(2), np.array([4, 5]), np.array([18]))
-        assert [(a.replication, a.step, a.cell) for a in batch.aborted] == [(0, 4, 18), (1, 4, 18)]
+        assert [(a.replication, a.step, a.cell) for a in batch.aborted[(5.0,)]] == [(0, 4, 18), (1, 4, 18)]
         assert np.all(batch.samples[0, :, 0] == 0.0) and np.all(np.isnan(batch.samples[0, :, 1]))
 
 
@@ -236,7 +240,7 @@ class TestSolveBatch:
             low, high = solve_pair_coupled(
                 0.5, ZERO, LINEAR, u0, g, NoiseSpec(seed=123, replication=rep, grid=g)
             )
-            assert batch.sup_abs_diff[rep] == pytest.approx(
+            assert batch.sup_abs_diff[(0.5, 1.5)][rep] == pytest.approx(
                 float(np.max(np.abs(high.values - low.values))), rel=0, abs=0
             )
 
@@ -248,7 +252,7 @@ class TestSolveBatch:
         monkeypatch.setattr(solver, "_BLOCK_DRAWS", 7 * 3 * g.n_points)  # 50 steps = 7 blocks of 7, then 1
         blocked = solve_batch(*args)
         assert np.array_equal(whole.samples, blocked.samples)
-        assert np.array_equal(whole.sup_abs_diff, blocked.sup_abs_diff)
+        assert np.array_equal(whole.sup_abs_diff[(0.5, 1.5)], blocked.sup_abs_diff[(0.5, 1.5)])
 
     def test_blowup_is_recorded_and_isolated(self):
         # a drift that returns inf once the state crosses a threshold kills
@@ -260,13 +264,13 @@ class TestSolveBatch:
         clean = solve_batch(
             (9.0,), ZERO, LINEAR, u0, g, 5, reps, np.array([g.n_steps]), np.array([40])
         )
-        tau = float(np.median(clean.path_max_abs))  # roughly half the paths cross
+        tau = float(np.median(clean.path_max_abs[(9.0,)]))  # roughly half the paths cross
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > tau, np.inf, 0.0))
         batch = solve_batch(
             (9.0,), bomb, LINEAR, u0, g, 5, reps, np.array([g.n_steps]), np.array([40])
         )
-        assert 0 < len(batch.aborted) < len(reps)
-        dead = {a.replication for a in batch.aborted}
+        assert 0 < len(batch.aborted[(9.0,)]) < len(reps)
+        dead = {a.replication for a in batch.aborted[(9.0,)]}
         for r in reps:
             if int(r) in dead:
                 assert np.isnan(batch.samples[0, r]).all()
@@ -277,6 +281,143 @@ class TestSolveBatch:
                     9.0, bomb, LINEAR, u0, g, NoiseSpec(seed=5, replication=int(r), grid=g)
                 )
                 assert batch.samples[0, r, 0, 0] == traj.values[g.n_steps, 40]
+
+
+def first_abort(records_lo, records_hi):
+    """A coupled pair's abort records from its two levels' own records."""
+    by_rep = {}
+    for a in records_lo + records_hi:
+        if a.replication not in by_rep or (a.step, a.cell) < (by_rep[a.replication].step, by_rep[a.replication].cell):
+            by_rep[a.replication] = a
+    return sorted(by_rep.values(), key=lambda a: a.step)  # stable: replication order within a step
+
+
+class TestStackedLevels:
+    """Every level of a stacked pass equals its own solve, bit for bit."""
+
+    def assert_matches_separate(self, levels, b, sigma, u0, g, seed, reps, steps, cells):
+        stacked = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells)
+        assert stacked.levels == levels
+        for i, level in enumerate(levels):
+            alone = solve_batch((level,), b, sigma, u0, g, seed, reps, steps, cells)
+            assert np.array_equal(stacked.samples[i], alone.samples[0], equal_nan=True)
+            assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)])
+            assert stacked.aborted[(level,)] == alone.aborted[(level,)]
+        pairs = [(lo, hi) for lo in levels for hi in levels if hi == lo + 1.0]
+        assert sorted(stacked.sup_abs_diff) == pairs
+        for lo, hi in pairs:
+            assert stacked.aborted[(lo, hi)] == first_abort(stacked.aborted[(lo,)], stacked.aborted[(hi,)])
+            alone = solve_batch((lo, hi), b, sigma, u0, g, seed, reps, steps, cells)
+            for got, want in ((stacked.sup_abs_diff, alone.sup_abs_diff),
+                              (stacked.path_max_abs, alone.path_max_abs),
+                              (stacked.aborted, alone.aborted)):
+                assert np.array_equal(got[(lo, hi)], want[(lo, hi)])
+        return stacked
+
+    def test_one_clip_per_step_matches_a_clip_per_coefficient(self):
+        # the pre-stacking loop: each level on its own, each coefficient clipping its own argument
+        g = mkgrid()
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+        u0 = InitialCondition.constant(1.0)
+        levels = (0.0, 0.5, 1.0, 3.0)
+        sol = solve_lattice(levels, b, sigma, u0, g, NoiseSpec(seed=11, replication=2, grid=g))
+        for i, level in enumerate(levels):
+            row = u0(g.xs)
+            assert np.array_equal(sol.samples[i, 0, 0], row)
+            for m in range(g.n_steps):
+                row = solver._advance(row, m * g.dt, cell_increments(g, 11, 2, m),
+                                      truncated_fn(b, level), truncated_fn(sigma, level), g)
+                assert np.array_equal(sol.samples[i, 0, m + 1], row)
+
+    def test_four_levels_equal_separate_solves(self):
+        g = mkgrid()
+        self.assert_matches_separate((0.25, 0.5, 1.25, 1.5), ZERO, LINEAR, InitialCondition.constant(1.0), g,
+                                     123, np.arange(5), np.array([10, 25, 50]), np.array([0, 20, 40, 60, 80]))
+
+    def test_non_adjacent_pairs_and_periodic_boundary(self):
+        g = mkgrid(boundary="periodic")
+        stacked = self.assert_matches_separate(
+            (1.0, 1.5, 2.0, 2.5), Coefficient.builtin("affine"), LINEAR, InitialCondition.indicator(-1.0, 1.0), g,
+            7, np.arange(3), np.arange(g.n_steps + 1), np.arange(g.n_points))
+        assert sorted(stacked.sup_abs_diff) == [(1.0, 2.0), (1.5, 2.5)]
+        # the sup difference spans the whole lattice of the pair
+        for lo, hi in stacked.sup_abs_diff:
+            whole = np.abs(stacked.samples[stacked.levels.index(hi)] - stacked.samples[stacked.levels.index(lo)])
+            assert np.array_equal(stacked.sup_abs_diff[(lo, hi)], whole.max(axis=(1, 2)))
+
+    def test_blowup_above_one_clamp_bound_kills_only_that_level(self):
+        g = mkgrid()
+        u0 = InitialCondition.constant(1.0)
+        levels = (0.5, 1.0, 1.5, 2.0)  # clamp bounds 1.6, 2.7, 4.5, 7.4
+        # the clipped state exceeds 6 only under the level-2 clamp
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 6.0, np.inf, 0.0))
+        reps = np.arange(32)
+        stacked = self.assert_matches_separate(levels, bomb, LINEAR, u0, g, 5, reps,
+                                               np.array([5, g.n_steps]), np.array([20, 40]))
+        dead = {a.replication for a in stacked.aborted[(2.0,)]}
+        assert 0 < len(dead) < len(reps)
+        assert stacked.aborted[(1.0, 2.0)] == stacked.aborted[(2.0,)]
+        for level in levels[:3]:
+            assert stacked.aborted[(level,)] == [] and np.isfinite(stacked.samples[levels.index(level)]).all()
+        assert stacked.aborted[(0.5, 1.5)] == []
+        for r in reps:
+            assert np.isnan(stacked.samples[3, r, -1]).all() == (int(r) in dead)
+
+    def test_lattice_views_raise_at_their_own_abort(self):
+        g = mkgrid()
+        u0 = InitialCondition.constant(10.0)
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 9.0, np.inf, 0.0))
+        spec = NoiseSpec(seed=0, replication=0, grid=g)
+        sol = solve_lattice((1.0, 1.5, 2.5), bomb, LINEAR, u0, g, spec)  # only level 2.5 clips to above 9
+        (low,) = field_trajectories(sol, (1.5,), bomb, LINEAR, u0, g, spec)
+        assert np.isfinite(low.values).all()
+        with pytest.raises(SolverBlowupError) as exc:
+            field_trajectories(sol, (1.5, 2.5), bomb, LINEAR, u0, g, spec)
+        assert (exc.value.step, exc.value.cell) == (0, 1)
+        # the pair's path max stops at its abort (step 0: only u0 counts); level 1.5's own goes on
+        assert sol.path_max_abs[(1.5, 2.5)][0] == 10.0 < low.path_max_abs == sol.path_max_abs[(1.5,)][0]
+        assert sol.sup_abs_diff[(1.5, 2.5)][0] == 0.0
+
+    def test_pair_abort_takes_the_first_bad_cell_of_either_level(self):
+        g = mkgrid()
+        u0 = InitialCondition.from_expression("4*(x+4)", bound=32.0)
+        # fires where the clamp bites: cells above e^2 at level 2, above e^3 at level 3
+        bounds = (math.exp(2.0), math.exp(3.0))
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(np.isin(x, bounds), np.inf, 0.0))
+        stacked = self.assert_matches_separate((2.0, 3.0), bomb, ZERO, u0, g, 0, np.arange(2),
+                                               np.array([1]), np.array([0]))
+        lo, hi = stacked.aborted[(2.0,)][0], stacked.aborted[(3.0,)][0]
+        assert lo.step == hi.step == 0 and lo.cell < hi.cell
+        assert [(a.step, a.cell) for a in stacked.aborted[(2.0, 3.0)]] == [(0, lo.cell)] * 2
+
+    def test_abort_order_across_chunks(self, monkeypatch):
+        doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
+               "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
+               "replications": 32, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
+               "probes": {"times": [0.25], "x_stride": 20}}
+        cfg = harness.parse_config(doc)
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0), declared_growth=0.0)
+        cfg = dataclasses.replace(cfg, drift=bomb)
+        monkeypatch.setattr(harness, "_CHUNK", 5)
+        steps, xs = harness._probe_indices(cfg)
+        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2)
+        # chunk by chunk, then step, then replication; each chunk's records as its own solve gives them
+        for key in ((1.0,), (2.0,), (1.0, 2.0)):
+            expected = []
+            for start in range(0, 32, 5):
+                chunk = np.arange(start, min(start + 5, 32))
+                expected += solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, chunk, steps, xs).aborted[key]
+            assert batch.aborted[key] == expected
+        records = batch.aborted[(1.0,)]
+        assert records == sorted(records, key=lambda a: (a.replication // 5, a.step, a.replication))
+        assert [a.step for a in records] != sorted(a.step for a in records)  # chunk order shows
+        first = records[0]
+        with pytest.raises(harness.ExperimentError) as exc:
+            harness.run_moment_verification(cfg)
+        assert str(exc.value) == (
+            f"{len(records)} of 32 replications aborted (> 1% budget); first at replication "
+            f"{first.replication}, step {first.step}, cell {first.cell}"
+        )
 
 
 def test_trajectory_dump_roundtrip(tmp_path):
