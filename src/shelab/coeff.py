@@ -96,6 +96,12 @@ class Coefficient:
     declared_growth: float | None = None
     declared_lip: dict | None = field(default=None, compare=False)
     declared_sup: float | None = None
+    # this object's own compiled form of ``ast``; never shared between coefficients
+    compiled: _expr.Compiled | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.ast is not None:
+            object.__setattr__(self, "compiled", _expr.Compiled(self.ast))
 
     @classmethod
     def parse(cls, source: str, **declared) -> "Coefficient":
@@ -121,7 +127,7 @@ class Coefficient:
 
     def __call__(self, t, x):
         if self.ast is not None:
-            return _expr.evaluate(self.ast, t, x)
+            return _expr.evaluate(self.compiled, t, x)
         out = self.fn(float(t), np.asarray(x, dtype=float))
         return np.asarray(out, dtype=float)
 

@@ -16,7 +16,10 @@ exp, log, abs, sqrt (one argument) and min, max (two arguments).
 Evaluation is numpy-vectorised: ``evaluate(node, t, x)`` accepts scalars or
 arrays for ``x`` and raises :class:`EvalDomainError` on any domain violation
 (log of a non-positive number, division by zero, fractional power of a
-negative base) or non-finite result.
+negative base) or non-finite result.  An AST is evaluated through its
+:class:`Compiled` form, nested closures built once per tree, so a
+coefficient called every solver step pays no tree walk; ``evaluate``
+compiles a bare AST on the spot.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "BinOp",
     "Call",
     "parse",
+    "Compiled",
     "evaluate",
     "to_source",
 ]
@@ -211,66 +215,122 @@ def parse(source: str) -> Node:
     return _Parser(source).parse()
 
 
-def evaluate(node: Node, t, x):
-    """Evaluate ``node`` at time ``t`` (scalar) and state ``x`` (scalar or array)."""
+class Compiled:
+    """An AST compiled once into nested closures; evaluate it with :func:`evaluate`.
+
+    The closures call the same numpy ufuncs, in the same order, as a direct
+    walk of the tree would, so compiling never changes a bit.  ``node`` is
+    kept for error messages.
+    """
+
+    __slots__ = ("node", "fn")
+
+    def __init__(self, node: Node):
+        self.node = node
+        self.fn = _compile(node)
+
+
+def evaluate(node, t, x):
+    """Evaluate ``node`` (an AST or its :class:`Compiled` form) at time ``t`` (scalar)
+    and state ``x`` (scalar or array).
+
+    A bare AST is compiled on the spot; callers that evaluate one expression
+    many times compile it once and pass the :class:`Compiled` form.
+    """
+    compiled = node if isinstance(node, Compiled) else Compiled(node)
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval(node, float(t), x)
-        out = np.broadcast_to(np.asarray(out, dtype=float), x.shape)
+        out = compiled.fn(float(t), x)
+    if type(out) is not np.ndarray or out.shape != x.shape or out is x:
+        # a constant, a scalar-only subtree or ``x`` itself: a fresh array of x's shape
+        out = np.array(np.broadcast_to(np.asarray(out, dtype=float), x.shape))
     if not np.isfinite(out).all():
-        raise EvalDomainError(f"non-finite result from {to_source(node)}")
+        raise EvalDomainError(f"non-finite result from {to_source(compiled.node)}")
     if x.ndim == 0:
         return float(out)
-    return np.array(out)
+    return out
 
 
-def _eval(node, t, x):
+def _any(mask):
+    """``np.any`` of a comparison result that may be a Python bool."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+_UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+_ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
+
+
+def _compile(node):
+    """Closure ``(t, x) -> value`` for ``node``; children evaluate left to right."""
     if isinstance(node, Num):
-        return node.value
+        value = float(node.value)
+        return lambda t, x: value
     if isinstance(node, Var):
-        return x if node.name == "x" else t
+        if node.name == "x":
+            return lambda t, x: x
+        return lambda t, x: t
     if isinstance(node, Neg):
-        return -np.asarray(_eval(node.arg, t, x))
+        arg = _compile(node.arg)
+        return lambda t, x: np.negative(arg(t, x))
     if isinstance(node, BinOp):
-        a = _eval(node.left, t, x)
-        b = _eval(node.right, t, x)
-        if node.op == "+":
-            return np.add(a, b)
-        if node.op == "-":
-            return np.subtract(a, b)
-        if node.op == "*":
-            return np.multiply(a, b)
+        left, right = _compile(node.left), _compile(node.right)
+        if node.op in _ARITH:
+            ufunc = _ARITH[node.op]
+            return lambda t, x: ufunc(left(t, x), right(t, x))
         if node.op == "/":
-            if np.any(np.asarray(b) == 0):
-                raise EvalDomainError("division by zero")
-            return np.divide(a, b)
-        # "^": reject fractional powers of negative bases and 0^negative,
-        # both of which numpy maps to nan/inf silently.
-        out = np.power(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise EvalDomainError("invalid power (negative base or zero to a negative exponent)")
-        return out
+            if isinstance(node.right, Num):
+                divisor = float(node.right.value)
+                if divisor != 0:
+                    return lambda t, x: np.divide(left(t, x), divisor)
+
+                def divide_by_zero(t, x):
+                    left(t, x)  # a domain error of the dividend comes first
+                    raise EvalDomainError("division by zero")
+
+                return divide_by_zero
+
+            def divide(t, x):
+                a, b = left(t, x), right(t, x)
+                if _any(b == 0):
+                    raise EvalDomainError("division by zero")
+                return np.divide(a, b)
+
+            return divide
+
+        def power(t, x):
+            # reject fractional powers of negative bases and 0^negative,
+            # both of which numpy maps to nan/inf silently
+            out = np.power(left(t, x), right(t, x))
+            if not np.isfinite(out).all():
+                raise EvalDomainError("invalid power (negative base or zero to a negative exponent)")
+            return out
+
+        return power
     if isinstance(node, Call):
-        args = [np.asarray(_eval(a, t, x), dtype=float) for a in node.args]
+        args = [_compile(a) for a in node.args]
+        if node.name in ("min", "max"):
+            ufunc = np.minimum if node.name == "min" else np.maximum
+            first, second = args
+            return lambda t, x: ufunc(first(t, x), second(t, x))
+        (arg,) = args
         if node.name == "log":
-            if np.any(args[0] <= 0):
-                raise EvalDomainError("log of a non-positive value")
-            return np.log(args[0])
+            def log(t, x):
+                a = arg(t, x)
+                if _any(a <= 0):
+                    raise EvalDomainError("log of a non-positive value")
+                return np.log(a)
+
+            return log
         if node.name == "sqrt":
-            if np.any(args[0] < 0):
-                raise EvalDomainError("sqrt of a negative value")
-            return np.sqrt(args[0])
-        if node.name == "sin":
-            return np.sin(args[0])
-        if node.name == "cos":
-            return np.cos(args[0])
-        if node.name == "exp":
-            return np.exp(args[0])
-        if node.name == "abs":
-            return np.abs(args[0])
-        if node.name == "min":
-            return np.minimum(args[0], args[1])
-        return np.maximum(args[0], args[1])
+            def sqrt(t, x):
+                a = arg(t, x)
+                if _any(a < 0):
+                    raise EvalDomainError("sqrt of a negative value")
+                return np.sqrt(a)
+
+            return sqrt
+        ufunc = _UNARY[node.name]
+        return lambda t, x: ufunc(arg(t, x))
     raise TypeError(f"not an AST node: {node!r}")
 
 

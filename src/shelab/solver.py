@@ -25,6 +25,14 @@ coefficients must therefore act elementwise on arrays of any shape.  The
 single-replication full-lattice solves (:func:`solve_lattice`,
 :func:`solve_truncated`, :func:`solve_pair_coupled`) are views of that loop:
 one replication, every step and cell probed.
+
+Each :func:`solve_batch` call allocates its buffers once: a double-buffered
+state padded with two ghost columns (they take the periodic wrap, so one
+stencil serves both boundaries), the clipped state and one step scratch.
+A step writes the next state with ``out=`` ufuncs in the fixed order
+``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results are
+the only state-sized arrays allocated per step.  The bookkeeping reads finiteness off the per-row
+max of ``|u|``, which is NaN or inf exactly when a row is not finite.
 """
 
 from __future__ import annotations
@@ -69,26 +77,59 @@ class SolverBlowupError(RuntimeError):
         super().__init__(f"non-finite state produced at time step {step}, cell {cell}")
 
 
-def _advance(state, t, dw, drift_fn, diffusion_fn, grid, bounds=None):
-    """One explicit step on a (..., J) state block; fixed operation order.
+def _updated_cells(grid):
+    """State cells the step writes: all of them on a periodic grid, the interior on a Dirichlet one."""
+    return (0, grid.n_points) if grid.boundary == "periodic" else (1, grid.n_points - 1)
 
-    The state argument of both coefficients is clipped to ``[-bounds, bounds]``
-    once (``bounds`` broadcasts against the state: shape (L, 1, 1) for L
-    stacked clamp levels), or passed raw when ``bounds`` is None.
+
+def _advance_into(src, dst, t, dw_dx, drift_fn, diffusion_fn, grid, bounds, x_buf, tmp):
+    """One explicit step from ``src`` into ``dst``; fixed operation order, no allocation.
+
+    ``src`` and ``dst`` are padded (..., J + 2) buffers holding the state in
+    ``[..., 1:-1]``; columns 0 and J + 1 are ghost cells that take the
+    periodic wrap, so one stencil serves both boundaries.  Cells the step
+    does not write (the Dirichlet ends) keep whatever ``dst`` holds.
+    ``dw_dx`` holds the noise increments over ``dx`` of the written cells.
+    The state argument of both coefficients is clipped to
+    ``[-bounds, bounds]`` into ``x_buf`` (``bounds`` broadcasts against the
+    state: shape (L, 1, 1) for L stacked clamp levels), or passed raw when
+    ``bounds`` is None.  ``tmp`` is scratch of the written cells' shape.
     """
-    lam = grid.dt / (2.0 * grid.dx * grid.dx)
+    lo, hi = _updated_cells(grid)
     if grid.boundary == "periodic":
-        x = state if bounds is None else np.clip(state, -bounds, bounds)
-        lap = np.roll(state, 1, axis=-1) - 2.0 * state + np.roll(state, -1, axis=-1)
-        return state + lam * lap + grid.dt * drift_fn(t, x) + diffusion_fn(t, x) * (dw / grid.dx)
-    out = state.copy()
-    inner = state[..., 1:-1]
-    x = inner if bounds is None else np.clip(inner, -bounds, bounds)
-    lap = state[..., :-2] - 2.0 * inner + state[..., 2:]
+        src[..., 0] = src[..., -2]
+        src[..., -1] = src[..., 1]
+    center = src[..., 1 + lo:1 + hi]
+    x = center if bounds is None else center.clip(-bounds, bounds, out=x_buf)
+    out = dst[..., 1 + lo:1 + hi]
+    # lap = (left - 2 center) + right; out = ((center + lam lap) + dt drift) + diffusion dw/dx
+    np.multiply(center, 2.0, out=tmp)
+    np.subtract(src[..., lo:hi], tmp, out=tmp)
+    np.add(tmp, src[..., 2 + lo:2 + hi], out=tmp)
+    np.multiply(tmp, grid.dt / (2.0 * grid.dx * grid.dx), out=tmp)
+    np.add(center, tmp, out=out)
     drift = drift_fn(t, x)
     diffusion = diffusion_fn(t, x)
-    out[..., 1:-1] = inner + lam * lap + grid.dt * drift + diffusion * (dw[..., 1:-1] / grid.dx)
-    return out
+    np.multiply(drift, grid.dt, out=tmp)
+    np.add(out, tmp, out=out)
+    np.multiply(diffusion, dw_dx, out=tmp)
+    np.add(out, tmp, out=out)
+
+
+def _advance(state, t, dw, drift_fn, diffusion_fn, grid, bounds=None):
+    """One explicit step on a (..., J) state block, returned as a new array.
+
+    The same arithmetic as the stepping loop's in-place step, for reference
+    loops that hold their own state.
+    """
+    src = np.zeros(state.shape[:-1] + (state.shape[-1] + 2,))
+    src[..., 1:-1] = state
+    dst = src.copy()
+    lo, hi = _updated_cells(grid)
+    tmp = np.empty(state[..., lo:hi].shape)
+    x_buf = None if bounds is None else np.empty_like(tmp)
+    _advance_into(src, dst, t, dw[..., lo:hi] / grid.dx, drift_fn, diffusion_fn, grid, bounds, x_buf, tmp)
+    return dst[..., 1:-1]
 
 
 @dataclass(frozen=True)
@@ -157,6 +198,17 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
             prov["coupled_with_level"] = float(other)
         trajs.append(FieldTrajectory(vals, grid, float(level), noise_spec, prov))
     return trajs
+
+
+def _as_slice(idx):
+    """A basic slice selecting the same entries as the index list ``idx`` when it is evenly spaced."""
+    idx = np.asarray(idx, dtype=int)
+    if idx.size == 0:
+        return idx
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if step <= 0 or not np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
+        return idx
+    return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
 @dataclass(frozen=True)
@@ -230,7 +282,22 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     bounds = np.array([TruncationLevel(v).clamp_bound for v in levels])[:, None, None]
     row0 = u0(grid.xs)
-    state = np.tile(row0, (L, B, 1))
+    J = grid.n_points
+    lo, hi = _updated_cells(grid)
+    # per-call buffers: the padded state (double-buffered), the clipped state,
+    # step scratch, |state| and the pair differences; --threads jobs never share them
+    buffers = np.zeros((2, L, B, J + 2))
+    buffers[..., 1:-1] = row0
+    src, dst = buffers
+    x_buf = np.empty((L, B, hi - lo))
+    tmp = np.empty((L, B, hi - lo))
+    abs_buf = np.empty((L, B, J))
+    row_max = np.empty((L, B))
+    lo_sel, hi_sel = _as_slice(lo_idx), _as_slice(hi_idx)
+    diff_buf = np.empty((len(pairs), B, J))
+    diff = np.empty((len(pairs), B))
+    both_max = np.empty((len(pairs), B))
+    x_sel = _as_slice(probe_x_idx)
 
     samples = np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan)
     path_max = np.full((L, B), float(np.max(np.abs(row0))))
@@ -241,39 +308,50 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     death_step = np.full((L, B), grid.n_steps)
     death_cell = np.zeros((L, B), dtype=int)
 
-    cells = np.arange(grid.n_points, dtype=np.uint64)
+    cells = np.arange(J, dtype=np.uint64)
     reps_col = reps[:, None, None]
-    block = max(1, _BLOCK_DRAWS // (B * grid.n_points))
+    block = max(1, _BLOCK_DRAWS // (B * J))
     scale = math.sqrt(grid.dt * grid.dx)
 
     if 0 in slot_of_step:
-        samples[:, :, slot_of_step[0], :] = state[:, :, probe_x_idx]
+        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., x_sel]
 
     for m in range(grid.n_steps):
         if m % block == 0:
             steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
-            noise = standard_normals(seed, reps_col, steps, cells) * scale  # (B, block, J)
-        state = _advance(state, m * grid.dt, noise[:, m % block], b, sigma, grid, bounds)
+            noise = standard_normals(seed, reps_col, steps, cells)  # (B, block, J)
+            np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
+            np.divide(noise, grid.dx, out=noise)
+        _advance_into(src, dst, m * grid.dt, noise[:, m % block, lo:hi], b, sigma, grid, bounds, x_buf, tmp)
+        state = dst[..., 1:-1]
 
-        finite = np.isfinite(state).all(axis=-1)
-        newly_dead = alive & ~finite
-        if newly_dead.any():
-            death_step[newly_dead] = m
-            death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
-            alive &= finite
-            any_dead = True
-            if not alive.any():
-                break
+        # |.|.max is NaN or inf exactly on the rows that are no longer finite
+        np.abs(state, out=abs_buf)
+        abs_buf.max(axis=-1, out=row_max)
+        finite = np.isfinite(row_max)
+        if not finite.all():
+            newly_dead = alive & ~finite
+            if newly_dead.any():
+                death_step[newly_dead] = m
+                death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
+                alive &= finite
+                any_dead = True
+                if not alive.any():
+                    break
         if any_dead:
-            state[~alive] = 0.0  # dead rows add nothing to path max or sup difference
-
-        row_max = np.abs(state).max(axis=-1)
+            # dead rows are still advanced (from zero) every step: they add
+            # nothing to path max or sup difference, whatever they regrow to
+            dead = ~alive
+            state[dead] = 0.0
+            row_max[dead] = 0.0
         np.maximum(path_max, row_max, out=path_max)
         if pairs:
-            diff = np.abs(state[hi_idx] - state[lo_idx]).max(axis=-1)
-            both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
+            np.subtract(state[hi_sel], state[lo_sel], out=diff_buf)
+            np.abs(diff_buf, out=diff_buf)
+            diff_buf.max(axis=-1, out=diff)
+            np.maximum(row_max[lo_sel], row_max[hi_sel], out=both_max)
             if any_dead:
-                pair_dead = ~(alive[lo_idx] & alive[hi_idx])
+                pair_dead = ~(alive[lo_sel] & alive[hi_sel])
                 diff[pair_dead] = 0.0
                 both_max[pair_dead] = 0.0
             np.maximum(sup_diff, diff, out=sup_diff)
@@ -281,7 +359,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
         slot = slot_of_step.get(m + 1)
         if slot is not None:
-            samples[:, :, slot, :] = state[:, :, probe_x_idx]
+            samples[:, :, slot, :] = state[..., x_sel]
+        src, dst = dst, src
 
     # a replication's probes after the step it died at are NaN
     samples[probe_step_idx > death_step[:, :, None]] = np.nan

@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shelab import expr
+from shelab.coeff import Coefficient
 
 # sin(1000 rad) via independent high-precision range reduction (mpmath, 40 digits)
 SIN_1000 = 0.82687954053200256026
@@ -95,6 +98,15 @@ class TestErrors:
         with pytest.raises(expr.EvalDomainError):
             ev(source, x=x)
 
+    def test_literal_zero_divisor_raises_when_evaluated(self):
+        node = expr.parse("x/0")  # parses: the error belongs to evaluation
+        for x in (1.0, np.array([-1.0, 0.0, 2.0])):
+            with pytest.raises(expr.EvalDomainError, match="^division by zero$"):
+                expr.evaluate(node, 0.0, x)
+        # the dividend's own domain error comes first, as in a tree walk
+        with pytest.raises(expr.EvalDomainError, match="log of a non-positive value"):
+            ev("log(x)/0", x=-1.0)
+
     def test_non_finite_result_names_the_expression(self):
         with pytest.raises(expr.EvalDomainError, match=r"non-finite result from exp\(x\)"):
             ev("exp(x)", x=1000.0)
@@ -157,3 +169,133 @@ def test_roundtrip_with_partial_ops(source):
     reparsed = expr.parse(text)
     for x in (-2.0, 0.5, 3.0):
         assert expr.evaluate(node, 0.3, x) == expr.evaluate(reparsed, 0.3, x)
+
+
+# ---- compiled closures against a direct tree walk ------------------------------
+
+
+def reference_evaluate(node, t, x):
+    """The recursive interpreter that ``expr.evaluate`` replaced; kept as the reference."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = _reference_eval(node, float(t), x)
+        out = np.broadcast_to(np.asarray(out, dtype=float), x.shape)
+    if not np.isfinite(out).all():
+        raise expr.EvalDomainError(f"non-finite result from {expr.to_source(node)}")
+    if x.ndim == 0:
+        return float(out)
+    return np.array(out)
+
+
+def _reference_eval(node, t, x):
+    if isinstance(node, expr.Num):
+        return node.value
+    if isinstance(node, expr.Var):
+        return x if node.name == "x" else t
+    if isinstance(node, expr.Neg):
+        return -np.asarray(_reference_eval(node.arg, t, x))
+    if isinstance(node, expr.BinOp):
+        a = _reference_eval(node.left, t, x)
+        b = _reference_eval(node.right, t, x)
+        if node.op == "+":
+            return np.add(a, b)
+        if node.op == "-":
+            return np.subtract(a, b)
+        if node.op == "*":
+            return np.multiply(a, b)
+        if node.op == "/":
+            if np.any(np.asarray(b) == 0):
+                raise expr.EvalDomainError("division by zero")
+            return np.divide(a, b)
+        out = np.power(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+        if not np.all(np.isfinite(out)):
+            raise expr.EvalDomainError("invalid power (negative base or zero to a negative exponent)")
+        return out
+    args = [np.asarray(_reference_eval(a, t, x), dtype=float) for a in node.args]
+    if node.name == "log":
+        if np.any(args[0] <= 0):
+            raise expr.EvalDomainError("log of a non-positive value")
+        return np.log(args[0])
+    if node.name == "sqrt":
+        if np.any(args[0] < 0):
+            raise expr.EvalDomainError("sqrt of a negative value")
+        return np.sqrt(args[0])
+    unary = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
+    if node.name in unary:
+        return unary[node.name](args[0])
+    return (np.minimum if node.name == "min" else np.maximum)(args[0], args[1])
+
+
+def outcome(evaluator, node, t, x):
+    """Bytes and type of the result, or the domain error's message."""
+    try:
+        value = evaluator(node, t, x)
+    except expr.EvalDomainError as err:
+        return ("error", str(err))
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    return (value.dtype.str, value.shape, value.tobytes())
+
+
+XS = np.array([-2.75, -1.0, -0.3, -0.0, 0.0, 0.4, 1.0, 3.25, 700.0])
+
+
+def assert_compiled_matches_reference(node):
+    compiled = expr.Compiled(node)
+    for t in (0.0, 0.7):
+        assert outcome(expr.evaluate, compiled, t, XS) == outcome(reference_evaluate, node, t, XS)
+        assert outcome(expr.evaluate, compiled, t, XS.reshape(3, 3)[:, ::2]) == outcome(
+            reference_evaluate, node, t, XS.reshape(3, 3)[:, ::2])
+        for x in XS[[0, 3, 4, 6, 8]]:
+            assert outcome(expr.evaluate, compiled, t, float(x)) == outcome(reference_evaluate, node, t, float(x))
+
+
+def _partial_exprs(children):
+    # domain errors: zero divisors, negative bases, log/sqrt of non-positive values, overflow
+    return st.one_of(
+        _total_exprs(children),
+        st.builds(expr.BinOp, st.sampled_from("/^"), children, children),
+        st.builds(lambda a: expr.Call("log", (a,)), children),
+        st.builds(lambda a: expr.Call("sqrt", (a,)), children),
+        st.builds(lambda a: expr.Call("exp", (a,)), children),
+    )
+
+
+partial_ast_strategy = st.recursive(
+    st.one_of(_leaves, st.just(expr.Num(0.0)), st.just(expr.Num(8.0))), _partial_exprs, max_leaves=12)
+
+
+@given(ast_strategy)
+@settings(max_examples=200, deadline=None)
+def test_compiled_matches_reference_bitwise(node):
+    assert_compiled_matches_reference(node)
+
+
+@given(partial_ast_strategy)
+@settings(max_examples=300, deadline=None)
+def test_compiled_domain_errors_match_reference(node):
+    assert_compiled_matches_reference(node)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["x/0", "x/8", "x/(1+abs(x)/8)", "0.5*sin(x)", "x", "t", "2", "-x", "x/t", "log(x)/0", "0/x",
+     "(x-1)^0.5", "0^-1", "sqrt(x)*t", "exp(x*x)", "min(x, 1/x)", "sin(1000*(1+abs(x))^0.25)"],
+)
+def test_compiled_matches_reference_on_named_cases(source):
+    assert_compiled_matches_reference(expr.parse(source))
+
+
+@given(ast_strategy)
+@settings(max_examples=100, deadline=None)
+def test_coefficient_equality_and_hash_ignore_the_compiled_form(node):
+    text = expr.to_source(node)
+    a, b = Coefficient(name=text, ast=node), Coefficient.parse(text)
+    # the dataclass hash of the compared fields, as before coefficients compiled their AST
+    assert hash(a) == hash((text, node, None, None))
+    assert (a == b) == (b.ast == node)
+    assert a == Coefficient(name=text, ast=node) and hash(a) == hash(Coefficient(name=text, ast=node))
+    assert a.compiled is not Coefficient(name=text, ast=node).compiled  # one compiled form per object
+    assert "compiled" not in repr(a)
+    xs = XS[:4]
+    assert outcome(lambda n, t, x: a(t, x), node, 0.7, xs) == outcome(reference_evaluate, node, 0.7, xs)

@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from shelab import cli
+from shelab import cli, harness
 from shelab.harness import load_config, parse_config
 from shelab.noise import standard_normals
 
@@ -78,10 +78,16 @@ def test_simulate_and_uniqueness_digests(tmp_path):
     assert sha256((out / f"uniqueness_{tag}.csv").read_bytes()) == UNIQUENESS_CSV_SHA256
 
 
+@pytest.mark.parametrize("chunk", [None, 37])
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("command,config", sorted(PILOT_CSV_SHA256))
-def test_pilot_result_digests(command, config, threads, tmp_path):
-    # thread chunking of the stacked solver passes never changes a bit
+def test_pilot_result_digests(command, config, threads, chunk, tmp_path, monkeypatch):
+    # neither thread nor shard chunking of the stacked solver passes changes
+    # a bit; the solver's buffers are sized per chunk.  The pilots' 256, 400
+    # and 2000 replications are 1, 2 and 8 chunks at the default 256 and 7,
+    # 11 and 55 at 37, each with a short last chunk
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_CHUNK", chunk)
     path = PILOT_CONFIGS / config
     out = tmp_path / "out"
     assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0

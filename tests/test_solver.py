@@ -378,6 +378,32 @@ class TestStackedLevels:
         assert sol.path_max_abs[(1.5, 2.5)][0] == 10.0 < low.path_max_abs == sol.path_max_abs[(1.5,)][0]
         assert sol.sup_abs_diff[(1.5, 2.5)][0] == 0.0
 
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_dead_rows_add_nothing_after_their_abort(self, boundary):
+        # dead rows are zeroed and still advanced; a drift that is huge at
+        # exactly 0 regrows them (to 5000, then inf) every later step, and
+        # none of that may reach a path max or a sup difference
+        g = mkgrid(boundary=boundary)
+        u0 = InitialCondition.constant(1.0)
+        levels, reps = (1.0, 2.0), np.arange(12)
+        args = (u0, g, 5, reps, np.arange(g.n_steps + 1), np.arange(g.n_points))
+        clean = solve_batch(levels, ZERO, LINEAR, *args)
+        tau = float(np.median(clean.path_max_abs[(2.0,)]))  # about 3.8: level 1 clips at e < tau
+        regrow = Coefficient.from_callable(
+            "regrow", lambda t, x: np.where(x == 0.0, 1e6, np.where(x > tau, np.inf, 0.0)))
+        sol = solve_batch(levels, regrow, LINEAR, *args)
+        dead = {a.replication: a.step for a in sol.aborted[(2.0,)]}
+        assert 0 < len(dead) < len(reps) and sol.aborted[(1.0,)] == []
+        assert sol.aborted[(1.0, 2.0)] == sol.aborted[(2.0,)]
+        for r in reps:
+            last = dead.get(int(r), g.n_steps)  # the lattice up to the abort: time indices 0..last
+            lattice = sol.samples[:, r, :last + 1]
+            assert np.isfinite(lattice).all()
+            for i, level in enumerate(levels):
+                assert sol.path_max_abs[(level,)][r] == np.nanmax(np.abs(sol.samples[i, r]))
+            assert sol.path_max_abs[(1.0, 2.0)][r] == np.abs(lattice).max()
+            assert sol.sup_abs_diff[(1.0, 2.0)][r] == np.abs(lattice[1] - lattice[0]).max()
+
     def test_pair_abort_takes_the_first_bad_cell_of_either_level(self):
         g = mkgrid()
         u0 = InitialCondition.from_expression("4*(x+4)", bound=32.0)
