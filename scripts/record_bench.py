@@ -1,6 +1,6 @@
 """Record BENCH_<pr>.json: the benchmark on a base revision and on this checkout, in alternating pairs.
 
-    python scripts/record_bench.py --pr N --base HEAD --pairs 10 --seconds 10 --seed 901
+    python scripts/record_bench.py --pr N --base HEAD --pairs 10 --seed 901
 
 The base revision is exported with ``git archive`` into a temporary
 directory, so an interrupted run leaves no worktree registered in ``.git``.
@@ -9,16 +9,15 @@ committing a change (``--base HEAD``), or name its parent afterwards
 (``--base HEAD~1``).
 
 Pair ``i`` runs ``benchmark/run.py --trace 0`` for every workload of
-BENCHMARK.json on both sides with seed ``--seed + i``, the base first in
-even pairs and the change first in odd ones.  For each workload and
-end-to-end metric the file records both sides' runs, medians and
-quartiles, how many pairs the change won (ties count for neither side)
-and two verdicts: ``gain``, when the change won at least nine tenths of
-the pairs and the medians differ by more than the base's interquartile
-range; and ``within_bound``, when the change's median is no worse than
-the base's by more than the metric's bound.  It also records the sha256
-of every result file per seed and side, whether the two sides wrote the
-same bytes, and the machine-facts line that ``run.py`` prints.
+BENCHMARK.json on both sides with seed ``--seed + i`` and the run length
+that BENCHMARK.json sets, the base first in even pairs and the change
+first in odd ones; at least ten pairs run.  For each workload and
+end-to-end metric the file records both sides' runs, failures, medians and
+quartiles, how many pairs the change won (ties and failed runs count for
+neither side) and two verdicts (see :func:`summarize`): ``gain`` and
+``vs_bound``.  It also records the sha256 of every result file per seed
+and side, whether the two sides wrote the same bytes, and the
+machine-facts line that ``run.py`` prints.
 """
 
 from __future__ import annotations
@@ -63,6 +62,9 @@ def benchmark_files(root: Path, paths) -> dict:
     return files
 
 
+MIN_PAIRS = 10  # a gain is judged on at least ten pairs
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
     """One ``benchmark/run.py`` run: its metrics, result digests and machine facts, or its failure."""
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
@@ -92,28 +94,53 @@ def quartiles(values):
 
 
 def summarize(base_runs, change_runs, better: str, bound: float) -> dict:
-    """Medians, quartiles, wins and verdicts of one metric over the pairs both sides completed."""
+    """Medians, quartiles, wins and verdicts of one metric; ``None`` marks a failed run.
+
+    Every pair run counts in the denominator, so a failed run is a pair the
+    change did not win.  ``gain`` holds when the change failed no more runs
+    than the base, won at least nine tenths of all pairs, and its median is
+    better by more than the base's interquartile range.  ``vs_bound`` is
+    ``"worse"`` when the change failed more runs than the base or its
+    median is worse than the base's by more than ``bound`` (relative);
+    otherwise ``"unresolved"`` when either side's interquartile range,
+    relative to the base median, exceeds ``bound`` and not every change run
+    beats every base run; otherwise ``"within"``.
+    """
+    n = len(base_runs)
+    failed = {"base": sum(v is None for v in base_runs), "change": sum(v is None for v in change_runs)}
     pairs = [(b, c) for b, c in zip(base_runs, change_runs) if b is not None and c is not None]
     if not pairs:
-        return {"pairs": 0}
+        return {"pairs": n, "completed": 0, "failed": failed, "gain": False,
+                "vs_bound": "worse" if failed["change"] > failed["base"] else "unresolved"}
     sign = 1.0 if better == "higher" else -1.0
-    base = [b for b, _ in pairs]
-    change = [c for _, c in pairs]
+    base = [b for b in base_runs if b is not None]
+    change = [c for c in change_runs if c is not None]
     b_med, c_med = statistics.median(base), statistics.median(change)
     b_q1, b_q3 = quartiles(base)
     c_q1, c_q3 = quartiles(change)
     wins = sum(sign * (c - b) > 0 for b, c in pairs)
     losses = sum(sign * (c - b) < 0 for b, c in pairs)
+    more_failures = failed["change"] > failed["base"]
     worse_by = -sign * (c_med - b_med) / abs(b_med) if b_med else 0.0
+    spread = max(b_q3 - b_q1, c_q3 - c_q1) / abs(b_med) if b_med else 0.0
+    dominates = min(sign * c for c in change) > max(sign * b for b in base)
+    if more_failures or worse_by > bound:
+        vs_bound = "worse"
+    elif spread > bound and not dominates:
+        vs_bound = "unresolved"
+    else:
+        vs_bound = "within"
     return {
-        "pairs": len(pairs),
+        "pairs": n,
+        "completed": len(pairs),
+        "failed": failed,
         "base": {"median": b_med, "q1": b_q1, "q3": b_q3, "runs": base_runs},
         "change": {"median": c_med, "q1": c_q1, "q3": c_q3, "runs": change_runs},
         "change_wins": wins,
         "change_losses": losses,
         "relative_change": (c_med - b_med) / b_med if b_med else None,
-        "gain": wins >= 0.9 * len(pairs) and sign * (c_med - b_med) > (b_q3 - b_q1),
-        "within_bound": worse_by <= bound,
+        "gain": not more_failures and wins >= 0.9 * n and sign * (c_med - b_med) > (b_q3 - b_q1),
+        "vs_bound": vs_bound,
     }
 
 
@@ -121,15 +148,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, type=int, help="number in the output name BENCH_<pr>.json")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against (default HEAD)")
-    parser.add_argument("--pairs", default=10, type=int)
-    parser.add_argument("--seconds", default=None, type=int, help="run length (default: BENCHMARK.json)")
+    parser.add_argument("--pairs", default=MIN_PAIRS, type=int, help=f"alternating pairs, at least {MIN_PAIRS}")
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair; pair i uses seed + i")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
+    if args.pairs < MIN_PAIRS:
+        parser.error(f"--pairs must be at least {MIN_PAIRS}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = [w["name"] for w in spec["workloads"]]
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = [args.seed + i for i in range(args.pairs)]
@@ -185,10 +211,10 @@ def main(argv=None) -> int:
     out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     for w, entry in report["workloads"].items():
         for name, s in entry["metrics"].items():
-            if s["pairs"]:
+            if s["completed"]:
                 print(f"{w:<14} {name:<17} base {s['base']['median']:.5g} (q1 {s['base']['q1']:.5g}, "
                       f"q3 {s['base']['q3']:.5g})  change {s['change']['median']:.5g}  "
-                      f"wins {s['change_wins']}/{s['pairs']}  gain {s['gain']}  within bound {s['within_bound']}")
+                      f"wins {s['change_wins']}/{s['pairs']}  gain {s['gain']}  {s['vs_bound']} bound")
         identical = all(v["identical"] for v in entry["result_sha256"].values())
         print(f"{w:<14} result files identical at every seed: {identical}; failed runs {entry['failed']}")
     print(out)

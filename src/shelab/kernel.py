@@ -13,7 +13,7 @@ one audited special-function path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
@@ -75,10 +75,14 @@ class InitialCondition:
     interval: tuple = (0.0, 0.0)
     source: str = ""
     bound: float = 0.0
+    # the compiled form of ``source`` for expression profiles, built once
+    compiled: _expr.Compiled | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not math.isfinite(self.bound):
             raise ValueError("initial profile must have a finite sup-norm bound")
+        if self.kind == "expr":
+            object.__setattr__(self, "compiled", _expr.Compiled(_expr.parse(self.source)))
 
     @classmethod
     def constant(cls, c: float) -> "InitialCondition":
@@ -107,7 +111,7 @@ class InitialCondition:
         if self.kind == "indicator":
             a, b = self.interval
             return ((x >= a) & (x <= b)).astype(float)
-        return np.asarray(_expr.evaluate(_expr.parse(self.source), 0.0, x), dtype=float)
+        return np.asarray(_expr.evaluate(self.compiled, 0.0, x), dtype=float)
 
     def describe(self) -> dict:
         if self.kind == "constant":
@@ -134,10 +138,8 @@ def initial_convolution(u0: InitialCondition, t: float, x: float) -> float:
     # imported here: scipy.integrate is slow to import and only expression profiles need it
     from scipy import integrate
 
-    ast = _expr.parse(u0.source)
-
     def integrand(y):
-        return heat_kernel(t, y - x) * _expr.evaluate(ast, 0.0, y)
+        return heat_kernel(t, y - x) * _expr.evaluate(u0.compiled, 0.0, y)
 
     lo, hi = x - TAIL_WIDTH_SDS * sd, x + TAIL_WIDTH_SDS * sd
     val, abserr = integrate.quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)

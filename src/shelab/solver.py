@@ -30,9 +30,10 @@ Each :func:`solve_batch` call allocates its buffers once: a double-buffered
 state padded with two ghost columns (they take the periodic wrap, so one
 stencil serves both boundaries), the clipped state and one step scratch.
 A step writes the next state with ``out=`` ufuncs in the fixed order
-``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results are
-the only state-sized arrays allocated per step.  The bookkeeping reads finiteness off the per-row
-max of ``|u|``, which is NaN or inf exactly when a row is not finite.
+``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results and the
+gathered probe cells are the only arrays allocated per step.  The
+bookkeeping reads finiteness off the per-row max of ``|u|``, which is NaN
+or inf exactly when a row is not finite.
 """
 
 from __future__ import annotations
@@ -116,22 +117,6 @@ def _advance_into(src, dst, t, dw_dx, drift_fn, diffusion_fn, grid, bounds, x_bu
     np.add(out, tmp, out=out)
 
 
-def _advance(state, t, dw, drift_fn, diffusion_fn, grid, bounds=None):
-    """One explicit step on a (..., J) state block, returned as a new array.
-
-    The same arithmetic as the stepping loop's in-place step, for reference
-    loops that hold their own state.
-    """
-    src = np.zeros(state.shape[:-1] + (state.shape[-1] + 2,))
-    src[..., 1:-1] = state
-    dst = src.copy()
-    lo, hi = _updated_cells(grid)
-    tmp = np.empty(state[..., lo:hi].shape)
-    x_buf = None if bounds is None else np.empty_like(tmp)
-    _advance_into(src, dst, t, dw[..., lo:hi] / grid.dx, drift_fn, diffusion_fn, grid, bounds, x_buf, tmp)
-    return dst[..., 1:-1]
-
-
 @dataclass(frozen=True)
 class FieldTrajectory:
     """Solution values on the full (n_steps+1, n_points) lattice."""
@@ -198,17 +183,6 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
             prov["coupled_with_level"] = float(other)
         trajs.append(FieldTrajectory(vals, grid, float(level), noise_spec, prov))
     return trajs
-
-
-def _as_slice(idx):
-    """A basic slice selecting the same entries as the index list ``idx`` when it is evenly spaced."""
-    idx = np.asarray(idx, dtype=int)
-    if idx.size == 0:
-        return idx
-    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-    if step <= 0 or not np.array_equal(idx, idx[0] + step * np.arange(idx.size)):
-        return idx
-    return slice(int(idx[0]), int(idx[-1]) + 1, step)
 
 
 @dataclass(frozen=True)
@@ -285,7 +259,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     J = grid.n_points
     lo, hi = _updated_cells(grid)
     # per-call buffers: the padded state (double-buffered), the clipped state,
-    # step scratch, |state| and the pair differences; --threads jobs never share them
+    # step scratch and |state| (also |pair differences|); --threads jobs never share them
     buffers = np.zeros((2, L, B, J + 2))
     buffers[..., 1:-1] = row0
     src, dst = buffers
@@ -293,11 +267,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     tmp = np.empty((L, B, hi - lo))
     abs_buf = np.empty((L, B, J))
     row_max = np.empty((L, B))
-    lo_sel, hi_sel = _as_slice(lo_idx), _as_slice(hi_idx)
-    diff_buf = np.empty((len(pairs), B, J))
+    diff_buf = abs_buf[:len(pairs)]
     diff = np.empty((len(pairs), B))
-    both_max = np.empty((len(pairs), B))
-    x_sel = _as_slice(probe_x_idx)
 
     samples = np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan)
     path_max = np.full((L, B), float(np.max(np.abs(row0))))
@@ -314,7 +285,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     scale = math.sqrt(grid.dt * grid.dx)
 
     if 0 in slot_of_step:
-        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., x_sel]
+        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., probe_x_idx]
 
     for m in range(grid.n_steps):
         if m % block == 0:
@@ -346,12 +317,13 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             row_max[dead] = 0.0
         np.maximum(path_max, row_max, out=path_max)
         if pairs:
-            np.subtract(state[hi_sel], state[lo_sel], out=diff_buf)
+            for p, (i, j) in enumerate(pairs):
+                np.subtract(state[j], state[i], out=diff_buf[p])
             np.abs(diff_buf, out=diff_buf)
             diff_buf.max(axis=-1, out=diff)
-            np.maximum(row_max[lo_sel], row_max[hi_sel], out=both_max)
+            both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
             if any_dead:
-                pair_dead = ~(alive[lo_sel] & alive[hi_sel])
+                pair_dead = ~(alive[lo_idx] & alive[hi_idx])
                 diff[pair_dead] = 0.0
                 both_max[pair_dead] = 0.0
             np.maximum(sup_diff, diff, out=sup_diff)
@@ -359,7 +331,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
         slot = slot_of_step.get(m + 1)
         if slot is not None:
-            samples[:, :, slot, :] = state[..., x_sel]
+            samples[:, :, slot, :] = state[..., probe_x_idx]
         src, dst = dst, src
 
     # a replication's probes after the step it died at are NaN

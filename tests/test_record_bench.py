@@ -1,0 +1,79 @@
+"""Verdicts of scripts/record_bench.py: wins, failures and spread against the bound."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+_PATH = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "record_bench.py"
+_SPEC = importlib.util.spec_from_file_location("record_bench", _PATH)
+record_bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(record_bench)
+summarize = record_bench.summarize
+
+BASE = [1.00, 1.01, 0.99, 1.02, 0.98, 1.00, 1.01, 0.99, 1.00, 1.02]
+
+
+def test_clear_gain_on_every_pair():
+    s = summarize(BASE, [v * 0.7 for v in BASE], "lower", 0.25)
+    assert s["change_wins"] == 10 and s["gain"] is True and s["vs_bound"] == "within"
+
+
+def test_higher_is_better_flips_the_sign():
+    s = summarize(BASE, [v * 0.7 for v in BASE], "higher", 0.25)
+    assert s["change_wins"] == 0 and s["change_losses"] == 10
+    assert s["gain"] is False and s["vs_bound"] == "worse"
+
+
+def test_failed_pairs_count_in_the_denominator():
+    # nine wins out of ten completed pairs, but only eight of the ten pairs run
+    change = [v * 0.7 for v in BASE]
+    change[0] = change[1] = None
+    s = summarize(BASE, change, "lower", 0.25)
+    assert s["pairs"] == 10 and s["completed"] == 8 and s["change_wins"] == 8
+    assert s["gain"] is False
+
+
+def test_more_failures_than_the_base_is_no_gain_and_worse():
+    base = list(BASE)
+    base[3] = None
+    change = [v * 0.5 for v in BASE]
+    change[3] = change[4] = None
+    s = summarize(base, change, "lower", 0.25)
+    assert s["failed"] == {"base": 1, "change": 2}
+    assert s["gain"] is False and s["vs_bound"] == "worse"
+
+
+def test_equal_failures_do_not_block_a_gain():
+    base, change = list(BASE), [v * 0.5 for v in BASE]
+    base[2] = change[2] = None
+    s = summarize(base, change, "lower", 0.25)
+    assert s["change_wins"] == 9 and s["gain"] is True and s["vs_bound"] == "within"
+
+
+def test_gain_needs_the_medians_apart_by_more_than_the_base_iqr():
+    base = [1.0, 2.0] * 5
+    change = [v - 0.1 for v in base]  # wins every pair by less than the base's spread
+    s = summarize(base, change, "lower", 0.25)
+    assert s["change_wins"] == 10 and s["gain"] is False
+
+
+def test_median_worse_than_the_bound():
+    s = summarize(BASE, [v * 1.3 for v in BASE], "lower", 0.25)
+    assert s["vs_bound"] == "worse"
+    s = summarize(BASE, [v * 1.2 for v in BASE], "lower", 0.25)
+    assert s["vs_bound"] == "within"
+
+
+@pytest.mark.parametrize("factor, verdict", [(1.0, "unresolved"), (0.1, "within")])
+def test_spread_wider_than_the_bound_is_unresolved_unless_every_run_wins(factor, verdict):
+    base = [0.5, 1.5] * 5  # interquartile range 1.0 around a median of 1.0
+    change = [v * factor for v in base]
+    assert summarize(base, change, "lower", 0.25)["vs_bound"] == verdict
+
+
+def test_nothing_completed():
+    s = summarize([None] * 10, [None] * 10, "lower", 0.25)
+    assert s["completed"] == 0 and s["gain"] is False and s["vs_bound"] == "unresolved"
+    s = summarize(BASE, [None] * 10, "lower", 0.25)
+    assert s["gain"] is False and s["vs_bound"] == "worse"

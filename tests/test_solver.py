@@ -41,6 +41,26 @@ def cell_increments(grid, seed, rep, m):
     return standard_normals(seed, rep, m, cells) * math.sqrt(grid.dt * grid.dx)
 
 
+def reference_advance(state, t, dw, drift_fn, diffusion_fn, grid):
+    """One explicit step on a (J,) row, returned as a new array: the scheme written out directly.
+
+    Copy-and-slice for Dirichlet ends, ``np.roll`` for the periodic wrap,
+    in the solver's operation order; reference loops check the solver's
+    in-place, ghost-column step against it.
+    """
+    lam = grid.dt / (2.0 * grid.dx * grid.dx)
+    if grid.boundary == "periodic":
+        lap = np.roll(state, 1, axis=-1) - 2.0 * state + np.roll(state, -1, axis=-1)
+        return state + lam * lap + grid.dt * drift_fn(t, state) + diffusion_fn(t, state) * (dw / grid.dx)
+    out = state.copy()
+    inner = state[..., 1:-1]
+    lap = state[..., :-2] - 2.0 * inner + state[..., 2:]
+    drift = drift_fn(t, inner)
+    diffusion = diffusion_fn(t, inner)
+    out[..., 1:-1] = inner + lam * lap + grid.dt * drift + diffusion * (dw[..., 1:-1] / grid.dx)
+    return out
+
+
 class TestStepExplicit:
     """The explicit step, observed on the lattice that the one loop records."""
 
@@ -131,7 +151,7 @@ class TestSolveTruncated:
         raw = np.empty_like(a.values)
         raw[0] = u0(g.xs)
         for m in range(g.n_steps):
-            raw[m + 1] = solver._advance(raw[m], m * g.dt, cell_increments(g, 17, 0, m), ZERO, LINEAR, g)
+            raw[m + 1] = reference_advance(raw[m], m * g.dt, cell_increments(g, 17, 0, m), ZERO, LINEAR, g)
         assert np.array_equal(a.values, raw)
 
     def test_determinism(self):
@@ -314,20 +334,32 @@ class TestStackedLevels:
                 assert np.array_equal(got[(lo, hi)], want[(lo, hi)])
         return stacked
 
-    def test_one_clip_per_step_matches_a_clip_per_coefficient(self):
+    def assert_matches_reference_loop(self, g, b, sigma, u0, levels, seed, rep):
         # the pre-stacking loop: each level on its own, each coefficient clipping its own argument
-        g = mkgrid()
-        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
-        u0 = InitialCondition.constant(1.0)
-        levels = (0.0, 0.5, 1.0, 3.0)
-        sol = solve_lattice(levels, b, sigma, u0, g, NoiseSpec(seed=11, replication=2, grid=g))
+        sol = solve_lattice(levels, b, sigma, u0, g, NoiseSpec(seed=seed, replication=rep, grid=g))
         for i, level in enumerate(levels):
             row = u0(g.xs)
             assert np.array_equal(sol.samples[i, 0, 0], row)
             for m in range(g.n_steps):
-                row = solver._advance(row, m * g.dt, cell_increments(g, 11, 2, m),
-                                      truncated_fn(b, level), truncated_fn(sigma, level), g)
+                row = reference_advance(row, m * g.dt, cell_increments(g, seed, rep, m),
+                                        truncated_fn(b, level), truncated_fn(sigma, level), g)
                 assert np.array_equal(sol.samples[i, 0, m + 1], row)
+        return sol
+
+    def test_one_clip_per_step_matches_a_clip_per_coefficient(self):
+        g = mkgrid()
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+        self.assert_matches_reference_loop(g, b, sigma, InitialCondition.constant(1.0), (0.0, 0.5, 1.0, 3.0), 11, 2)
+
+    def test_periodic_ghost_columns_match_the_roll_reference(self):
+        # a profile that is off-centre and sits on the right end: the wrap
+        # carries it into the left cells, and a wrap the wrong way (or one
+        # cell off) changes the lattice from the first step on
+        g = mkgrid(boundary="periodic")
+        b, sigma = Coefficient.parse("0.5*sin(x)+1"), Coefficient.parse("x/(1+abs(x)/8)")
+        u0 = InitialCondition.indicator(2.5, 4.0)
+        sol = self.assert_matches_reference_loop(g, b, sigma, u0, (0.5, 3.0), 4, 1)
+        assert sol.samples[:, 0, 1, 0].min() > sol.samples[:, 0, 1, 1].max()
 
     def test_four_levels_equal_separate_solves(self):
         g = mkgrid()
