@@ -31,8 +31,6 @@ __all__ = [
     "beta_for_moments",
     "beta_for_convergence",
     "convergence_thresholds",
-    "sup_transfer_check",
-    "SupTransferResult",
 ]
 
 _MAX_EXP = math.log(np.finfo(float).max)  # ~709.78
@@ -274,43 +272,3 @@ def convergence_thresholds(T: float, constants: ProblemConstants,
                 break
     return ConvergenceThresholds(c_T=c_t, N_T=n_t, N0=n0)
 
-
-@dataclass(frozen=True)
-class SupTransferResult:
-    hypothesis_holds: bool
-    first_failure_T: float | None
-    conclusion_verified: bool
-
-
-def sup_transfer_check(t_samples, f_values, g, beta: float, T_grid) -> SupTransferResult:
-    """Check the weighted-sup transfer inequality on a grid of horizons.
-
-    Hypothesis at horizon T: max over sampled t <= T of exp(-beta t) f(t)
-    is at most exp(-beta T) g(T).  When the hypothesis holds at every grid
-    horizon, the plain sup transfer ``max f <= g(T)`` must follow; this is
-    asserted and verified.  ``g`` must be nondecreasing on the grid.
-    """
-    t_samples = np.asarray(t_samples, dtype=float)
-    f_values = np.asarray(f_values, dtype=float)
-    if t_samples.shape != f_values.shape or t_samples.size == 0:
-        raise ValueError("need matching, non-empty sample arrays")
-    if np.any(f_values <= 0) or np.any(t_samples <= 0):
-        raise ValueError("f must be sampled at positive times with positive values")
-    T_grid = sorted(float(T) for T in T_grid)
-    g_vals = [float(g(T)) for T in T_grid]
-    if any(b < a * (1 - 1e-12) for a, b in zip(g_vals, g_vals[1:])):
-        raise ValueError("g is not nondecreasing on the horizon grid")
-    slack = 1.0 + 1e-12
-    for T, gT in zip(T_grid, g_vals):
-        mask = t_samples <= T * slack
-        if not mask.any():
-            continue
-        lhs = float(np.max(np.exp(-beta * t_samples[mask]) * f_values[mask]))
-        if lhs > math.exp(-beta * T) * gT * slack:
-            return SupTransferResult(hypothesis_holds=False, first_failure_T=T, conclusion_verified=False)
-    for T, gT in zip(T_grid, g_vals):
-        mask = t_samples <= T * slack
-        if mask.any() and float(np.max(f_values[mask])) > gT * slack:
-            # unreachable when the hypothesis holds; a failure here means the check itself is broken
-            raise AssertionError(f"sup transfer conclusion failed at T={T} despite the hypothesis")
-    return SupTransferResult(hypothesis_holds=True, first_failure_T=None, conclusion_verified=True)

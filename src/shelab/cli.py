@@ -66,7 +66,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.results, "r", encoding="utf-8") as fh:
                     results = harness.ResultSet.from_json(fh.read())
-            except (OSError, json.JSONDecodeError, KeyError, TypeError) as err:
+            except (OSError, ValueError, KeyError, TypeError) as err:
                 raise harness.ExportError(f"cannot read results {args.results}: {err}") from err
             paths = harness.export(results, args.out, formats=(args.format,))
             for p in paths:

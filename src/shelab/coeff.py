@@ -36,7 +36,6 @@ __all__ = [
     "TruncationLevel",
     "AssumptionVerdict",
     "BUILTINS",
-    "truncate",
     "truncated_fn",
     "linear_growth_constant",
     "local_lipschitz_constant",
@@ -70,9 +69,6 @@ class TruncationLevel:
     def clamp_bound(self) -> float:
         return math.exp(self.level)
 
-    def successor(self) -> "TruncationLevel":
-        return TruncationLevel(self.level + 1.0)
-
 
 def _as_level(level) -> TruncationLevel:
     if isinstance(level, TruncationLevel):
@@ -84,9 +80,9 @@ def _as_level(level) -> TruncationLevel:
 class Coefficient:
     """Evaluable space-time function with optional declared constants.
 
-    ``declared_growth`` and ``declared_lip`` (a ``{n: Lip_n}`` table) are
-    user-supplied upper bounds; the grid estimators below never exceed them
-    by more than their own tolerance, which the test suite enforces.
+    ``declared_growth`` is a user-supplied upper bound for the linear-growth
+    constant; the grid estimator below never exceeds it by more than its own
+    tolerance, which the test suite enforces for the builtins.
     ``declared_sup`` is a sup-norm bound for bounded coefficients.
     """
 
@@ -94,7 +90,6 @@ class Coefficient:
     ast: _expr.Node | None = None
     fn: object | None = field(default=None, compare=False)
     declared_growth: float | None = None
-    declared_lip: dict | None = field(default=None, compare=False)
     declared_sup: float | None = None
     # this object's own compiled form of ``ast``; never shared between coefficients
     compiled: _expr.Compiled | None = field(default=None, init=False, repr=False, compare=False)
@@ -154,12 +149,6 @@ BUILTINS = {
         declared_sup=1.0,
     ),
 }
-
-
-def truncate(psi: Coefficient, level, t, x):
-    """Evaluate ``psi`` with its state argument clipped to [-e^N, e^N]."""
-    bound = _as_level(level).clamp_bound
-    return psi(t, np.clip(np.asarray(x, dtype=float), -bound, bound))
 
 
 def truncated_fn(psi: Coefficient, level):

@@ -2,8 +2,8 @@
 
 An :class:`Ensemble` holds solution samples at a declared probe lattice (a
 subset of (time, space) points) for every completed replication; aborted
-replications are excluded from estimates but stay on the abort list.  The
-estimators are
+replications are excluded from estimates (the solver's batch keeps the
+abort list).  The estimators are
 
 * ``lk_norm``: sample moment E|u(t,x)|^k with a CLT confidence interval,
   reported both as the raw power mean and as its k-th root,
@@ -30,7 +30,7 @@ samples, so the working memory does not grow with the ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -246,12 +246,8 @@ def wilson_interval(successes: int, n: int, z: float = Z_95):
     return lo, hi
 
 
-def _close(a, b):
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def _first_close(points: np.ndarray, v: float):
-    """Index of the first of ``points`` within ``_close`` of v, or None."""
+    """Index of the first of ``points`` within 1e-9 of v, relative to max(1, |v|, |point|), or None."""
     points = np.asarray(points, dtype=float)
     scale = np.maximum(np.maximum(np.abs(points), abs(v)), 1.0)
     hits = np.flatnonzero(np.abs(points - v) <= 1e-9 * scale)
@@ -265,11 +261,7 @@ class Ensemble:
     probe_times: np.ndarray  # (nt,) lattice times, strictly positive except optional t=0
     probe_xs: np.ndarray  # (nx,)
     samples: np.ndarray  # (n_replications, nt, nx), completed replications only
-    level: float | None = None
     horizon: float | None = None
-    provenance: dict = field(default_factory=dict)
-    aborted: list = field(default_factory=list)
-    path_max_abs: np.ndarray | None = None
 
     @classmethod
     def from_samples(cls, samples, probe_times, probe_xs, **kw) -> "Ensemble":
@@ -282,7 +274,7 @@ class Ensemble:
         )
 
     @classmethod
-    def from_batch(cls, batch, grid, level=None, provenance=None) -> "Ensemble":
+    def from_batch(cls, batch, grid, level=None) -> "Ensemble":
         """The batch's solve at clamp level ``level`` (default: its lowest level)."""
         level = batch.levels[0] if level is None else float(level)
         vals = batch.samples[batch.levels.index(level)]
@@ -291,11 +283,7 @@ class Ensemble:
             probe_times=batch.probe_step_idx * grid.dt,
             probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
             samples=vals[ok],
-            level=level,
             horizon=grid.T,
-            provenance=provenance or {},
-            aborted=list(batch.aborted[(level,)]),
-            path_max_abs=batch.path_max_abs[(level,)][ok],
         )
 
     @property
@@ -303,7 +291,7 @@ class Ensemble:
         return self.samples.shape[0]
 
     def probe_index(self, t: float, x: float):
-        """First probe time and first probe x within ``_close`` of (t, x)."""
+        """First probe time and first probe x matching (t, x) as ``_first_close`` does."""
         it, ix = _first_close(self.probe_times, t), _first_close(self.probe_xs, x)
         if it is None or ix is None:
             raise ProbeError(f"({t}, {x}) is not a probe point of this ensemble")
@@ -373,18 +361,14 @@ def tail_probability(ensemble: Ensemble, threshold: float, t: float, x: float) -
 class PairEnsemble:
     """Pathwise differences u_{N+1} - u_N under common noise, at the probes."""
 
-    level_low: float
-    level_high: float
     probe_times: np.ndarray
     probe_xs: np.ndarray
     diff_samples: np.ndarray  # (n, nt, nx)
     sup_abs_diff: np.ndarray  # (n,) over the whole lattice
     path_max_abs: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
-    aborted: list = field(default_factory=list)
 
     @classmethod
-    def from_batch(cls, batch, grid, level=None, provenance=None) -> "PairEnsemble":
+    def from_batch(cls, batch, grid, level=None) -> "PairEnsemble":
         """The batch's coupled pair (N, N + 1) at ``N = level`` (default: its lowest level)."""
         key = batch.levels[0] if level is None else float(level)
         key = (key, key + 1.0)
@@ -393,46 +377,11 @@ class PairEnsemble:
         diff = batch.samples[batch.levels.index(key[1])] - batch.samples[batch.levels.index(key[0])]
         ok = np.isfinite(diff).all(axis=(1, 2))
         return cls(
-            level_low=key[0],
-            level_high=key[1],
             probe_times=batch.probe_step_idx * grid.dt,
             probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
             diff_samples=diff[ok],
             sup_abs_diff=batch.sup_abs_diff[key][ok],
             path_max_abs=batch.path_max_abs[key][ok],
-            provenance=provenance or {},
-            aborted=list(batch.aborted[key]),
-        )
-
-    @classmethod
-    def from_trajectory_pairs(cls, pairs, probe_times, probe_xs) -> "PairEnsemble":
-        """Build from (low, high) FieldTrajectory pairs; validates the coupling."""
-        diffs, sups = [], []
-        lv_lo = lv_hi = None
-        for low, high in pairs:
-            if low.noise_spec != high.noise_spec:
-                raise CouplingError(
-                    f"trajectories are not coupled: noise specs differ "
-                    f"({low.noise_spec} vs {high.noise_spec})"
-                )
-            if not _close(high.level, low.level + 1.0):
-                raise CouplingError(f"levels {low.level} and {high.level} are not consecutive")
-            if lv_lo is None:
-                lv_lo, lv_hi = low.level, high.level
-            elif not (_close(low.level, lv_lo) and _close(high.level, lv_hi)):
-                raise CouplingError("mixed clamp levels in one pair ensemble")
-            d = high.values - low.values
-            sups.append(float(np.max(np.abs(d))))
-            rows = [low.grid.t_index(t) for t in probe_times]
-            cols = [low.grid.x_index(x) for x in probe_xs]
-            diffs.append(d[np.ix_(rows, cols)])
-        return cls(
-            level_low=lv_lo,
-            level_high=lv_hi,
-            probe_times=np.asarray(probe_times, dtype=float),
-            probe_xs=np.asarray(probe_xs, dtype=float),
-            diff_samples=np.asarray(diffs),
-            sup_abs_diff=np.asarray(sups),
         )
 
     @property

@@ -70,10 +70,6 @@ class GridSpec:
     def xs(self) -> np.ndarray:
         return np.linspace(-self.R, self.R, self.n_points)
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
     def x_index(self, x: float) -> int:
         """Nearest lattice site to ``x``."""
         j = int(round((float(x) + self.R) / self.dx))

@@ -29,6 +29,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -256,6 +257,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if times is not None:
         _require(_is_number_list(times), "probes.times must be a non-empty list of numbers")
         _require(all(0 < t <= grid.T * (1 + 1e-12) for t in times), "probe times must lie in (0, T]")
+        _require(all(grid.t_index(t) > 0 for t in times), "probe times snap to t=0; move them into (0, T]")
 
     assumption_levels = doc.get("assumption_levels", [1.0, 2.0, 3.0, 4.0])
     _require(
@@ -329,7 +331,6 @@ def _probe_indices(cfg: ExperimentConfig):
     g = cfg.grid
     if cfg.probe_times is not None:
         steps = sorted({g.t_index(t) for t in cfg.probe_times})
-        _require(all(s > 0 for s in steps), "probe times snap to t=0; move them into (0, T]")
     else:
         steps = sorted({int(round(g.n_steps * i / cfg.probe_n_times)) for i in range(1, cfg.probe_n_times + 1)})
         steps = [s for s in steps if s > 0]
@@ -417,6 +418,10 @@ class Record:
 
 _RECORD_FIELDS = tuple(f.name for f in fields(Record))
 
+# the experiments that produce a ResultSet; the name and the config hash make up exported file names
+_EXPERIMENT_NAMES = ("verify-moments", "verify-tails", "convergence", "uniqueness")
+_HEX = re.compile("[0-9a-f]+")
+
 
 @dataclass
 class ResultSet:
@@ -436,11 +441,22 @@ class ResultSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ResultSet":
+        """Inverse of :meth:`to_dict`.  Raises ValueError on an experiment name
+        or config hash that no run writes, as they would make an unsafe file name."""
+        experiment = doc["experiment"]
+        if experiment not in _EXPERIMENT_NAMES:
+            raise ValueError(f"unknown experiment {experiment!r}")
+        provenance = doc.get("provenance", {})
+        if not isinstance(provenance, dict):
+            raise ValueError("provenance must be an object")
+        config_hash = provenance.get("config_hash")
+        if "config_hash" in provenance and not (isinstance(config_hash, str) and _HEX.fullmatch(config_hash)):
+            raise ValueError(f"provenance.config_hash {config_hash!r} is not lowercase hex")
         return cls(
-            experiment=doc["experiment"],
+            experiment=experiment,
             records=[Record(**r) for r in doc["records"]],
             diagnostics=doc.get("diagnostics", {}),
-            provenance=doc.get("provenance", {}),
+            provenance=provenance,
         )
 
     def to_json(self) -> str:

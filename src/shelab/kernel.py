@@ -1,13 +1,10 @@
 """Heat kernel, its L^2 identity, and convolution with the initial profile.
 
 The kernel is ``p_r(z) = (2 pi r)^(-1/2) exp(-z^2 / (2r))`` for ``r > 0``.
-Its squared L^2 norm has the closed form ``p_{2r}(0) = (1/2) (pi r)^(-1/2)``,
-which the bound calculators rely on; the test suite cross-checks it by
-quadrature.
-
-All Gaussian CDF evaluations in the package go through :func:`gaussian_cdf`
-(scipy's ``ndtr``), so the kernel closed forms and the noise generator share
-one audited special-function path.
+Its squared L^2 norm has the closed form ``p_{2r}(0) = (1/2) (pi r)^(-1/2)``;
+the test suite cross-checks it by quadrature.  The convolution of an
+indicator profile is a difference of standard normal CDFs (scipy's
+``ndtr``).
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from scipy.special import ndtr
 from . import expr as _expr
 
 __all__ = [
-    "gaussian_cdf",
     "heat_kernel",
     "kernel_l2_norm_sq",
     "InitialCondition",
@@ -36,11 +32,6 @@ TAIL_WIDTH_SDS = 12.0
 
 class QuadratureError(ArithmeticError):
     """Adaptive quadrature failed to reach the requested tolerance."""
-
-
-def gaussian_cdf(z):
-    """Standard normal CDF."""
-    return ndtr(z)
 
 
 def _check_time(r):
@@ -134,7 +125,7 @@ def initial_convolution(u0: InitialCondition, t: float, x: float) -> float:
     sd = math.sqrt(t)
     if u0.kind == "indicator":
         a, b = u0.interval
-        return float(gaussian_cdf((b - x) / sd) - gaussian_cdf((a - x) / sd))
+        return float(ndtr((b - x) / sd) - ndtr((a - x) / sd))
     # imported here: scipy.integrate is slow to import and only expression profiles need it
     from scipy import integrate
 

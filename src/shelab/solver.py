@@ -93,15 +93,15 @@ def _advance_into(src, dst, t, dw_dx, drift_fn, diffusion_fn, grid, bounds, x_bu
     ``dw_dx`` holds the noise increments over ``dx`` of the written cells.
     The state argument of both coefficients is clipped to
     ``[-bounds, bounds]`` into ``x_buf`` (``bounds`` broadcasts against the
-    state: shape (L, 1, 1) for L stacked clamp levels), or passed raw when
-    ``bounds`` is None.  ``tmp`` is scratch of the written cells' shape.
+    state: shape (L, 1, 1) for L stacked clamp levels).  ``tmp`` is scratch
+    of the written cells' shape.
     """
     lo, hi = _updated_cells(grid)
     if grid.boundary == "periodic":
         src[..., 0] = src[..., -2]
         src[..., -1] = src[..., 1]
     center = src[..., 1 + lo:1 + hi]
-    x = center if bounds is None else center.clip(-bounds, bounds, out=x_buf)
+    x = center.clip(-bounds, bounds, out=x_buf)
     out = dst[..., 1 + lo:1 + hi]
     # lap = (left - 2 center) + right; out = ((center + lam lap) + dt drift) + diffusion dw/dx
     np.multiply(center, 2.0, out=tmp)
@@ -149,8 +149,8 @@ def solve_truncated(level, b: Coefficient, sigma: Coefficient, u0, grid: GridSpe
 
 def solve_pair_coupled(level, b, sigma, u0, grid, noise_spec):
     """Solve at clamp levels N and N+1 under pathwise-identical noise."""
-    level = _as_level(level)
-    levels = (level.level, level.successor().level)
+    level = _as_level(level).level
+    levels = (level, level + 1.0)
     return field_trajectories(solve_lattice(levels, b, sigma, u0, grid, noise_spec),
                               levels, b, sigma, u0, grid, noise_spec)
 
@@ -205,7 +205,6 @@ class BatchSolution:
     """
 
     levels: tuple
-    replications: np.ndarray
     probe_step_idx: np.ndarray
     probe_x_idx: np.ndarray
     samples: np.ndarray  # (n_levels, B, nt, nx)
@@ -217,7 +216,6 @@ class BatchSolution:
         assert self.levels == other.levels
         return BatchSolution(
             levels=self.levels,
-            replications=np.concatenate([self.replications, other.replications]),
             probe_step_idx=self.probe_step_idx,
             probe_x_idx=self.probe_x_idx,
             samples=np.concatenate([self.samples, other.samples], axis=1),
@@ -357,7 +355,6 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     return BatchSolution(
         levels=levels,
-        replications=reps,
         probe_step_idx=probe_step_idx,
         probe_x_idx=probe_x_idx,
         samples=samples,

@@ -6,14 +6,12 @@ from hypothesis import given, settings, strategies as st
 from shelab.bounds import (
     BoundReport,
     ProblemConstants,
-    SupTransferResult,
     beta_for_convergence,
     beta_for_moments,
     convergence_amplitude,
     convergence_thresholds,
     moment_bound_bounded_sigma,
     moment_bound_unbounded_sigma,
-    sup_transfer_check,
     tail_bound_bounded_sigma,
     tail_bound_unbounded_sigma,
     tail_validity_threshold,
@@ -224,36 +222,3 @@ class TestBoundReport:
         invalid = moment_bound_unbounded_sigma(2, 0.0, consts(Ls=0.0))
         assert BoundReport.compare(invalid, 1.0).verdict == "not-applicable"
 
-
-class TestSupTransfer:
-    def test_constant_function_example(self):
-        ts = [0.05 * i for i in range(1, 21)]
-        res = sup_transfer_check(ts, [1.0] * 20, lambda T: 2.0, beta=0.1, T_grid=[0.25, 0.5, 1.0])
-        assert res == SupTransferResult(True, None, True)
-
-    def test_tight_exponential_case(self):
-        beta, T0, g0 = 0.8, 1.0, 3.0
-        ts = [0.1 * i for i in range(1, 11)]
-        fs = [math.exp(beta * (t - T0)) * g0 for t in ts]
-        res = sup_transfer_check(ts, fs, lambda T: g0, beta=beta, T_grid=[0.5, 1.0])
-        assert res.hypothesis_holds and res.conclusion_verified
-        # equality at T = T0: the hypothesis is tight there
-        lhs = max(math.exp(-beta * t) * f for t, f in zip(ts, fs))
-        assert lhs == pytest.approx(math.exp(-beta * T0) * g0, rel=1e-12)
-
-    def test_failing_hypothesis_reports_first_horizon(self):
-        ts = [0.1, 0.5, 1.0]
-        res = sup_transfer_check(ts, [3.0, 3.0, 3.0], lambda T: 2.0, beta=0.5, T_grid=[0.5, 1.0])
-        assert not res.hypothesis_holds
-        assert res.first_failure_T == 0.5
-        assert not res.conclusion_verified
-
-    def test_rejects_decreasing_g(self):
-        with pytest.raises(ValueError, match="nondecreasing"):
-            sup_transfer_check([0.5], [1.0], lambda T: -T, beta=1.0, T_grid=[0.25, 0.5])
-
-    def test_rejects_bad_samples(self):
-        with pytest.raises(ValueError):
-            sup_transfer_check([0.5], [-1.0], lambda T: 2.0, beta=1.0, T_grid=[0.5])
-        with pytest.raises(ValueError):
-            sup_transfer_check([0.0], [1.0], lambda T: 2.0, beta=1.0, T_grid=[0.5])

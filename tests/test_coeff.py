@@ -12,7 +12,7 @@ from shelab.coeff import (
     level_constants,
     linear_growth_constant,
     local_lipschitz_constant,
-    truncate,
+    truncated_fn,
 )
 
 LINEAR = Coefficient.builtin("linear")
@@ -26,13 +26,13 @@ OSC_LIP1_ORACLE = 248.38194249268287
 
 class TestTruncate:
     def test_clamp_at_unit_bound(self):
-        assert truncate(LINEAR, TruncationLevel(0.0), 0.1, 2.0) == 1.0
+        assert truncated_fn(LINEAR, TruncationLevel(0.0))(0.1, 2.0) == 1.0
 
     def test_clamp_then_evaluate(self):
-        assert truncate(SQUARE, 1.0, 0.1, -10.0) == pytest.approx(math.e ** 2, rel=1e-15)
+        assert truncated_fn(SQUARE, 1.0)(0.1, -10.0) == pytest.approx(math.e ** 2, rel=1e-15)
 
     def test_inside_clamp_region(self):
-        got = truncate(Coefficient.parse("sin(x)"), 2.0, 0.1, 3.0)
+        got = truncated_fn(Coefficient.parse("sin(x)"), 2.0)(0.1, 3.0)
         assert got == pytest.approx(0.1411200080598672, abs=1e-15)  # sin(3)
 
     def test_level_requires_nonnegative_finite(self):
@@ -50,7 +50,7 @@ class TestTruncate:
     def test_clamp_idempotent_inside_window(self, N, frac):
         # arguments already inside [-e^N, e^N] pass through bit-exactly
         x = frac * math.exp(N)
-        assert truncate(SQUARE, N, 0.1, x) == SQUARE(0.1, x)
+        assert truncated_fn(SQUARE, N)(0.1, x) == SQUARE(0.1, x)
 
 
 class TestLinearGrowth:

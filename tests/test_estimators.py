@@ -295,11 +295,9 @@ class TestTailProbability:
         assert lo < 0.5 < hi
 
 
-def synthetic_pair(diffs, sups=None, level_low=2.0, times=(0.5, 1.0), xs=(0.0,)):
+def synthetic_pair(diffs, sups=None, times=(0.5, 1.0), xs=(0.0,)):
     diffs = np.asarray(diffs, dtype=float)
     return PairEnsemble(
-        level_low=level_low,
-        level_high=level_low + 1.0,
         probe_times=np.asarray(times, dtype=float),
         probe_xs=np.asarray(xs, dtype=float),
         diff_samples=diffs,
@@ -318,26 +316,21 @@ class TestCoupledSupDifference:
         assert coupled_sup_difference(pair, 1, 1.0) == 2.0
         assert coupled_sup_difference(pair, 1, 0.5) == 0.5  # horizon excludes t=1
 
-    def test_trajectory_pairs_validate_coupling(self):
+    def test_from_batch_needs_a_coupled_pair(self):
         import warnings
 
         from shelab.coeff import Coefficient
         from shelab.grid import GridSpec
         from shelab.kernel import InitialCondition
-        from shelab.noise import NoiseSpec
-        from shelab.solver import solve_pair_coupled
+        from shelab.solver import solve_batch
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
-        u0 = InitialCondition.constant(1.0)
-        zero = Coefficient.builtin("zero")
-        lin = Coefficient.builtin("linear")
-        p0 = solve_pair_coupled(1.0, zero, lin, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-        p1 = solve_pair_coupled(1.0, zero, lin, u0, g, NoiseSpec(seed=1, replication=1, grid=g))
-        pair = PairEnsemble.from_trajectory_pairs([p0, p1], [0.1], [0.0])
-        assert pair.count == 2
-
-        # mismatched noise specs violate the common-noise contract
-        with pytest.raises(CouplingError, match="not coupled"):
-            PairEnsemble.from_trajectory_pairs([(p0[0], p1[1])], [0.1], [0.0])
+        zero, lin = Coefficient.builtin("zero"), Coefficient.builtin("linear")
+        batch = solve_batch((1.0, 2.0, 3.5), zero, lin, InitialCondition.constant(1.0), g, 1, [0, 1],
+                            [g.n_steps], [g.x_index(0.0)])
+        assert PairEnsemble.from_batch(batch, g, 1.0).count == 2
+        # no level of the batch lies one above 3.5
+        with pytest.raises(CouplingError, match="no coupled pair"):
+            PairEnsemble.from_batch(batch, g, 3.5)

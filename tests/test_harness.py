@@ -70,6 +70,7 @@ class TestConfigRejection:
             (lambda d: d.update(u0={"kind": "bogus"}), "u0.kind"),
             (lambda d: d.update(u0={"kind": "indicator", "a": 2.0, "b": 1.0}), "u0"),
             (lambda d: d["probes"].update(times=[0.3]), "probe times"),
+            (lambda d: d["probes"].update(times=[1e-5]), "probe times snap to t=0"),
             (lambda d: d["probes"].update(times=[]), "probes.times"),
             (lambda d: d["probes"].update(x_stride=0), "x_stride"),
             (lambda d: d.update(assumption_levels=[1, 2]), "assumption_levels"),
@@ -364,6 +365,25 @@ class TestCli:
         assert cli.main(["--out", str(out), "report", str(rp), "--format", "csv"]) == 0
         tag = parse_config(base_doc()).hash16
         assert (out / f"verify-moments_{tag}.csv").read_text() == render_csv(res)
+
+    @pytest.mark.parametrize("field,value", [
+        ("experiment", "../escaped"),
+        ("experiment", "assumptions"),
+        ("config_hash", "../../escaped"),
+        ("config_hash", "ABC123"),
+    ])
+    def test_report_rejects_names_that_leave_out_dir(self, tmp_path, capsys, field, value):
+        doc = ResultSet(experiment="verify-moments", records=[], provenance={"config_hash": "abc"}).to_dict()
+        if field == "experiment":
+            doc["experiment"] = value
+        else:
+            doc["provenance"]["config_hash"] = value
+        rp = tmp_path / "r.json"
+        rp.write_text(json.dumps(doc))
+        out = tmp_path / "out" / "inner"
+        assert cli.main(["--out", str(out), "report", str(rp)]) == 3
+        assert "cannot read results" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.json"]
 
     def test_check_assumptions_runs(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, base_doc(b="linear"))
