@@ -107,16 +107,11 @@ class BoundReport:
     """Comparison of a bound against a Monte Carlo estimate, in log-space."""
 
     bound_log: float | None
-    bound_value: float | None
-    valid: bool
-    failed_clause: str | None
-    estimate: float | None
     verdict: str  # dominates | violated | not-applicable
 
     @classmethod
     def compare(cls, outcome: BoundOutcome, estimate: float | None) -> "BoundReport":
         bound_log = None if outcome.bound is None else outcome.bound.log_value
-        bound_value = None if outcome.bound is None else outcome.bound.value
         if not outcome.valid:
             verdict = "not-applicable"
         elif estimate is None or estimate <= 0:
@@ -124,14 +119,7 @@ class BoundReport:
             verdict = "dominates"
         else:
             verdict = "dominates" if math.log(estimate) <= bound_log else "violated"
-        return cls(
-            bound_log=bound_log,
-            bound_value=bound_value,
-            valid=outcome.valid,
-            failed_clause=outcome.failed_clause,
-            estimate=estimate,
-            verdict=verdict,
-        )
+        return cls(bound_log=bound_log, verdict=verdict)
 
 
 def moment_bound_unbounded_sigma(k: float, t: float, constants: ProblemConstants) -> BoundOutcome:

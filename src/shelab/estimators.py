@@ -15,16 +15,18 @@ abort list).  The estimators are
 * ``coupled_sup_difference``: max over probes of the k-norm of the pathwise
   difference between two clamp levels driven by common noise.
 
-Moment sums are carried exactly (binary floats are scaled integers), so
-estimates computed from replication shards merge to bit-identical values
-regardless of shard boundaries.  The sums are bucketed integer sums, column
-by column: ``np.frexp`` splits each value into a 53-bit integer mantissa and
-an exponent, mantissas are added in int64 per (column, exponent) bucket with
-at most 1023 rows per pass (1023 * 2^53 < 2^63), and the few buckets of a
+Every moment estimate goes through one path, ``_column_estimates``, which
+takes the exact sums of |u|^k and |u|^2k down each column of a
+(replications, probes) array.  The sums are carried exactly (binary floats
+are scaled integers), so an estimate does not depend on the order of the
+replications or on how they are split.  They are bucketed integer sums:
+``np.frexp`` splits each value into a 53-bit integer mantissa and an
+exponent, mantissas are added in int64 per (column, exponent) bucket with at
+most 1023 rows per pass (1023 * 2^53 < 2^63), and the few buckets of a
 column are folded into one Python integer by shifts.  The integers are the
-exact sums of the values in units of 2^-1074, independent of how the
-samples are split into passes or shards.  A pass holds at most 2^15
-samples, so the working memory does not grow with the ensemble.
+exact sums of the values in units of 2^-1074, independent of how the samples
+are split into passes.  A pass holds at most 2^15 samples, so the working
+memory does not grow with the ensemble.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ __all__ = [
     "CouplingError",
     "MomentEstimate",
     "TailEstimate",
-    "MomentAccumulator",
     "Ensemble",
     "PairEnsemble",
     "moment_estimates",
@@ -134,47 +135,17 @@ def _columns(samples: np.ndarray) -> np.ndarray:
 
 
 def _column_estimates(x: np.ndarray, k: float) -> list:
-    sums = zip(*_power_sums(x, k))
-    return [MomentAccumulator(k, x.shape[0], s_pow, s_sq).estimate() for s_pow, s_sq in sums]
-
-
-@dataclass
-class MomentAccumulator:
-    """Exact shard-mergeable sums of |u|^k and its square."""
-
-    order: float
-    count: int = 0
-    _sum_pow: int = 0
-    _sum_sq: int = 0
-
-    def add(self, samples) -> "MomentAccumulator":
-        x = np.asarray(samples, dtype=float).reshape(-1, 1)
-        (s_pow,), (s_sq,) = _power_sums(x, self.order)
-        self.count += x.shape[0]
-        self._sum_pow += s_pow
-        self._sum_sq += s_sq
-        return self
-
-    def merge(self, other: "MomentAccumulator") -> "MomentAccumulator":
-        if other.order != self.order:
-            raise ValueError("cannot merge accumulators of different orders")
-        out = MomentAccumulator(self.order)
-        out.count = self.count + other.count
-        out._sum_pow = self._sum_pow + other._sum_pow
-        out._sum_sq = self._sum_sq + other._sum_sq
-        return out
-
-    def estimate(self) -> "MomentEstimate":
-        n = self.count
-        if n == 0:
-            raise ValueError("no samples accumulated")
-        mean = _exact_float(self._sum_pow, n)
-        mean_sq = _exact_float(self._sum_sq, n)
-        if n >= 2:
-            variance = max(0.0, (mean_sq - mean * mean) * n / (n - 1))
-        else:
-            variance = math.nan
-        return MomentEstimate.from_power_mean(self.order, n, mean, variance)
+    """Moment estimates of order k down each column of a (replications, columns) array."""
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("no samples to estimate from")
+    estimates = []
+    for s_pow, s_sq in zip(*_power_sums(x, k)):
+        mean = _exact_float(s_pow, n)
+        mean_sq = _exact_float(s_sq, n)
+        variance = max(0.0, (mean_sq - mean * mean) * n / (n - 1)) if n >= 2 else math.nan
+        estimates.append(MomentEstimate.from_power_mean(k, n, mean, variance))
+    return estimates
 
 
 @dataclass(frozen=True)
@@ -246,12 +217,20 @@ def wilson_interval(successes: int, n: int, z: float = Z_95):
     return lo, hi
 
 
-def _first_close(points: np.ndarray, v: float):
-    """Index of the first of ``points`` within 1e-9 of v, relative to max(1, |v|, |point|), or None."""
+def _probe_match(points: np.ndarray, v: float):
+    """Index of the first of ``points`` equal to v, else of the first within 1e-9
+    of v relative to max(1, |v|, |point|), or None."""
     points = np.asarray(points, dtype=float)
-    scale = np.maximum(np.maximum(np.abs(points), abs(v)), 1.0)
-    hits = np.flatnonzero(np.abs(points - v) <= 1e-9 * scale)
+    hits = np.flatnonzero(points == v)
+    if not hits.size:
+        scale = np.maximum(np.maximum(np.abs(points), abs(v)), 1.0)
+        hits = np.flatnonzero(np.abs(points - v) <= 1e-9 * scale)
     return int(hits[0]) if hits.size else None
+
+
+def _probe_coords(batch, grid):
+    """Probe times and probe x-coordinates of a solver batch."""
+    return batch.probe_step_idx * grid.dt, -grid.R + batch.probe_x_idx * grid.dx
 
 
 @dataclass
@@ -279,20 +258,15 @@ class Ensemble:
         level = batch.levels[0] if level is None else float(level)
         vals = batch.samples[batch.levels.index(level)]
         ok = np.isfinite(vals).all(axis=(1, 2))
-        return cls(
-            probe_times=batch.probe_step_idx * grid.dt,
-            probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
-            samples=vals[ok],
-            horizon=grid.T,
-        )
+        return cls(*_probe_coords(batch, grid), samples=vals[ok], horizon=grid.T)
 
     @property
     def count(self) -> int:
         return self.samples.shape[0]
 
     def probe_index(self, t: float, x: float):
-        """First probe time and first probe x matching (t, x) as ``_first_close`` does."""
-        it, ix = _first_close(self.probe_times, t), _first_close(self.probe_xs, x)
+        """Probe time and probe x matching (t, x) as ``_probe_match`` does."""
+        it, ix = _probe_match(self.probe_times, t), _probe_match(self.probe_xs, x)
         if it is None or ix is None:
             raise ProbeError(f"({t}, {x}) is not a probe point of this ensemble")
         return it, ix
@@ -327,7 +301,8 @@ def lk_norm(ensemble: Ensemble, k: float, t: float, x: float,
             order_cap: int = DEFAULT_ORDER_CAP) -> MomentEstimate:
     """Sample estimate of E|u(t,x)|^k, reported with its k-th root."""
     _check_order(k, order_cap)
-    return MomentAccumulator(k).add(ensemble.samples_at(t, x)).estimate()
+    (estimate,) = _column_estimates(ensemble.samples_at(t, x)[:, None], k)
+    return estimate
 
 
 def weighted_norm(ensemble: Ensemble, k: float, beta: float, T: float,
@@ -377,8 +352,7 @@ class PairEnsemble:
         diff = batch.samples[batch.levels.index(key[1])] - batch.samples[batch.levels.index(key[0])]
         ok = np.isfinite(diff).all(axis=(1, 2))
         return cls(
-            probe_times=batch.probe_step_idx * grid.dt,
-            probe_xs=-grid.R + batch.probe_x_idx * grid.dx,
+            *_probe_coords(batch, grid),
             diff_samples=diff[ok],
             sup_abs_diff=batch.sup_abs_diff[key][ok],
             path_max_abs=batch.path_max_abs[key][ok],

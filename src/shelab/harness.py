@@ -33,7 +33,7 @@ import re
 import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -341,32 +341,30 @@ def _probe_indices(cfg: ExperimentConfig):
 # -- constants ----------------------------------------------------------------
 
 
-def _growth_constant(psi: _coeff.Coefficient, notes: dict, label: str, override):
+def _resolved(notes: dict, label: str, override, declared, estimate):
+    """The config override, else the coefficient's declared value, else
+    ``estimate()`` (a grid estimate, a lower bound); the source goes into notes."""
     if override is not None:
         notes[label] = "config override"
         return float(override)
-    if psi.declared_growth is not None:
+    if declared is not None:
         notes[label] = "declared by coefficient"
-        return float(psi.declared_growth)
+        return float(declared)
     notes[label] = "grid estimate (lower bound)"
-    return _coeff.linear_growth_constant(psi)
+    return estimate()
 
 
 def resolve_constants(cfg: ExperimentConfig):
     notes = {}
-    growth_b = _growth_constant(cfg.drift, notes, "L_b", cfg.growth_b_override)
-    growth_sigma = _growth_constant(cfg.diffusion, notes, "L_sigma", cfg.growth_sigma_override)
+    b, sigma = cfg.drift, cfg.diffusion
+    growth_b = _resolved(notes, "L_b", cfg.growth_b_override, b.declared_growth,
+                         lambda: _coeff.linear_growth_constant(b))
+    growth_sigma = _resolved(notes, "L_sigma", cfg.growth_sigma_override, sigma.declared_growth,
+                             lambda: _coeff.linear_growth_constant(sigma))
     sigma_sup = None
     if cfg.bounded_sigma:
-        if cfg.sigma_sup_override is not None:
-            sigma_sup = float(cfg.sigma_sup_override)
-            notes["sigma_sup"] = "config override"
-        elif cfg.diffusion.declared_sup is not None:
-            sigma_sup = float(cfg.diffusion.declared_sup)
-            notes["sigma_sup"] = "declared by coefficient"
-        else:
-            sigma_sup = _coeff._sup_abs(cfg.diffusion, 1000.0, _coeff.DEFAULT_TIME_GRID)
-            notes["sigma_sup"] = "grid estimate (lower bound)"
+        sigma_sup = _resolved(notes, "sigma_sup", cfg.sigma_sup_override, sigma.declared_sup,
+                              lambda: _coeff._sup_abs(sigma, 1000.0, _coeff.DEFAULT_TIME_GRID))
     constants = _bounds.ProblemConstants(
         drift_growth=growth_b,
         diffusion_growth=growth_sigma,
@@ -377,13 +375,7 @@ def resolve_constants(cfg: ExperimentConfig):
     if cfg.inflate_diffusion:
         inflated = constants.inflate_diffusion_growth()
         if inflated.diffusion_growth == 0.0:
-            inflated = _bounds.ProblemConstants(
-                drift_growth=constants.drift_growth,
-                diffusion_growth=1.0,
-                u0_sup=constants.u0_sup,
-                diffusion_sup=constants.diffusion_sup,
-                proof_constant=constants.proof_constant,
-            )
+            inflated = replace(constants, diffusion_growth=1.0)
         if inflated.diffusion_growth != constants.diffusion_growth:
             notes["L_sigma"] = (
                 f"inflated from {constants.diffusion_growth!r} to {inflated.diffusion_growth!r}"
@@ -417,6 +409,15 @@ class Record:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(Record))
+
+
+def _record(cfg: ExperimentConfig, experiment: str, N, verdict: str, k=None, t=None, x=None,
+            estimate=None, ci_lo=None, ci_hi=None, bound_log=None) -> Record:
+    """One result row of ``cfg``; the coordinates N, k, t, x are stored as floats."""
+    k, t, x = (None if v is None else float(v) for v in (k, t, x))
+    return Record(experiment=experiment, N=float(N), k=k, t=t, x=x, estimate=estimate, ci_lo=ci_lo,
+                  ci_hi=ci_hi, bound_log=bound_log, verdict=verdict, seed=cfg.seed, config_hash=cfg.hash16)
+
 
 # the experiments that produce a ResultSet; the name and the config hash make up exported file names
 _EXPERIMENT_NAMES = ("verify-moments", "verify-tails", "convergence", "uniqueness")
@@ -528,7 +529,7 @@ def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1)
 
 
 def _abort_budget(aborted, cfg):
-    """Abort records of one level's or one coupled pair's run, checked against the 1% budget."""
+    """Check the abort records of one level's or one coupled pair's run against the 1% budget; return them."""
     frac = len(aborted) / cfg.replications
     if frac > 0.01:
         first = aborted[0]
@@ -537,6 +538,7 @@ def _abort_budget(aborted, cfg):
             f"(> 1% budget); first at replication {first.replication}, "
             f"step {first.step}, cell {first.cell}"
         )
+    return aborted
 
 
 # -- experiments ----------------------------------------------------------------
@@ -570,8 +572,7 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     aborted_all = []
     batch = _collect(cfg, cfg.levels, probe_steps, probe_x_idx, threads)
     for level in cfg.levels:
-        _abort_budget(batch.aborted[(level,)], cfg)
-        aborted_all += batch.aborted[(level,)]
+        aborted_all += _abort_budget(batch.aborted[(level,)], cfg)
         ens = _est.Ensemble.from_batch(batch, cfg.grid, level)
         for k in cfg.orders:
             estimates = iter(_est.moment_estimates(ens, k))
@@ -582,12 +583,10 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
                     report = _bounds.BoundReport.compare(outcome, est.power_hi)
                     if report.verdict == "dominates" and est.power_hi and est.power_hi > 0:
                         min_margin = min(min_margin, report.bound_log - math.log(est.power_hi))
-                    records.append(Record(
-                        experiment="verify-moments",
-                        N=float(level), k=float(k), t=float(pt), x=float(px),
+                    records.append(_record(
+                        cfg, "verify-moments", level, report.verdict, k=k, t=pt, x=px,
                         estimate=est.power_mean, ci_lo=est.power_lo, ci_hi=est.power_hi,
-                        bound_log=report.bound_log, verdict=report.verdict,
-                        seed=cfg.seed, config_hash=cfg.hash16,
+                        bound_log=report.bound_log,
                     ))
     violations = sum(r.verdict == "violated" for r in records)
     return ResultSet(
@@ -626,8 +625,7 @@ def run_tail_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
     # the tail statement concerns the level-(N+1) solution against e^N
     batch = _collect(cfg, tuple(sorted({level + 1.0 for level in cfg.levels})), probe_steps, probe_x_idx, threads)
     for level in cfg.levels:
-        _abort_budget(batch.aborted[(level + 1.0,)], cfg)
-        aborted_all += batch.aborted[(level + 1.0,)]
+        aborted_all += _abort_budget(batch.aborted[(level + 1.0,)], cfg)
         ens = _est.Ensemble.from_batch(batch, cfg.grid, level + 1.0)
         threshold = math.exp(level)
         for pt in ens.probe_times:
@@ -635,12 +633,9 @@ def run_tail_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
             for px in ens.probe_xs:
                 tail = _est.tail_probability(ens, threshold, float(pt), float(px))
                 report = _bounds.BoundReport.compare(outcome, tail.hi)
-                records.append(Record(
-                    experiment="verify-tails",
-                    N=float(level), k=None, t=float(pt), x=float(px),
-                    estimate=tail.p_hat, ci_lo=tail.lo, ci_hi=tail.hi,
-                    bound_log=report.bound_log, verdict=report.verdict,
-                    seed=cfg.seed, config_hash=cfg.hash16,
+                records.append(_record(
+                    cfg, "verify-tails", level, report.verdict, t=pt, x=px,
+                    estimate=tail.p_hat, ci_lo=tail.lo, ci_hi=tail.hi, bound_log=report.bound_log,
                 ))
     applicable = [r for r in records if r.verdict != "not-applicable"]
     violations = sum(r.verdict == "violated" for r in applicable)
@@ -667,8 +662,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
     union = sorted(set(cfg.levels) | {level + 1.0 for level in cfg.levels})
     batch = _collect(cfg, tuple(union), probe_steps, probe_x_idx, threads)
     for level in sorted(cfg.levels):
-        _abort_budget(batch.aborted[(level, level + 1.0)], cfg)
-        aborted_all += batch.aborted[(level, level + 1.0)]
+        aborted_all += _abort_budget(batch.aborted[(level, level + 1.0)], cfg)
         pair = _est.PairEnsemble.from_batch(batch, cfg.grid, level)
         active = bool(np.any(pair.path_max_abs > math.exp(level)))
         max_diff = float(np.max(pair.sup_abs_diff)) if pair.count else math.nan
@@ -678,13 +672,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
         for k in cfg.orders:
             value = _est.coupled_sup_difference(pair, k, cfg.grid.T)
             table[float(k)].append((float(level), value, active))
-            records.append(Record(
-                experiment="convergence",
-                N=float(level), k=float(k), t=None, x=None,
-                estimate=value, ci_lo=None, ci_hi=None,
-                bound_log=None, verdict=verdict,
-                seed=cfg.seed, config_hash=cfg.hash16,
-            ))
+            records.append(_record(cfg, "convergence", level, verdict, k=k, estimate=value))
 
     slopes = {}
     for k, rows in table.items():
@@ -749,28 +737,16 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         (t_a,) = views(sol_1, (top,), b1, s1)
         (t_b,) = views(sol_2, (top,), b2, s2)
         _assert_identical(t_a, t_b, f"re-parsed coefficients at level {top:g}, replication {rep}")
-        records.append(Record(
-            experiment="uniqueness", N=float(top), k=None, t=None, x=None,
-            estimate=0.0, ci_lo=None, ci_hi=None, bound_log=None,
-            verdict="identical", seed=cfg.seed, config_hash=cfg.hash16,
-        ))
+        records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
 
         clamp_inactive = t_a.path_max_abs < math.exp(top)
         low, high = views(sol_1, (top, top + 1.0), b1, s1)
         if clamp_inactive:
             _assert_identical(low, high, f"levels {top:g} vs {top + 1:g}, replication {rep}")
-            records.append(Record(
-                experiment="uniqueness", N=float(top), k=None, t=None, x=None,
-                estimate=0.0, ci_lo=None, ci_hi=None, bound_log=None,
-                verdict="identical", seed=cfg.seed, config_hash=cfg.hash16,
-            ))
+            records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
         else:
             diff = float(np.max(np.abs(high.values - low.values)))
-            records.append(Record(
-                experiment="uniqueness", N=float(top), k=None, t=None, x=None,
-                estimate=diff, ci_lo=None, ci_hi=None, bound_log=None,
-                verdict="recorded", seed=cfg.seed, config_hash=cfg.hash16,
-            ))
+            records.append(_record(cfg, "uniqueness", top, "recorded", estimate=diff))
             diag["active_clamp_rows"] += 1
 
         # documented active-clamp row at the lowest configured level
@@ -780,11 +756,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
             verdict = "recorded" if diff > 0 else "identical"
             if diff > 0:
                 diag["active_clamp_rows"] += 1
-            records.append(Record(
-                experiment="uniqueness", N=float(bottom), k=None, t=None, x=None,
-                estimate=diff, ci_lo=None, ci_hi=None, bound_log=None,
-                verdict=verdict, seed=cfg.seed, config_hash=cfg.hash16,
-            ))
+            records.append(_record(cfg, "uniqueness", bottom, verdict, estimate=diff))
         diag["checked_replications"].append(rep)
 
     return ResultSet(

@@ -127,12 +127,6 @@ class FieldTrajectory:
     noise_spec: NoiseSpec
     provenance: dict = field(default_factory=dict)
 
-    def at(self, t: float, x: float):
-        """Value at the lattice point nearest (t, x), with the snapped coordinates."""
-        m = self.grid.t_index(t)
-        j = self.grid.x_index(x)
-        return float(self.values[m, j]), m * self.grid.dt, -self.grid.R + j * self.grid.dx
-
     @property
     def path_max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

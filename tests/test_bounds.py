@@ -216,7 +216,7 @@ class TestParameterChoices:
 class TestBoundReport:
     def test_verdicts(self):
         valid = moment_bound_unbounded_sigma(2, 0.0, consts())
-        assert BoundReport.compare(valid, 1.0).verdict == "dominates"
+        assert BoundReport.compare(valid, 1.0) == BoundReport(bound_log=valid.bound.log_value, verdict="dominates")
         assert BoundReport.compare(valid, 17.0).verdict == "violated"
         assert BoundReport.compare(valid, 0.0).verdict == "dominates"
         invalid = moment_bound_unbounded_sigma(2, 0.0, consts(Ls=0.0))

@@ -8,7 +8,6 @@ from shelab import estimators
 from shelab.estimators import (
     CouplingError,
     Ensemble,
-    MomentAccumulator,
     PairEnsemble,
     ProbeError,
     Z_95,
@@ -87,26 +86,25 @@ float_lists = st.lists(
 )
 
 
-class TestMergeAssociativity:
+def split_sums(values, cut, k):
+    """Exact power sums of values[:cut] and values[cut:], added."""
+    x = np.asarray(values, dtype=float)[:, None]
+    (lp,), (ls,) = estimators._power_sums(x[:cut], k)
+    (rp,), (rs,) = estimators._power_sums(x[cut:], k)
+    return lp + rp, ls + rs
+
+
+class TestSplitInvariance:
     @given(float_lists, st.integers(min_value=0, max_value=59), st.sampled_from([1, 2, 4]))
     @settings(max_examples=150, deadline=None)
-    def test_shard_boundaries_do_not_change_estimates(self, values, cut, k):
+    def test_shard_boundaries_do_not_change_the_sums(self, values, cut, k):
         cut = min(cut, len(values))
-        whole = MomentAccumulator(k).add(values).estimate()
-        left = MomentAccumulator(k).add(values[:cut])
-        right = MomentAccumulator(k).add(values[cut:])
-        merged = left.merge(right).estimate()
-        assert merged == whole  # bit-exact, not approximate
+        (whole_pow,), (whole_sq,) = estimators._power_sums(np.asarray(values, dtype=float)[:, None], k)
+        assert split_sums(values, cut, k) == (whole_pow, whole_sq)  # exact integers
 
     def test_three_way_versus_two_way(self):
         vals = [0.1, 1e8, -0.1, 3.7e-12, 2.0 ** -520, 1e8, -7.0]
-        a = MomentAccumulator(2).add(vals[:2]).merge(MomentAccumulator(2).add(vals[2:]))
-        b = MomentAccumulator(2).add(vals[:5]).merge(MomentAccumulator(2).add(vals[5:]))
-        assert a.estimate() == b.estimate()
-
-    def test_merge_order_mismatch(self):
-        with pytest.raises(ValueError):
-            MomentAccumulator(2).merge(MomentAccumulator(4))
+        assert split_sums(vals, 2, 2) == split_sums(vals, 5, 2)
 
 
 def reference_sum(values) -> int:
@@ -168,19 +166,19 @@ class TestBucketedSum:
         values.insert(min(where, len(values)), bad)
         with pytest.raises((OverflowError, ValueError)) as want:
             reference_power_sums(values, k)
-        with pytest.raises(want.type):
-            MomentAccumulator(k).add(values)
         ens = one_probe_ensemble(values)
+        with pytest.raises(want.type):
+            lk_norm(ens, k, 1.0, 0.0)
         with pytest.raises(want.type):
             moment_estimates(ens, k)
 
     def test_non_finite_error_kinds(self):
         with pytest.raises(OverflowError):
-            MomentAccumulator(2).add([1.0, float("inf")])
+            lk_norm(one_probe_ensemble([1.0, float("inf")]), 2, 1.0, 0.0)
         with pytest.raises(OverflowError):  # finite power, overflowing square
-            MomentAccumulator(1).add([1e160, 1.0])
+            lk_norm(one_probe_ensemble([1e160, 1.0]), 1, 1.0, 0.0)
         with pytest.raises(ValueError):
-            MomentAccumulator(2).add([float("nan"), 1.0])
+            lk_norm(one_probe_ensemble([float("nan"), 1.0]), 2, 1.0, 0.0)
 
 
 class TestMomentEstimates:
@@ -209,6 +207,15 @@ class TestProbeIndex:
         assert ens.probe_index(1.0 + 5e-10, 2.0 - 1e-9) == (1, 1)
         assert ens.probe_index(0.5, -1.0) == (0, 0)
         assert all(type(i) is int for i in ens.probe_index(0.5, -1.0))
+
+    def test_exact_hit_wins_over_an_earlier_close_probe(self):
+        # probe times 5e-10 apart all lie within the 1e-9 tolerance of each other
+        times = np.arange(1, 21) * 5 * 1e-10
+        samples = np.tile(np.arange(20.0)[None, :, None], (3, 1, 1))
+        ens = grid_ensemble(samples, times, [0.0])
+        for it, t in enumerate(ens.probe_times):
+            assert ens.probe_index(float(t), 0.0) == (it, 0)
+            assert np.all(ens.samples_at(float(t), 0.0) == it)
 
     def test_off_lattice_point_raises(self):
         ens = grid_ensemble(np.zeros((2, 2, 2)), [0.5, 1.0], [-1.0, 2.0])

@@ -54,6 +54,19 @@ PILOT_CSV_SHA256 = {
     },
 }
 
+# result JSON of the pilots (records, diagnostics and provenance), the same at
+# --threads 1 and 2; uniqueness runs on the convergence pilot, as in
+# scripts/run_pilot.py.  Convergence and assumption JSON are not pinned: their
+# slopes come from LAPACK least squares, whose last bits may vary by build
+PILOT_JSON_SHA256 = {
+    ("verify-moments", "pilot_moments.json"):
+        "b8b445553c58ff9e69fd372c7e3887f50c8e432ff3b6e210e5cfcaf2c69bcc2e",
+    ("verify-tails", "pilot_tails.json"):
+        "6d094bf082075698cff9d33a360f46a1d1a4ce523a439699b2c9b2e455c89611",
+    ("uniqueness", "pilot_convergence.json"):
+        "e1eb9fb42f068c37b4cf70eb60f367e2b8f9c36d064d02b5d9b740ee3cc243b0",
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -95,3 +108,13 @@ def test_pilot_result_digests(command, config, threads, chunk, tmp_path, monkeyp
     expected = PILOT_CSV_SHA256[(command, config)]
     got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in expected}
     assert got == expected
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("command,config", sorted(PILOT_JSON_SHA256))
+def test_pilot_json_digests(command, config, threads, tmp_path):
+    path = PILOT_CONFIGS / config
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0
+    got = sha256((out / f"{command}_{load_config(path).hash16}.json").read_bytes())
+    assert got == PILOT_JSON_SHA256[(command, config)]

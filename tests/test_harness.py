@@ -1,13 +1,15 @@
 import dataclasses
 import json
 import os
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 from shelab import cli, harness
 from shelab.coeff import Coefficient
-from shelab.estimators import Z_95
+from shelab.estimators import Z_95, Ensemble
 from shelab.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -174,6 +176,50 @@ class TestConfigRejection:
         assert all(r.verdict == "dominates" for r in res.records)
 
 
+DECLARED = "declared by coefficient"
+OVERRIDE = "config override"
+GRID = "grid estimate (lower bound)"
+
+
+class TestResolveConstants:
+    # each branch of the constant ladder: config override, else the value the
+    # coefficient declares, else a grid estimate; then the optional inflation
+    @pytest.mark.parametrize(
+        "over,values,notes",
+        [
+            (dict(constants={"L_b": 0.5, "L_sigma": 2}),
+             (0.5, 2.0, None), {"L_b": OVERRIDE, "L_sigma": OVERRIDE}),
+            ({}, (0.0, 1.0, None), {"L_b": DECLARED, "L_sigma": DECLARED}),
+            (dict(b="0.5*sin(x)", sigma="x/(1+abs(x)/8)"),
+             (0.21230284455520418, 0.5458184778465706, None), {"L_b": GRID, "L_sigma": GRID}),
+            (dict(constants={"inflate_L_sigma": True}),
+             (0.0, 1.0, None), {"L_b": DECLARED, "L_sigma": DECLARED}),
+            (dict(b="clipped_poly", constants={"inflate_L_sigma": True}),
+             (8.0, 1.189207115002721, None),
+             {"L_b": DECLARED, "L_sigma": "inflated from 1.0 to 1.189207115002721"}),
+            (dict(sigma="zero", constants={"inflate_L_sigma": True}),
+             (0.0, 1.0, None), {"L_b": DECLARED, "L_sigma": "inflated from 0.0 to 1.0"}),
+            (dict(sigma="one", bounded_sigma=True),
+             (0.0, 1.0, 1.0), {"L_b": DECLARED, "L_sigma": DECLARED, "sigma_sup": DECLARED}),
+            (dict(sigma="one", bounded_sigma=True, constants={"sigma_sup": 3}),
+             (0.0, 1.0, 3.0), {"L_b": DECLARED, "L_sigma": DECLARED, "sigma_sup": OVERRIDE}),
+            (dict(sigma="sin(x)", bounded_sigma=True),
+             (0.0, 0.42460568911040836, 0.9999999988731751),
+             {"L_b": DECLARED, "L_sigma": GRID, "sigma_sup": GRID}),
+        ],
+        ids=["override", "declared", "grid-estimate", "inflate-not-needed", "inflated",
+             "inflated-from-zero", "sigma-sup-declared", "sigma-sup-override", "sigma-sup-grid"],
+    )
+    def test_values_and_sources(self, over, values, notes):
+        constants, got_notes = harness.resolve_constants(parse_config(base_doc(**over)))
+        got = (constants.drift_growth, constants.diffusion_growth, constants.diffusion_sup)
+        assert got == values
+        # integer overrides become floats, so the provenance JSON spells them alike
+        assert all(type(v) is float for v in got if v is not None)
+        assert (constants.u0_sup, constants.proof_constant) == (1.0, 2.0)
+        assert got_notes == notes
+
+
 class TestMomentExperiment:
     def test_every_record_carries_a_verdict(self):
         res = run_moment_verification(parse_config(base_doc()))
@@ -231,6 +277,21 @@ class TestTailExperiment:
     def test_rejects_when_nothing_is_applicable(self):
         with pytest.raises(ConfigError, match="validity predicate"):
             run_tail_verification(parse_config(self.tail_doc([3.0])))
+
+    def test_rows_read_their_own_probe_time(self):
+        # at dt = 1e-10 every probe time is within the probe-matching tolerance
+        # of its neighbours; each row must still estimate its own column
+        doc = base_doc(grid={"R": 0.01, "dx": 1e-4, "dt": 1e-10, "T": 1e-8},
+                       replications=200, levels=[0.005, 9.0],
+                       probes={"x_stride": 100, "n_times": 20})
+        cfg = parse_config(doc)
+        res = run_tail_verification(cfg)
+        steps, xs = harness._probe_indices(cfg)
+        batch = harness._collect(cfg, (1.005,), steps, xs)
+        vals = np.abs(Ensemble.from_batch(batch, cfg.grid).samples)
+        want = [np.mean(vals[:, it, ix] >= np.exp(0.005)) for it in range(len(steps)) for ix in range(len(xs))]
+        got = [r.estimate for r in res.records if r.N == 0.005]
+        assert len(set(want)) > 1 and got == want
 
 
 class TestConvergenceExperiment:
@@ -391,3 +452,21 @@ class TestCli:
         assert cli.main(["--out", str(out), "check-assumptions", cfgp]) == 0
         printed = capsys.readouterr().out
         assert "verdict: pass" in printed
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README_JSON = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+class TestShippedConfigs:
+    # every config the repository shows or ships must pass the validator
+    @pytest.mark.parametrize("block", README_JSON, ids=[f"README-{i}" for i in range(len(README_JSON))])
+    def test_readme_json_blocks_parse(self, block):
+        parse_config(json.loads(block))
+
+    @pytest.mark.parametrize("path", sorted((ROOT / "scripts" / "configs").glob("*.json")), ids=lambda p: p.name)
+    def test_script_configs_parse(self, path):
+        harness.load_config(path)
+
+    def test_readme_has_a_config_block(self):
+        assert README_JSON

@@ -129,8 +129,7 @@ class TestSolveTruncated:
         g = mkgrid(R=8.0, dx=0.05, dt=0.001, T=0.25)
         u0 = InitialCondition.indicator(-1.0, 1.0)
         traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-        got, t_snap, x_snap = traj.at(0.25, 0.0)
-        assert (t_snap, x_snap) == (0.25, 0.0)
+        got = traj.values[g.t_index(0.25), g.x_index(0.0)]
         ref = initial_convolution(u0, 0.25, 0.0)
         assert abs(got - ref) <= 2.0 * g.dx
 
@@ -169,7 +168,7 @@ class TestSolveTruncated:
         vals = []
         for rep in range(400):
             traj = solve_truncated(3.0, ZERO, LINEAR, u0, g, NoiseSpec(seed=314, replication=rep, grid=g))
-            vals.append(traj.at(0.25, 0.0)[0])
+            vals.append(traj.values[g.t_index(0.25), g.x_index(0.0)])
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
@@ -190,7 +189,7 @@ class TestSolveTruncated:
         for dx in (0.2, 0.1, 0.05):
             g = mkgrid(R=8.0, dx=dx, dt=0.05 * dx * dx, T=0.25)
             traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-            vals.append([traj.at(t, x)[0] for t, x in probes])
+            vals.append([traj.values[g.t_index(t), g.x_index(x)] for t, x in probes])
         err_coarse = abs(vals[0][0] - vals[1][0]) + abs(vals[0][1] - vals[1][1])
         err_fine = abs(vals[1][0] - vals[2][0]) + abs(vals[1][1] - vals[2][1])
         assert 3.0 <= err_coarse / err_fine <= 5.0
@@ -201,7 +200,7 @@ class TestSolveTruncated:
         for R in (8.0, 12.0):
             g = mkgrid(R=R, dx=0.05, dt=0.001, T=0.25)
             traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-            outs.append([traj.at(0.25, x)[0] for x in (-1.0, 0.0, 1.0)])
+            outs.append([traj.values[g.t_index(0.25), g.x_index(x)] for x in (-1.0, 0.0, 1.0)])
         assert np.max(np.abs(np.array(outs[0]) - np.array(outs[1]))) < 1e-8
 
 
