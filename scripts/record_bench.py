@@ -18,6 +18,10 @@ neither side) and two verdicts (see :func:`summarize`): ``gain`` and
 ``vs_bound``.  It also records the sha256 of every result file per seed
 and side, whether the two sides wrote the same bytes, and the
 machine-facts line that ``run.py`` prints.
+
+After the pairs, each side runs every workload once more with
+``--trace 1`` at seed 11, and the file records those runs' per-layer
+metrics (``traced``): where a change moved the time, one run per side.
 """
 
 from __future__ import annotations
@@ -65,10 +69,13 @@ def benchmark_files(root: Path, paths) -> dict:
 MIN_PAIRS = 10  # a gain is judged on at least ten pairs
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: int) -> dict:
+TRACE_SEED = 11  # seed of the one traced run per side and workload
+
+
+def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One ``benchmark/run.py`` run: its metrics, result digests and machine facts, or its failure."""
     proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", "0"],
+                           "--seconds", str(seconds), "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
@@ -177,6 +184,8 @@ def main(argv=None) -> int:
                     status = "ok" if r["ok"] else f"FAILED: {r['error']}"
                     print(f"pair {i + 1}/{args.pairs} seed {seed} {w} {side}: "
                           f"{r['metrics'].get('wall_s', float('nan')):.4f} s wall {status}", flush=True)
+        traced = {w: {side: run_once(root, w, TRACE_SEED, seconds, trace=1) for side, root in sides.items()}
+                  for w in workloads}
 
     machine = next((r["machine"] for w in workloads for r in runs[w]["change"] if r["machine"]), {})
     report = {
@@ -184,6 +193,7 @@ def main(argv=None) -> int:
         "base": base_commit,
         "change": describe_checkout(),
         "settings": {"pairs": args.pairs, "seconds": seconds, "seeds": seeds, "trace": 0,
+                     "traced_seed": TRACE_SEED,
                      "command": "python3 benchmark/run.py --workload W --seed S --seconds T --trace 0",
                      "order": "base first in even pairs (counting from 0), change first in odd ones"},
         "benchmark_identical": same_benchmark,
@@ -196,6 +206,8 @@ def main(argv=None) -> int:
             "failed": {side: sum(not r["ok"] for r in rs) for side, rs in by_side.items()},
             "metrics": {},
             "result_sha256": {},
+            "traced": {side: r["metrics"] if r["ok"] else {"failed": r["error"]}
+                       for side, r in traced[w].items()},
         }
         for name, m in metrics.items():
             values = {side: [r["metrics"].get(name) if r["ok"] else None for r in rs] for side, rs in by_side.items()}

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -126,7 +125,8 @@ def _power_sums(x: np.ndarray, order: float):
 
 
 def _exact_float(total: int, scale: int = 1) -> float:
-    return float(Fraction(total, _DEN * scale))
+    """``total / (2^1074 scale)`` rounded once: int true division is correctly rounded."""
+    return total / (_DEN * scale)
 
 
 def _columns(samples: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ regardless of the ``threads`` setting, which only chunks replications.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import io
@@ -32,8 +33,10 @@ import math
 import re
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii as _json_string
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -124,7 +127,7 @@ def _check_keys(obj, allowed, where):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    raw: dict
+    raw: dict  # the validated document, a private copy
     drift: _coeff.Coefficient
     diffusion: _coeff.Coefficient
     u0: InitialCondition
@@ -143,11 +146,11 @@ class ExperimentConfig:
     probe_times: tuple | None  # explicit times, or None for evenly spaced
     probe_n_times: int
     assumption_levels: tuple
+    config_hash: str = field(init=False)  # sha256 of ``raw``, computed once
 
-    @property
-    def config_hash(self) -> str:
+    def __post_init__(self):
         doc = json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        return hashlib.sha256(doc).hexdigest()
+        object.__setattr__(self, "config_hash", hashlib.sha256(doc).hexdigest())
 
     @property
     def hash16(self) -> str:
@@ -160,6 +163,7 @@ class ExperimentConfig:
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    doc = copy.deepcopy(doc)  # later changes to the caller's document reach neither the fields nor the hash
     _check_keys(doc, _TOP_KEYS, "config")
     for key in ("b", "sigma", "u0", "grid", "replications", "levels", "orders", "seed"):
         _require(key in doc, f"config is missing required key {key!r}")
@@ -409,6 +413,27 @@ class Record:
 
 
 _RECORD_FIELDS = tuple(f.name for f in fields(Record))
+# one record of the "records" array as json.dumps(indent=2, sort_keys=True) lays it out
+_JSON_KEYS = tuple(sorted(_RECORD_FIELDS))
+_JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in _JSON_KEYS) + "\n    }"
+_json_values = attrgetter(*_JSON_KEYS)
+# json.dumps's spelling of each scalar type it writes (exact types only)
+_JSON_SCALAR = {
+    float: float.__repr__,  # nan, inf and -inf are respelled by _json_row
+    str: _json_string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_row(record) -> str:
+    """``record`` as one element of the records array; KeyError on a value of any other type."""
+    out = [_JSON_SCALAR[type(v)](v) for v in _json_values(record)]
+    if not _JSON_NONFINITE.keys().isdisjoint(out):  # only a float is written unquoted as nan or inf
+        out = [_JSON_NONFINITE.get(v, v) for v in out]
+    return _JSON_ROW % tuple(out)
 
 
 def _record(cfg: ExperimentConfig, experiment: str, N, verdict: str, k=None, t=None, x=None,
@@ -461,7 +486,21 @@ class ResultSet:
         )
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` plus a newline.
+
+        The records array, the bulk of the document, is formatted here row by
+        row and spliced in as the last key.  A record holding a value whose type
+        is not exactly str, int, float, bool or None sends the whole document
+        through json.dumps.
+        """
+        try:
+            rows = [_json_row(r) for r in self.records]
+        except KeyError:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        records = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        rest = {"experiment": self.experiment, "diagnostics": self.diagnostics, "provenance": self.provenance}
+        head = json.dumps(rest, indent=2, sort_keys=True)
+        return f'{head[:-2]},\n  "records": {records}\n}}\n'
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":

@@ -15,6 +15,16 @@ through the inverse normal CDF.  Consequences:
 
 The inverse CDF is scipy's ``ndtri``, the same special-function family as
 the kernel module's ``ndtr``: one audited path for all Gaussian plumbing.
+
+Lane layout: a call holds its n counters in two (2, n) uint64 buffers,
+``even`` with the words (c0, c2) and ``odd`` with (c1, c3), each word's
+low 32 bits in a 64-bit slot.  One round is five in-place ufuncs and no
+dtype copy: ``even`` times the multiplier pair (M0, M1) into a product
+buffer, whose lane-swapped view yields the next ``even`` (high halves,
+xored with ``odd`` and then with the round-key pair) and the next ``odd``
+(low halves).  The 53-bit uniform and ``ndtri`` then run in place on the
+output.  Buffers are allocated per call, so concurrent callers share
+nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +39,11 @@ from .grid import GridSpec
 
 __all__ = ["NoiseSpec", "NoiseField", "generate", "stream_for_level_pair", "standard_normals"]
 
-_PHILOX_M0 = np.uint64(0xD2511F53)
-_PHILOX_M1 = np.uint64(0xCD9E8D57)
-_PHILOX_W0 = np.uint32(0x9E3779B9)
-_PHILOX_W1 = np.uint32(0xBB67AE85)
+_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # (M0, M1), one per even lane
+_PHILOX_W0 = 0x9E3779B9
+_PHILOX_W1 = 0xBB67AE85
 _MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -51,24 +61,45 @@ class NoiseSpec:
             raise ValueError("replication index must fit in 64 bits")
 
 
+def _philox_lanes(c0, c1, c2, c3):
+    """The counter words' low 32 bits as two (2, n) uint64 lane buffers.
+
+    ``even`` holds (c0, c2) and ``odd`` holds (c1, c3), each word
+    broadcast to the common shape of the four and flattened.  Returns
+    ``even``, ``odd`` and that shape.
+    """
+    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
+    even = np.empty((2, math.prod(shape)), dtype=np.uint64)
+    odd = np.empty_like(even)
+    for lane, word in ((even[0], c0), (odd[0], c1), (even[1], c2), (odd[1], c3)):
+        np.copyto(lane.reshape(shape), np.bitwise_and(word, _MASK32))
+    return even, odd, shape
+
+
+def _philox_rounds(even, odd, k0: int, k1: int):
+    """Ten Philox4x32 rounds on the lanes of :func:`_philox_lanes`, in place.
+
+    Products are formed in uint64, so no word ever needs a uint32 copy:
+    with ``p = even * (M0, M1)`` and ``q`` its lane-swapped view, one round
+    sets ``even = hi(q) ^ odd ^ (k0, k1)`` and ``odd = lo(q)``.
+    """
+    prod = np.empty_like(even)
+    swapped = prod[::-1]
+    keys = np.array([[[(k0 + r * _PHILOX_W0) & 0xFFFFFFFF], [(k1 + r * _PHILOX_W1) & 0xFFFFFFFF]]
+                     for r in range(10)], dtype=np.uint64)
+    for key in keys:
+        np.multiply(even, _PHILOX_M, out=prod)
+        np.right_shift(swapped, _SHIFT32, out=even)
+        np.bitwise_xor(even, odd, out=even)
+        np.bitwise_xor(even, key, out=even)
+        np.bitwise_and(swapped, _MASK32, out=odd)
+
+
 def _philox_words(c0, c1, c2, c3, k0, k1):
     """Ten Philox4x32 rounds; returns the first two output words (uint32)."""
-    c0 = c0.astype(np.uint32)
-    c1 = c1.astype(np.uint32)
-    c2 = c2.astype(np.uint32)
-    c3 = c3.astype(np.uint32)
-    with np.errstate(over="ignore"):  # uint32 wraparound is the point
-        for _ in range(10):
-            p0 = c0.astype(np.uint64) * _PHILOX_M0
-            p1 = c2.astype(np.uint64) * _PHILOX_M1
-            hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-            lo0 = (p0 & _MASK32).astype(np.uint32)
-            hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-            lo1 = (p1 & _MASK32).astype(np.uint32)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _PHILOX_W0
-            k1 = k1 + _PHILOX_W1
-    return c0, c1
+    even, odd, shape = _philox_lanes(c0, c1, c2, c3)
+    _philox_rounds(even, odd, int(k0), int(k1))
+    return even[0].reshape(shape).astype(np.uint32), odd[0].reshape(shape).astype(np.uint32)
 
 
 def standard_normals(seed: int, replication, m, j):
@@ -78,24 +109,19 @@ def standard_normals(seed: int, replication, m, j):
     broadcast shape.  Every element depends only on its own index tuple.
     """
     rep = np.asarray(replication, dtype=np.uint64)
-    m = np.asarray(m, dtype=np.uint64)
-    j = np.asarray(j, dtype=np.uint64)
-    rep, m, j = np.broadcast_arrays(rep, m, j)
-    seed = np.uint64(seed)
-    k0 = np.uint32(seed & _MASK32)
-    k1 = np.uint32(seed >> np.uint64(32))
-    w0, w1 = _philox_words(
-        j & _MASK32,
-        m & _MASK32,
-        rep & _MASK32,
-        rep >> np.uint64(32),
-        k0,
-        k1,
-    )
-    bits = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
+    seed = int(np.uint64(seed))
+    even, odd, shape = _philox_lanes(np.asarray(j, dtype=np.uint64), np.asarray(m, dtype=np.uint64),
+                                     rep, rep >> _SHIFT32)
+    _philox_rounds(even, odd, seed & 0xFFFFFFFF, seed >> 32)
+    bits = even[0]
+    np.left_shift(bits, _SHIFT32, out=bits)
+    np.bitwise_or(bits, odd[0], out=bits)
+    np.right_shift(bits, np.uint64(11), out=bits)
     # top 53 bits, centered in the half-open cell: uniform on (0, 1)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    out = ndtri(u)
+    out = np.empty(shape)
+    np.add(bits.reshape(shape), 0.5, out=out)
+    np.multiply(out, 2.0 ** -53, out=out)
+    ndtri(out, out=out)
     return out if out.ndim else float(out)
 
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,26 @@ class TestSplitInvariance:
     def test_three_way_versus_two_way(self):
         vals = [0.1, 1e8, -0.1, 3.7e-12, 2.0 ** -520, 1e8, -7.0]
         assert split_sums(vals, 2, 2) == split_sums(vals, 5, 2)
+
+
+class TestExactFloat:
+    # totals up to 2^2100 in units of 2^-1074 reach past the largest float, so overflow is covered too
+    @given(st.integers(min_value=-(2 ** 2100), max_value=2 ** 2100), st.integers(min_value=1, max_value=2 ** 64))
+    @settings(max_examples=400, deadline=None)
+    def test_int_division_matches_the_fraction_reference(self, total, scale):
+        try:
+            want = float(Fraction(total, (1 << 1074) * scale))
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                estimators._exact_float(total, scale)
+            return
+        assert estimators._exact_float(total, scale).hex() == want.hex()
+
+    @pytest.mark.parametrize("total, scale", [(1, 1), (3, 2), (-1, 3), ((1 << 1074) - 1, 1 << 1074),
+                                              ((2 ** 53 + 1) << 1074, 1), (0, 7)])
+    def test_subnormal_and_tie_cases(self, total, scale):
+        want = float(Fraction(total, (1 << 1074) * scale))
+        assert estimators._exact_float(total, scale).hex() == want.hex()
 
 
 def reference_sum(values) -> int:

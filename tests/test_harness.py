@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shelab import cli, harness
 from shelab.coeff import Coefficient
@@ -148,6 +150,16 @@ class TestConfigRejection:
         b = parse_config(base_doc(seed=999))
         assert a.config_hash != b.config_hash
         assert a.config_hash == parse_config(base_doc()).config_hash
+
+    def test_hash_and_fields_ignore_later_changes_to_the_source_document(self):
+        doc = base_doc()
+        cfg = parse_config(doc)
+        want = parse_config(base_doc()).config_hash
+        doc["seed"] = 999
+        doc["grid"]["R"] = 9.0
+        doc["levels"].append(3.0)
+        assert cfg.config_hash == want and cfg.hash16 == want[:16]
+        assert cfg.seed == 321 and cfg.raw["grid"]["R"] == 4.0 and cfg.raw["levels"] == [1.0, 2.0]
 
     def test_default_probes(self):
         doc = base_doc()
@@ -340,6 +352,58 @@ class TestUniquenessExperiment:
                             NoiseSpec(seed=2, replication=0, grid=cfg.grid))
         with pytest.raises(ExperimentError, match=r"\(m=\d+, j=\d+\)"):
             _assert_identical(a, b, "doctored pair")
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308 / 3, 1e308,
+                     -1e308, 0.1]),
+    st.floats(),
+    st.floats().map(np.float64),  # a float subclass, which json.dumps writes as a float
+    st.text(max_size=8),
+    st.sampled_from(['"', "\\", "\n\t\x00\x1f", "é ☃ \U0001f600"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=10,
+)
+_records = st.builds(Record, **{f.name: _json_scalars for f in dataclasses.fields(Record)})
+
+
+class TestJsonWriter:
+    """``to_json`` is byte-identical to ``json.dumps(to_dict(), indent=2, sort_keys=True)``."""
+
+    @staticmethod
+    def dumps(res):
+        return json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @given(records=st.lists(_records, max_size=4),
+           diagnostics=st.dictionaries(st.text(max_size=5), _json_values, max_size=3),
+           provenance=st.dictionaries(st.text(max_size=5), _json_values, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_json_dumps(self, records, diagnostics, provenance):
+        res = ResultSet(experiment="verify-moments", records=records, diagnostics=diagnostics,
+                        provenance=provenance)
+        assert res.to_json() == self.dumps(res)
+
+    def test_empty_records(self):
+        res = ResultSet(experiment="uniqueness", records=[], diagnostics={"a": {"b": [1, {}]}})
+        assert res.to_json() == self.dumps(res)
+
+    def test_list_valued_field_read_back_falls_back_to_json_dumps(self):
+        doc = ResultSet(experiment="verify-moments", records=[], provenance={"config_hash": "abc"}).to_dict()
+        doc["records"] = [{f: None for f in CSV_COLUMNS}, {**{f: 1.5 for f in CSV_COLUMNS}, "k": [1, [2.0, None]]}]
+        res = ResultSet.from_dict(json.loads(json.dumps(doc)))
+        assert res.records[1].k == [1, [2.0, None]]
+        assert res.to_json() == self.dumps(res)
+
+    def test_non_json_record_value_still_raises(self):
+        res = ResultSet(experiment="verify-moments", records=[Record(**{f: np.int64(1) for f in CSV_COLUMNS})])
+        with pytest.raises(TypeError):
+            res.to_json()
 
 
 class TestExport:
