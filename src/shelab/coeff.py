@@ -99,15 +99,8 @@ class Coefficient:
             object.__setattr__(self, "compiled", _expr.Compiled(self.ast))
 
     @classmethod
-    def parse(cls, source: str, **declared) -> "Coefficient":
-        return cls(name=source, ast=_expr.parse(source), **declared)
-
-    @classmethod
-    def builtin(cls, name: str) -> "Coefficient":
-        try:
-            return BUILTINS[name]
-        except KeyError:
-            raise KeyError(f"unknown builtin coefficient {name!r}; known: {sorted(BUILTINS)}") from None
+    def parse(cls, source: str) -> "Coefficient":
+        return cls(name=source, ast=_expr.parse(source))
 
     @classmethod
     def from_source(cls, source: str) -> "Coefficient":
@@ -197,9 +190,9 @@ def linear_growth_constant(
     psi: Coefficient,
     domain=(-1000.0, 1000.0),
     resolution: float | None = None,
-    time_grid=DEFAULT_TIME_GRID,
 ) -> float:
-    """Grid maximum of ``|psi(t,x)|/(1+|x|)``; a lower bound for the true sup."""
+    """Grid maximum of ``|psi(t,x)|/(1+|x|)`` over ``DEFAULT_TIME_GRID`` and the
+    domain; a lower bound for the true sup."""
     lo, hi = float(domain[0]), float(domain[1])
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"domain must be a finite interval, got {domain}")
@@ -207,7 +200,7 @@ def linear_growth_constant(
         resolution = max(DEFAULT_RESOLUTION, (hi - lo) / 2.0 ** 16)
     xs = _step_grid(lo, hi, resolution, include_ends=True)
     best = 0.0
-    for t in time_grid:
+    for t in DEFAULT_TIME_GRID:
         vals = _eval_checked(psi, t, xs)
         best = max(best, float(np.max(np.abs(vals) / (1.0 + np.abs(xs)))))
     return best
@@ -217,9 +210,9 @@ def local_lipschitz_constant(
     psi: Coefficient,
     n: float,
     resolution: float = DEFAULT_RESOLUTION,
-    time_grid=DEFAULT_TIME_GRID,
 ) -> float:
-    """Max adjacent-point difference quotient of ``psi(t, .)`` on [-n, n].
+    """Max adjacent-point difference quotient of ``psi(t, .)`` on [-n, n] over
+    the times of ``DEFAULT_TIME_GRID``.
 
     A lower bound for the best Lipschitz constant on the window.  The grid is
     the set of integer multiples of ``resolution`` inside the window, so
@@ -230,23 +223,18 @@ def local_lipschitz_constant(
     xs = _step_grid(-n, n, resolution, include_ends=False)
     gaps = np.diff(xs)
     best = 0.0
-    for t in time_grid:
+    for t in DEFAULT_TIME_GRID:
         vals = _eval_checked(psi, t, xs)
         best = max(best, float(np.max(np.abs(np.diff(vals)) / gaps)))
     return best
 
 
-def level_constants(
-    b: Coefficient,
-    sigma: Coefficient,
-    level,
-    resolution: float = DEFAULT_RESOLUTION,
-    time_grid=DEFAULT_TIME_GRID,
-):
-    """Local Lipschitz constants of (b, sigma) on the clamp window [-e^N, e^N]."""
+def level_constants(b: Coefficient, sigma: Coefficient, level):
+    """Local Lipschitz constants of (b, sigma) on the clamp window [-e^N, e^N],
+    at the default resolution."""
     n = _as_level(level).clamp_bound
-    lip_b = local_lipschitz_constant(b, n, resolution, time_grid)
-    lip_sigma = local_lipschitz_constant(sigma, n, resolution, time_grid)
+    lip_b = local_lipschitz_constant(b, n)
+    lip_sigma = local_lipschitz_constant(sigma, n)
     for name, val in ((b.name, lip_b), (sigma.name, lip_sigma)):
         if val == 0.0:
             warnings.warn(
@@ -301,7 +289,7 @@ def _fit_loglog(levels, ratios):
     return slope, stderr
 
 
-def _is_constant(values, rel_tol=1e-6):
+def _is_constant(values, rel_tol):
     values = np.asarray(values, dtype=float)
     lo, hi = values.min(), values.max()
     if hi == 0:
@@ -309,13 +297,7 @@ def _is_constant(values, rel_tol=1e-6):
     return (hi - lo) / hi <= rel_tol
 
 
-def check_assumption(
-    b: Coefficient,
-    sigma: Coefficient,
-    levels,
-    resolution: float = DEFAULT_RESOLUTION,
-    time_grid=DEFAULT_TIME_GRID,
-) -> AssumptionVerdict:
+def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVerdict:
     """Sample the clamp-level Lipschitz conditions over ``levels`` and classify.
 
     Verdict is ``fail`` outright when a sampled constant is non-finite or a
@@ -334,8 +316,8 @@ def check_assumption(
     # linear growth must stabilise as the window widens
     for psi in (b, sigma):
         try:
-            g_small = linear_growth_constant(psi, (-n_max, n_max), time_grid=time_grid)
-            g_large = linear_growth_constant(psi, (-10 * n_max, 10 * n_max), time_grid=time_grid)
+            g_small = linear_growth_constant(psi, (-n_max, n_max))
+            g_large = linear_growth_constant(psi, (-10 * n_max, 10 * n_max))
         except ArithmeticError as err:
             notes.append(str(err))
             return _failed_verdict(levels, notes)
@@ -348,7 +330,7 @@ def check_assumption(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        pairs = [level_constants(b, sigma, N, resolution, time_grid) for N in levels]
+        pairs = [level_constants(b, sigma, N) for N in levels]
     lip_b = [p[0] for p in pairs]
     lip_sigma = [p[1] for p in pairs]
     if not all(map(math.isfinite, lip_b + lip_sigma)):
@@ -358,8 +340,8 @@ def check_assumption(
         notes.append("zero diffusion Lipschitz estimate on the range; ratio series floored at 1e-300")
 
     # bounded diffusion detection: sup |sigma| stops growing with the window
-    sup_small = _sup_abs(sigma, math.exp(levels[0]), time_grid)
-    sup_large = _sup_abs(sigma, n_max, time_grid)
+    sup_small = _sup_abs(sigma, math.exp(levels[0]))
+    sup_large = _sup_abs(sigma, n_max)
     bounded = sup_large <= 1.05 * max(sup_small, 1e-300)
     regime = "sigma-bounded" if bounded else "sigma-unbounded"
     reference = (
@@ -417,9 +399,9 @@ def check_assumption(
     )
 
 
-def _sup_abs(psi, n, time_grid):
+def _sup_abs(psi, n):
     xs = _step_grid(-n, n, max(DEFAULT_RESOLUTION, n / 2.0 ** 15), include_ends=True)
-    return max(float(np.max(np.abs(_eval_checked(psi, t, xs)))) for t in time_grid)
+    return max(float(np.max(np.abs(_eval_checked(psi, t, xs)))) for t in DEFAULT_TIME_GRID)
 
 
 def _failed_verdict(levels, notes, lip_b=None, lip_sigma=None):

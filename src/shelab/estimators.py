@@ -6,7 +6,8 @@ replications are excluded from estimates (the solver's batch keeps the
 abort list).  The estimators are
 
 * ``lk_norm``: sample moment E|u(t,x)|^k with a CLT confidence interval,
-  reported both as the raw power mean and as its k-th root,
+  reported both as the raw power mean and as its k-th root, for orders
+  1 <= k <= ``DEFAULT_ORDER_CAP`` (higher orders are variance-fragile),
 * ``moment_estimates``: ``lk_norm`` at every probe of an ensemble in one
   pass (what the moment experiment uses),
 * ``weighted_norm``: max over probes of exp(-beta t) * ||u(t,x)||_k,
@@ -54,7 +55,7 @@ __all__ = [
 
 Z_95 = 1.959963984540054  # two-sided 95% normal quantile
 
-DEFAULT_ORDER_CAP = 8
+DEFAULT_ORDER_CAP = 8  # highest moment order an estimator accepts
 
 # All finite float64 values are integer multiples of 2^-1074.
 _DEN_BITS = 1074
@@ -202,15 +203,15 @@ class TailEstimate:
     hi: float
 
 
-def wilson_interval(successes: int, n: int, z: float = Z_95):
-    """Wilson score interval for a binomial proportion; valid at 0 and n."""
+def wilson_interval(successes: int, n: int):
+    """Wilson 95% score interval for a binomial proportion; valid at 0 and n."""
     if n <= 0:
         raise ValueError("need at least one trial")
     p = successes / n
-    z2 = z * z
+    z2 = Z_95 * Z_95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    hw = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    hw = Z_95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     # at the boundary counts the exact interval ends are 0 and 1
     lo = 0.0 if successes == 0 else max(0.0, center - hw)
     hi = 1.0 if successes == n else min(1.0, center + hw)
@@ -218,14 +219,12 @@ def wilson_interval(successes: int, n: int, z: float = Z_95):
 
 
 def _probe_match(points: np.ndarray, v: float):
-    """Index of the first of ``points`` equal to v, else of the first within 1e-9
-    of v relative to max(1, |v|, |point|), or None."""
+    """Index of the nearest of ``points`` within 1e-9 of v relative to
+    max(1, |v|, |point|), the first on a tie (so an exact hit wins), or None."""
     points = np.asarray(points, dtype=float)
-    hits = np.flatnonzero(points == v)
-    if not hits.size:
-        scale = np.maximum(np.maximum(np.abs(points), abs(v)), 1.0)
-        hits = np.flatnonzero(np.abs(points - v) <= 1e-9 * scale)
-    return int(hits[0]) if hits.size else None
+    dist = np.abs(points - v)
+    hits = np.flatnonzero(dist <= 1e-9 * np.maximum(np.maximum(np.abs(points), abs(v)), 1.0))
+    return int(hits[np.argmin(dist[hits])]) if hits.size else None
 
 
 def _probe_coords(batch, grid):
@@ -276,11 +275,11 @@ class Ensemble:
         return self.samples[:, it, ix]
 
 
-def _check_order(k: float, order_cap: int):
+def _check_order(k: float):
     if k < 1:
         raise ValueError(f"moment order must be >= 1, got {k}")
-    if k > order_cap:
-        raise ValueError(f"moment order {k} exceeds the cap {order_cap}; high orders are variance-fragile")
+    if k > DEFAULT_ORDER_CAP:
+        raise ValueError(f"moment order {k} exceeds the cap {DEFAULT_ORDER_CAP}; high orders are variance-fragile")
 
 
 def _times_in_window(probe_times: np.ndarray, T: float) -> list:
@@ -290,30 +289,27 @@ def _times_in_window(probe_times: np.ndarray, T: float) -> list:
     return keep
 
 
-def moment_estimates(ensemble: Ensemble, k: float,
-                     order_cap: int = DEFAULT_ORDER_CAP) -> list:
+def moment_estimates(ensemble: Ensemble, k: float) -> list:
     """``lk_norm`` at every probe of the ensemble, in (t, x) order, in one pass."""
-    _check_order(k, order_cap)
+    _check_order(k)
     return _column_estimates(_columns(ensemble.samples), k)
 
 
-def lk_norm(ensemble: Ensemble, k: float, t: float, x: float,
-            order_cap: int = DEFAULT_ORDER_CAP) -> MomentEstimate:
+def lk_norm(ensemble: Ensemble, k: float, t: float, x: float) -> MomentEstimate:
     """Sample estimate of E|u(t,x)|^k, reported with its k-th root."""
-    _check_order(k, order_cap)
+    _check_order(k)
     (estimate,) = _column_estimates(ensemble.samples_at(t, x)[:, None], k)
     return estimate
 
 
-def weighted_norm(ensemble: Ensemble, k: float, beta: float, T: float,
-                  order_cap: int = DEFAULT_ORDER_CAP) -> float:
+def weighted_norm(ensemble: Ensemble, k: float, beta: float, T: float) -> float:
     """Lattice version of the exponentially weighted norm on (0, T]."""
     if beta <= 0:
         raise ValueError("weight exponent beta must be positive")
     if ensemble.horizon is not None and T > ensemble.horizon * (1 + 1e-12):
         raise ValueError(f"T={T} exceeds the ensemble horizon {ensemble.horizon}")
     keep = _times_in_window(ensemble.probe_times, T)
-    _check_order(k, order_cap)
+    _check_order(k)
     estimates = iter(_column_estimates(_columns(ensemble.samples[:, keep]), k))
     return max(
         math.exp(-beta * ensemble.probe_times[it]) * next(estimates).root_mean
@@ -363,8 +359,7 @@ class PairEnsemble:
         return self.diff_samples.shape[0]
 
 
-def coupled_sup_difference(pair: PairEnsemble, k: float, T: float,
-                           order_cap: int = DEFAULT_ORDER_CAP) -> float:
+def coupled_sup_difference(pair: PairEnsemble, k: float, T: float) -> float:
     """Max over probes with t <= T of the k-norm of the coupled difference."""
     if pair.count == 0:
         raise ValueError("no completed replication pairs")

@@ -13,13 +13,12 @@ Expressions are real-valued functions of the state variable ``x`` and time
 are left-associative with the usual precedence.  Known functions: sin, cos,
 exp, log, abs, sqrt (one argument) and min, max (two arguments).
 
-Evaluation is numpy-vectorised: ``evaluate(node, t, x)`` accepts scalars or
-arrays for ``x`` and raises :class:`EvalDomainError` on any domain violation
-(log of a non-positive number, division by zero, fractional power of a
-negative base) or non-finite result.  An AST is evaluated through its
-:class:`Compiled` form, nested closures built once per tree, so a
-coefficient called every solver step pays no tree walk; ``evaluate``
-compiles a bare AST on the spot.
+An AST is evaluated through its :class:`Compiled` form, nested closures
+built once per tree, so a coefficient called every solver step pays no tree
+walk.  Evaluation is numpy-vectorised: ``evaluate(compiled, t, x)`` accepts
+scalars or arrays for ``x`` and raises :class:`EvalDomainError` on any
+domain violation (log of a non-positive number, division by zero,
+fractional power of a negative base) or non-finite result.
 """
 
 from __future__ import annotations
@@ -230,14 +229,9 @@ class Compiled:
         self.fn = _compile(node)
 
 
-def evaluate(node, t, x):
-    """Evaluate ``node`` (an AST or its :class:`Compiled` form) at time ``t`` (scalar)
-    and state ``x`` (scalar or array).
-
-    A bare AST is compiled on the spot; callers that evaluate one expression
-    many times compile it once and pass the :class:`Compiled` form.
-    """
-    compiled = node if isinstance(node, Compiled) else Compiled(node)
+def evaluate(compiled: Compiled, t, x):
+    """Evaluate a compiled expression at time ``t`` (scalar) and state ``x``
+    (scalar or array)."""
     x = np.asarray(x, dtype=float)
     with np.errstate(all="ignore"):
         out = compiled.fn(float(t), x)

@@ -368,7 +368,7 @@ def resolve_constants(cfg: ExperimentConfig):
     sigma_sup = None
     if cfg.bounded_sigma:
         sigma_sup = _resolved(notes, "sigma_sup", cfg.sigma_sup_override, sigma.declared_sup,
-                              lambda: _coeff._sup_abs(sigma, 1000.0, _coeff.DEFAULT_TIME_GRID))
+                              lambda: _coeff._sup_abs(sigma, 1000.0))
     constants = _bounds.ProblemConstants(
         drift_growth=growth_b,
         diffusion_growth=growth_sigma,
@@ -561,10 +561,7 @@ def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1)
         # coefficient domain violation (log of a non-positive state, ...):
         # the whole batch shares the failure, unlike per-replication overflow
         raise ExperimentError(f"coefficient evaluation failed during simulation: {err}") from err
-    merged = parts[0]
-    for part in parts[1:]:
-        merged = merged.merged_with(part)
-    return merged
+    return _solver.BatchSolution.concatenated(parts)
 
 
 def _abort_budget(aborted, cfg):
@@ -773,25 +770,26 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         def views(sol, levels, b, s):
             return _solver.field_trajectories(sol, levels, b, s, cfg.u0, cfg.grid, spec)
 
+        # each views call raises the replication's first abort, in this order
         (t_a,) = views(sol_1, (top,), b1, s1)
         (t_b,) = views(sol_2, (top,), b2, s2)
         _assert_identical(t_a, t_b, f"re-parsed coefficients at level {top:g}, replication {rep}")
         records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
 
-        clamp_inactive = t_a.path_max_abs < math.exp(top)
+        clamp_inactive = float(sol_1.path_max_abs[(top,)][0]) < math.exp(top)
         low, high = views(sol_1, (top, top + 1.0), b1, s1)
         if clamp_inactive:
             _assert_identical(low, high, f"levels {top:g} vs {top + 1:g}, replication {rep}")
             records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
         else:
-            diff = float(np.max(np.abs(high.values - low.values)))
+            diff = float(sol_1.sup_abs_diff[(top, top + 1.0)][0])
             records.append(_record(cfg, "uniqueness", top, "recorded", estimate=diff))
             diag["active_clamp_rows"] += 1
 
         # documented active-clamp row at the lowest configured level
         if bottom < top:
-            low, high = views(sol_1, (bottom, bottom + 1.0), b1, s1)
-            diff = float(np.max(np.abs(high.values - low.values)))
+            views(sol_1, (bottom, bottom + 1.0), b1, s1)
+            diff = float(sol_1.sup_abs_diff[(bottom, bottom + 1.0)][0])
             verdict = "recorded" if diff > 0 else "identical"
             if diff > 0:
                 diag["active_clamp_rows"] += 1

@@ -88,10 +88,10 @@ class InitialCondition:
 
     @classmethod
     def from_expression(cls, source: str, bound: float | None = None) -> "InitialCondition":
-        ast = _expr.parse(source)
+        compiled = _expr.Compiled(_expr.parse(source))
         if bound is None:
             xs = np.linspace(-100.0, 100.0, 200_001)
-            bound = float(np.max(np.abs(_expr.evaluate(ast, 0.0, xs))))
+            bound = float(np.max(np.abs(_expr.evaluate(compiled, 0.0, xs))))
         return cls(kind="expr", source=source, bound=float(bound))
 
     def __call__(self, x):

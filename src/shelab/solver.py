@@ -206,16 +206,21 @@ class BatchSolution:
     sup_abs_diff: dict  # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort
     aborted: dict  # key -> [AbortRecord], by step, then replication
 
-    def merged_with(self, other: "BatchSolution") -> "BatchSolution":
-        assert self.levels == other.levels
+    @staticmethod
+    def concatenated(parts: list) -> "BatchSolution":
+        """The batches ``parts`` (same levels and probes) as one, replications in part order."""
+        first = parts[0]
+        if len(parts) == 1:
+            return first
+        assert all(p.levels == first.levels for p in parts)
         return BatchSolution(
-            levels=self.levels,
-            probe_step_idx=self.probe_step_idx,
-            probe_x_idx=self.probe_x_idx,
-            samples=np.concatenate([self.samples, other.samples], axis=1),
-            path_max_abs={k: np.concatenate([v, other.path_max_abs[k]]) for k, v in self.path_max_abs.items()},
-            sup_abs_diff={k: np.concatenate([v, other.sup_abs_diff[k]]) for k, v in self.sup_abs_diff.items()},
-            aborted={k: v + other.aborted[k] for k, v in self.aborted.items()},
+            levels=first.levels,
+            probe_step_idx=first.probe_step_idx,
+            probe_x_idx=first.probe_x_idx,
+            samples=np.concatenate([p.samples for p in parts], axis=1),
+            path_max_abs={k: np.concatenate([p.path_max_abs[k] for p in parts]) for k in first.path_max_abs},
+            sup_abs_diff={k: np.concatenate([p.sup_abs_diff[k] for p in parts]) for k in first.sup_abs_diff},
+            aborted={k: [r for p in parts for r in p.aborted[k]] for k in first.aborted},
         )
 
 
@@ -370,7 +375,8 @@ _MAGIC = int.from_bytes(b"SHE1\x00\x00\x00\x00", "little")
 _HEADER = struct.Struct("<7q5d")
 
 
-def save_trajectory(traj: FieldTrajectory, bin_path, sidecar_path=None):
+def save_trajectory(traj: FieldTrajectory, bin_path, sidecar_path):
+    """Write ``traj`` as a binary dump and its provenance as a JSON sidecar."""
     g = traj.grid
     header = _HEADER.pack(
         _MAGIC,
@@ -389,10 +395,9 @@ def save_trajectory(traj: FieldTrajectory, bin_path, sidecar_path=None):
     with open(bin_path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
-    if sidecar_path is not None:
-        with open(sidecar_path, "w", encoding="utf-8") as fh:
-            json.dump(traj.provenance, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    with open(sidecar_path, "w", encoding="utf-8") as fh:
+        json.dump(traj.provenance, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_trajectory(bin_path, sidecar_path=None) -> FieldTrajectory:

@@ -292,11 +292,11 @@ def test_criterion_08_convergence_decay():
 @criterion(9, "Lipschitz and growth estimators hit their oracle values")
 def test_criterion_09_lipschitz_estimators():
     assert local_lipschitz_constant(Coefficient.parse("x^2"), 2.0) == pytest.approx(4.0, abs=1e-3)
-    osc = Coefficient.builtin("oscillator")
+    osc = Coefficient.from_source("oscillator")
     # dense-grid (1e-5) difference-quotient oracle, cross-checked against the
     # analytic derivative envelope 250 (1+|x|)^(-3/4) |cos(1000 (1+|x|)^(1/4))|
     assert local_lipschitz_constant(osc, 1.0) == pytest.approx(248.38194249268287, rel=0.02)
-    got = linear_growth_constant(Coefficient.builtin("linear"), (-100.0, 100.0))
+    got = linear_growth_constant(Coefficient.from_source("linear"), (-100.0, 100.0))
     assert abs(got - 0.9901) <= 1e-6
 
 
@@ -306,11 +306,11 @@ def test_criterion_09_lipschitz_estimators():
 @criterion(10, "regularity checker classifications: (x,x) pass, (x^2) fail, oscillator per-clause")
 def test_criterion_10_assumption_checker():
     levels = [1.0, 2.0, 3.0, 4.0]
-    lin = Coefficient.builtin("linear")
+    lin = Coefficient.from_source("linear")
     assert check_assumption(lin, lin, levels).verdict == "pass"
     assert check_assumption(lin, Coefficient.parse("x^2"), levels).verdict == "fail"
     drift = Coefficient.parse("x*sin(abs(x)^0.9)")
-    osc = Coefficient.builtin("oscillator")
+    osc = Coefficient.from_source("oscillator")
     v1 = check_assumption(drift, osc, levels)
     assert v1.regime == "sigma-bounded"
     assert v1.clause_sigma in ("pass", "fail", "indeterminate")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shelab import coeff
+from shelab import coeff, expr
 from shelab.coeff import (
     Coefficient,
     TruncationLevel,
@@ -15,9 +15,9 @@ from shelab.coeff import (
     truncated_fn,
 )
 
-LINEAR = Coefficient.builtin("linear")
+LINEAR = Coefficient.from_source("linear")
 SQUARE = Coefficient.parse("x^2")
-OSC = Coefficient.builtin("oscillator")
+OSC = Coefficient.from_source("oscillator")
 
 # dense-grid (step 1e-5) secant oracle for the oscillator on [-1, 1]; the
 # analytic derivative envelope sup 250*(1+|x|)^(-3/4)*|cos(...)| gives 248.3821
@@ -100,7 +100,7 @@ class TestLocalLipschitz:
     @pytest.mark.parametrize("n_pair", [(0.5, 1.0), (1.0, 2.5), (2.0, 2.0)])
     def test_monotone_in_window_on_nested_grids(self, n_pair):
         lo, hi = n_pair
-        for psi in (SQUARE, OSC, Coefficient.builtin("clipped_poly")):
+        for psi in (SQUARE, OSC, Coefficient.from_source("clipped_poly")):
             assert local_lipschitz_constant(psi, hi) >= local_lipschitz_constant(psi, lo)
 
     @given(st.sampled_from([2.0 ** -8, 2.0 ** -9]), st.floats(min_value=0.5, max_value=3.0))
@@ -127,7 +127,7 @@ class TestLevelConstants:
 
     def test_zero_coefficient_warns(self):
         with pytest.warns(UserWarning, match="zero Lipschitz"):
-            lip_b, lip_s = level_constants(Coefficient.builtin("zero"), LINEAR, 1.0)
+            lip_b, lip_s = level_constants(Coefficient.from_source("zero"), LINEAR, 1.0)
         assert lip_b == 0.0
 
 
@@ -168,7 +168,7 @@ class TestCheckAssumption:
 def test_declared_constants_dominate_estimates():
     # estimators are lower bounds, so declared metadata must never be exceeded
     for name in ("linear", "affine", "oscillator", "clipped_poly"):
-        psi = Coefficient.builtin(name)
+        psi = Coefficient.from_source(name)
         est = linear_growth_constant(psi, (-50, 50))
         assert est <= psi.declared_growth * (1 + 1e-9)
         if psi.declared_sup is not None:
@@ -176,6 +176,6 @@ def test_declared_constants_dominate_estimates():
             assert float(np.max(np.abs(psi(0.1, xs)))) <= psi.declared_sup * (1 + 1e-9)
 
 
-def test_builtin_unknown_name():
-    with pytest.raises(KeyError, match="unknown builtin"):
-        Coefficient.builtin("nope")
+def test_unknown_name_is_rejected_by_the_parser():
+    with pytest.raises(expr.ParseError, match="unknown identifier 'nope'"):
+        Coefficient.from_source("nope")

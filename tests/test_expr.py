@@ -11,8 +11,12 @@ from shelab.coeff import Coefficient
 SIN_1000 = 0.82687954053200256026
 
 
+def compile_source(source):
+    return expr.Compiled(expr.parse(source))
+
+
 def ev(source, t=0.0, x=0.0):
-    return expr.evaluate(expr.parse(source), t, x)
+    return expr.evaluate(compile_source(source), t, x)
 
 
 def test_identity_variable():
@@ -50,7 +54,7 @@ def test_precedence_and_literals(source, value):
 
 
 def test_vectorised_evaluation_matches_scalar():
-    node = expr.parse("sin(x) + t*x^2")
+    node = compile_source("sin(x) + t*x^2")
     xs = np.linspace(-3, 3, 17)
     vec = expr.evaluate(node, 0.7, xs)
     scal = np.array([expr.evaluate(node, 0.7, float(v)) for v in xs])
@@ -99,7 +103,7 @@ class TestErrors:
             ev(source, x=x)
 
     def test_literal_zero_divisor_raises_when_evaluated(self):
-        node = expr.parse("x/0")  # parses: the error belongs to evaluation
+        node = compile_source("x/0")  # parses: the error belongs to evaluation
         for x in (1.0, np.array([-1.0, 0.0, 2.0])):
             with pytest.raises(expr.EvalDomainError, match="^division by zero$"):
                 expr.evaluate(node, 0.0, x)
@@ -119,7 +123,7 @@ def test_parser_determinism():
     node2 = expr.parse("sin(1000*(1+abs(x))^0.25) - t/3")
     assert node1 == node2
     xs = np.linspace(-5, 5, 101)
-    assert np.array_equal(expr.evaluate(node1, 0.2, xs), expr.evaluate(node2, 0.2, xs))
+    assert np.array_equal(expr.evaluate(expr.Compiled(node1), 0.2, xs), expr.evaluate(expr.Compiled(node2), 0.2, xs))
 
 
 # ---- print/reparse round-trip -------------------------------------------------
@@ -154,8 +158,8 @@ def test_roundtrip_print_parse_evaluates_identically(node):
     reparsed = expr.parse(text)
     xs = np.array([-2.75, -1.0, -0.3, 0.0, 0.4, 1.0, 3.25])
     for t in (0.0, 0.7):
-        a = expr.evaluate(node, t, xs)
-        b = expr.evaluate(reparsed, t, xs)
+        a = expr.evaluate(expr.Compiled(node), t, xs)
+        b = expr.evaluate(expr.Compiled(reparsed), t, xs)
         assert np.array_equal(a, b)
 
 
@@ -168,7 +172,7 @@ def test_roundtrip_with_partial_ops(source):
     text = expr.to_source(node)
     reparsed = expr.parse(text)
     for x in (-2.0, 0.5, 3.0):
-        assert expr.evaluate(node, 0.3, x) == expr.evaluate(reparsed, 0.3, x)
+        assert expr.evaluate(expr.Compiled(node), 0.3, x) == expr.evaluate(expr.Compiled(reparsed), 0.3, x)
 
 
 # ---- compiled closures against a direct tree walk ------------------------------

@@ -22,9 +22,9 @@ from shelab.solver import (
     solve_truncated,
 )
 
-ZERO = Coefficient.builtin("zero")
-ONE = Coefficient.builtin("one")
-LINEAR = Coefficient.builtin("linear")
+ZERO = Coefficient.from_source("zero")
+ONE = Coefficient.from_source("one")
+LINEAR = Coefficient.from_source("linear")
 
 
 def mkgrid(**kw):
@@ -157,8 +157,8 @@ class TestSolveTruncated:
         g = mkgrid()
         u0 = InitialCondition.constant(1.0)
         spec = NoiseSpec(seed=99, replication=7, grid=g)
-        a = solve_truncated(3.0, Coefficient.builtin("affine"), LINEAR, u0, g, spec)
-        b = solve_truncated(3.0, Coefficient.builtin("affine"), LINEAR, u0, g, spec)
+        a = solve_truncated(3.0, Coefficient.from_source("affine"), LINEAR, u0, g, spec)
+        b = solve_truncated(3.0, Coefficient.from_source("affine"), LINEAR, u0, g, spec)
         assert np.array_equal(a.values, b.values)
 
     def test_multiplicative_noise_preserves_replication_mean(self):
@@ -368,7 +368,7 @@ class TestStackedLevels:
     def test_non_adjacent_pairs_and_periodic_boundary(self):
         g = mkgrid(boundary="periodic")
         stacked = self.assert_matches_separate(
-            (1.0, 1.5, 2.0, 2.5), Coefficient.builtin("affine"), LINEAR, InitialCondition.indicator(-1.0, 1.0), g,
+            (1.0, 1.5, 2.0, 2.5), Coefficient.from_source("affine"), LINEAR, InitialCondition.indicator(-1.0, 1.0), g,
             7, np.arange(3), np.arange(g.n_steps + 1), np.arange(g.n_points))
         assert sorted(stacked.sup_abs_diff) == [(1.0, 2.0), (1.5, 2.5)]
         # the sup difference spans the whole lattice of the pair
