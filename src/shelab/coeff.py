@@ -43,7 +43,8 @@ __all__ = [
     "check_assumption",
 ]
 
-# Coefficients may depend on t; constants are maximised over this grid.
+# Coefficients may depend on t; constants are maximised over this grid (over
+# its first time alone for an expression that never reads t).
 DEFAULT_TIME_GRID = (0.01, 0.1, 0.5, 1.0)
 
 # 2^-11: power of two so that refinement halving and window nesting are exact.
@@ -174,6 +175,15 @@ def _step_grid(lo: float, hi: float, resolution: float, include_ends: bool) -> n
     return pts
 
 
+def _times(psi) -> tuple:
+    """The times of ``DEFAULT_TIME_GRID`` a constant is maximised over: only
+    the first for an expression that never reads ``t`` (its values are the
+    same at every time), all of them otherwise."""
+    if psi.compiled is not None and not psi.compiled.reads_t:
+        return DEFAULT_TIME_GRID[:1]
+    return DEFAULT_TIME_GRID
+
+
 def _eval_checked(psi, t, xs):
     try:
         vals = np.asarray(psi(t, xs), dtype=float)
@@ -200,7 +210,7 @@ def linear_growth_constant(
         resolution = max(DEFAULT_RESOLUTION, (hi - lo) / 2.0 ** 16)
     xs = _step_grid(lo, hi, resolution, include_ends=True)
     best = 0.0
-    for t in DEFAULT_TIME_GRID:
+    for t in _times(psi):
         vals = _eval_checked(psi, t, xs)
         best = max(best, float(np.max(np.abs(vals) / (1.0 + np.abs(xs)))))
     return best
@@ -223,7 +233,7 @@ def local_lipschitz_constant(
     xs = _step_grid(-n, n, resolution, include_ends=False)
     gaps = np.diff(xs)
     best = 0.0
-    for t in DEFAULT_TIME_GRID:
+    for t in _times(psi):
         vals = _eval_checked(psi, t, xs)
         best = max(best, float(np.max(np.abs(np.diff(vals)) / gaps)))
     return best
@@ -401,7 +411,7 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
 
 def _sup_abs(psi, n):
     xs = _step_grid(-n, n, max(DEFAULT_RESOLUTION, n / 2.0 ** 15), include_ends=True)
-    return max(float(np.max(np.abs(_eval_checked(psi, t, xs)))) for t in DEFAULT_TIME_GRID)
+    return max(float(np.max(np.abs(_eval_checked(psi, t, xs)))) for t in _times(psi))
 
 
 def _failed_verdict(levels, notes, lip_b=None, lip_sigma=None):

@@ -23,8 +23,11 @@ are scaled integers), so an estimate does not depend on the order of the
 replications or on how they are split.  They are bucketed integer sums:
 ``np.frexp`` splits each value into a 53-bit integer mantissa and an
 exponent, mantissas are added in int64 per (column, exponent) bucket with at
-most 1023 rows per pass (1023 * 2^53 < 2^63), and the few buckets of a
-column are folded into one Python integer by shifts.  The integers are the
+most 1023 rows per pass (1023 * 2^53 < 2^63), and the nonzero buckets of a
+column are folded into one Python integer by shifts.  The buckets form a
+table indexed by column and exponent (no sort); a block whose exponents
+span a wide range is split into column slices that keep the table at most
+``_BUCKETS`` entries.  The integers are the
 exact sums of the values in units of 2^-1074, independent of how the samples
 are split into passes.  A pass holds at most 2^15 samples, so the working
 memory does not grow with the ensemble.
@@ -63,6 +66,7 @@ _DEN = 1 << _DEN_BITS
 _MANT_BITS = 53
 _ROWS = 1023  # mantissas per int64 bucket: 1023 * 2^53 < 2^63
 _BLOCK = 1 << 15  # samples per pass; bounds the working memory
+_BUCKETS = 1 << 17  # (column, exponent) buckets of one bucket table (1 MiB)
 
 
 class ProbeError(KeyError):
@@ -79,19 +83,24 @@ def _bucket_sums(y: np.ndarray) -> np.ndarray:
     Returns one Python integer per column, in units of 2^-(1074 + 53).
     """
     frac, exp = np.frexp(y)
-    mant = np.ldexp(frac, _MANT_BITS).astype(np.int64).ravel()
-    # one key per (column, exponent); exp + 1074 lies in [1, 2098] for finite values
-    key = ((np.arange(y.shape[1], dtype=np.int64) << 12) + (exp + _DEN_BITS)).ravel()
-    order = np.argsort(key)
-    key = key[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    sums = np.add.reduceat(mant[order], first).astype(object)
-    key = key[first]
-    terms = sums << (key & 0xFFF).astype(object)
-    col = key >> 12
-    first = np.flatnonzero(np.diff(col, prepend=-1))
-    out = np.zeros(y.shape[1], dtype=object)
-    out[col[first]] = np.add.reduceat(terms, first)
+    e_min = int(exp.min())
+    span = int(exp.max()) - e_min + 1
+    cols = y.shape[1]
+    width = max(1, _BUCKETS // span)
+    if cols > width:
+        # a wide exponent range: fewer columns per bucket table keep it small
+        return np.concatenate([_bucket_sums(y[:, c0:c0 + width]) for c0 in range(0, cols, width)])
+    mant = np.ldexp(frac, _MANT_BITS).astype(np.int64)
+    # one int64 bucket per (column, exponent), column-major
+    sums = np.zeros(cols * span, dtype=np.int64)
+    np.add.at(sums, (np.arange(cols) * span + (exp - e_min)).ravel(), mant.ravel())
+    out = np.zeros(cols, dtype=object)
+    key = np.flatnonzero(sums)
+    if key.size:
+        col, row = np.divmod(key, span)
+        terms = sums[key].astype(object) << (row + (e_min + _DEN_BITS)).astype(object)
+        first = np.flatnonzero(np.diff(col, prepend=-1))
+        out[col[first]] = np.add.reduceat(terms, first)
     return out
 
 
@@ -361,6 +370,7 @@ class PairEnsemble:
 
 def coupled_sup_difference(pair: PairEnsemble, k: float, T: float) -> float:
     """Max over probes with t <= T of the k-norm of the coupled difference."""
+    _check_order(k)
     if pair.count == 0:
         raise ValueError("no completed replication pairs")
     keep = _times_in_window(pair.probe_times, T)

@@ -219,14 +219,16 @@ class Compiled:
 
     The closures call the same numpy ufuncs, in the same order, as a direct
     walk of the tree would, so compiling never changes a bit.  ``node`` is
-    kept for error messages.
+    kept for error messages; ``reads_t`` says whether the expression reads
+    ``t`` at all.
     """
 
-    __slots__ = ("node", "fn")
+    __slots__ = ("node", "fn", "reads_t")
 
     def __init__(self, node: Node):
         self.node = node
         self.fn = _compile(node)
+        self.reads_t = _reads_t(node)
 
 
 def evaluate(compiled: Compiled, t, x):
@@ -252,6 +254,19 @@ def _any(mask):
 
 _UNARY = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "abs": np.abs}
 _ARITH = {"+": np.add, "-": np.subtract, "*": np.multiply}
+
+
+def _reads_t(node) -> bool:
+    """Whether ``node`` reads the time variable ``t``."""
+    if isinstance(node, Var):
+        return node.name == "t"
+    if isinstance(node, Neg):
+        return _reads_t(node.arg)
+    if isinstance(node, BinOp):
+        return _reads_t(node.left) or _reads_t(node.right)
+    if isinstance(node, Call):
+        return any(map(_reads_t, node.args))
+    return False
 
 
 def _compile(node):

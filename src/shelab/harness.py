@@ -93,9 +93,11 @@ _PROBE_KEYS = {"x_stride", "times", "n_times"}
 _MAX_LEVEL = 700.0
 # resource budget: a config that parses runs in bounded memory and time
 # one solver pass stacks every level an experiment reads: at most 2 len(levels)
-# (convergence: {N} and {N+1}); a full-lattice pass holds at most
-# max(len(levels), 5) trajectories (simulate: every level; uniqueness: 4 + 1)
-_MAX_TRAJECTORY = 1 << 27  # space-time points of the trajectories one pass holds (1 GiB stored)
+# (convergence: {N} and {N+1}); full-lattice passes hold at most
+# max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
+# pass over every level; uniqueness: two passes at the top level over its
+# min(replications, 4) checked replications, one per coefficient pair)
+_MAX_TRAJECTORY = 1 << 27  # space-time points of the full-lattice trajectories held at once (1 GiB stored)
 _MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
 _MAX_PROBE_SAMPLES = 1 << 27  # probe samples one pass keeps over all its levels (1 GiB)
 _MAX_CELL_STEPS = 10 ** 11  # cell-steps solved per clamp level
@@ -308,7 +310,8 @@ def _check_budget(grid: GridSpec, reps: int, n_levels: int, n_probe_times: int, 
     probe_points = n_probe_times * ((points - 1) // x_stride + 1)
     stacked = 2 * n_levels
     for what, amount, limit in (
-        ("space-time points in one full-lattice pass", points * (steps + 1) * max(n_levels, 5), _MAX_TRAJECTORY),
+        ("space-time points of full-lattice trajectories held at once",
+         points * (steps + 1) * max(n_levels, 2 * min(reps, 4)), _MAX_TRAJECTORY),
         ("levels x cells x replications in one solver chunk", stacked * points * min(reps, _CHUNK),
          _MAX_CHUNK_CELLS),
         ("probe samples in one solver pass", stacked * reps * probe_points, _MAX_PROBE_SAMPLES),
@@ -752,44 +755,63 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     records = []
     diag = {"checked_replications": [], "active_clamp_rows": 0}
     top, bottom = max(cfg.levels), min(cfg.levels)
-    # one pass over every level the b1/s1 comparisons read, one b2/s2 pass at the top
-    union = tuple(sorted({bottom, bottom + 1.0, top, top + 1.0}))
-    n_checked = min(cfg.replications, 4)
+    g = cfg.grid
+    reps = np.arange(min(cfg.replications, 4))
 
     def fresh_pair():
         # independently constructed coefficient objects: re-parse expression text
         return _coeff.Coefficient.from_source(cfg.raw["b"]), _coeff.Coefficient.from_source(cfg.raw["sigma"])
 
-    for rep in range(n_checked):
-        spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
-        b1, s1 = fresh_pair()
-        b2, s2 = fresh_pair()
-        sol_1 = _solver.solve_lattice(union, b1, s1, cfg.u0, cfg.grid, spec)
-        sol_2 = _solver.solve_lattice((top,), b2, s2, cfg.u0, cfg.grid, spec)
+    def solve(levels, b, s, probe_steps, probe_x_idx):
+        return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, probe_steps, probe_x_idx)
 
-        def views(sol, levels, b, s):
-            return _solver.field_trajectories(sol, levels, b, s, cfg.u0, cfg.grid, spec)
+    def top_lattice(b, s):
+        sol = solve((top,), b, s, np.arange(g.n_steps + 1), np.arange(g.n_points))
+        return sol.samples[0], sol.aborted[(top,)]
 
-        # each views call raises the replication's first abort, in this order
-        (t_a,) = views(sol_1, (top,), b1, s1)
-        (t_b,) = views(sol_2, (top,), b2, s2)
-        _assert_identical(t_a, t_b, f"re-parsed coefficients at level {top:g}, replication {rep}")
+    b1, s1 = fresh_pair()
+    b2, s2 = fresh_pair()
+    # three passes over every checked replication: the pair checks read only
+    # path max, sup difference and aborts, so their pass probes nothing; then
+    # the top level's full lattice under each coefficient pair
+    no_probes = np.arange(0)
+    pairs = solve(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, no_probes, no_probes)
+    top_1, aborted_1 = top_lattice(b1, s1)
+    top_2, aborted_2 = top_lattice(b2, s2)
+
+    def raise_first_abort(aborted, rep):
+        for a in aborted:
+            if a.replication == rep:
+                raise _solver.SolverBlowupError(a.step, a.cell)
+
+    for rep in reps.tolist():
+        # each replication's first abort is raised in this order: top under
+        # each coefficient pair, then the pair at top, then the pair at bottom
+        raise_first_abort(aborted_1, rep)
+        raise_first_abort(aborted_2, rep)
+        if not np.array_equal(top_1[rep], top_2[rep]):
+            top_1 = top_2 = None  # the re-solve holds no more than the two passes did
+            _raise_first_difference(cfg, rep, f"re-parsed coefficients at level {top:g}, replication {rep}",
+                                    [((top,), b1, s1), ((top,), b2, s2)])
         records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
 
-        clamp_inactive = float(sol_1.path_max_abs[(top,)][0]) < math.exp(top)
-        low, high = views(sol_1, (top, top + 1.0), b1, s1)
-        if clamp_inactive:
-            _assert_identical(low, high, f"levels {top:g} vs {top + 1:g}, replication {rep}")
+        raise_first_abort(pairs.aborted[(top, top + 1.0)], rep)
+        diff = float(pairs.sup_abs_diff[(top, top + 1.0)][rep])
+        if float(pairs.path_max_abs[(top,)][rep]) < math.exp(top):
+            # a finite pair run (an abort was raised above) is identical exactly when its sup difference is 0
+            if diff != 0.0:
+                top_1 = top_2 = None  # as above
+                _raise_first_difference(cfg, rep, f"levels {top:g} vs {top + 1:g}, replication {rep}",
+                                        [((top, top + 1.0), b1, s1)])
             records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
         else:
-            diff = float(sol_1.sup_abs_diff[(top, top + 1.0)][0])
             records.append(_record(cfg, "uniqueness", top, "recorded", estimate=diff))
             diag["active_clamp_rows"] += 1
 
         # documented active-clamp row at the lowest configured level
         if bottom < top:
-            views(sol_1, (bottom, bottom + 1.0), b1, s1)
-            diff = float(sol_1.sup_abs_diff[(bottom, bottom + 1.0)][0])
+            raise_first_abort(pairs.aborted[(bottom, bottom + 1.0)], rep)
+            diff = float(pairs.sup_abs_diff[(bottom, bottom + 1.0)][rep])
             verdict = "recorded" if diff > 0 else "identical"
             if diff > 0:
                 diag["active_clamp_rows"] += 1
@@ -802,6 +824,19 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         diagnostics=diag,
         provenance=_provenance(cfg, "uniqueness", probe_steps, probe_x_idx),
     )
+
+
+def _raise_first_difference(cfg: ExperimentConfig, rep: int, what: str, runs):
+    """Re-solve replication ``rep`` alone for each ``(levels, b, sigma)`` of
+    ``runs`` and raise at the first lattice point where the two trajectories differ."""
+    spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
+    trajs = []
+    for levels, b, sigma in runs:
+        sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec)
+        trajs += _solver.field_trajectories(sol, levels, b, sigma, cfg.u0, cfg.grid, spec)
+    _assert_identical(*trajs, what)
+    raise ExperimentError(f"pathwise uniqueness check for {what}: the batched pass and a re-solve "
+                          "of the replication alone disagree")
 
 
 def _assert_identical(a: _solver.FieldTrajectory, b: _solver.FieldTrajectory, what: str):

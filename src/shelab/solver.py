@@ -42,6 +42,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -208,7 +209,12 @@ class BatchSolution:
 
     @staticmethod
     def concatenated(parts: list) -> "BatchSolution":
-        """The batches ``parts`` (same levels and probes) as one, replications in part order."""
+        """The batches ``parts`` (same levels and probes) as one, replications in part order.
+
+        Abort records are ordered by step, then replication, as one batch of
+        all the parts' replications (ascending) orders them, so they never
+        depend on how the replications were split.
+        """
         first = parts[0]
         if len(parts) == 1:
             return first
@@ -220,7 +226,8 @@ class BatchSolution:
             samples=np.concatenate([p.samples for p in parts], axis=1),
             path_max_abs={k: np.concatenate([p.path_max_abs[k] for p in parts]) for k in first.path_max_abs},
             sup_abs_diff={k: np.concatenate([p.sup_abs_diff[k] for p in parts]) for k in first.sup_abs_diff},
-            aborted={k: [r for p in parts for r in p.aborted[k]] for k in first.aborted},
+            aborted={k: sorted((r for p in parts for r in p.aborted[k]), key=attrgetter("step", "replication"))
+                     for k in first.aborted},
         )
 
 

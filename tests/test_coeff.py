@@ -176,6 +176,27 @@ def test_declared_constants_dominate_estimates():
             assert float(np.max(np.abs(psi(0.1, xs)))) <= psi.declared_sup * (1 + 1e-9)
 
 
+def test_time_free_expressions_are_evaluated_at_one_time(monkeypatch):
+    free, twin = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("0.5*sin(x) + 0*t")
+    times = []
+    evaluate = expr.evaluate
+
+    def recorded(compiled, t, x):
+        times.append(t)
+        return evaluate(compiled, t, x)
+
+    monkeypatch.setattr(expr, "evaluate", recorded)
+    got = {}
+    for psi in (free, twin):
+        times.clear()
+        got[psi.name] = (linear_growth_constant(psi), level_constants(psi, psi, 2.0), coeff._sup_abs(psi, 10.0))
+        assert set(times) == ({0.01} if psi is free else set(coeff.DEFAULT_TIME_GRID))
+    # the same bits: the maximum over equal values at four times is that value
+    assert got[free.name] == got[twin.name]
+    with pytest.raises(ArithmeticError, match="at t=0.01$"):
+        linear_growth_constant(Coefficient.parse("log(x)"), (-1, 1))
+
+
 def test_unknown_name_is_rejected_by_the_parser():
     with pytest.raises(expr.ParseError, match="unknown identifier 'nope'"):
         Coefficient.from_source("nope")

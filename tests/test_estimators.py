@@ -158,6 +158,17 @@ class TestBucketedSum:
         got = [int(v) >> 53 for v in estimators._bucket_sums(x)]
         assert got == [reference_sum(col) for col in x.T]
 
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_wide_exponent_range_splits_the_columns(self, n_rows):
+        # exponents from -1074 to 1023 in 300 columns: one (column, exponent)
+        # table would exceed _BUCKETS, so the block is summed in column slices
+        rng = np.random.default_rng(5)
+        x = np.ldexp(rng.random((n_rows, 300)) + 0.5, rng.integers(-1074, 1023, size=(n_rows, 300)))
+        x[0, :2] = [2.0 ** -1074, np.finfo(float).max]
+        assert 300 * 2099 > estimators._BUCKETS
+        got = [int(v) >> 53 for v in estimators._bucket_sums(x)]
+        assert got == [reference_sum(col) for col in x.T]
+
     @given(st.data(), columns, st.integers(min_value=1, max_value=60), st.sampled_from([1.0, 2.0, 4.0]))
     @settings(max_examples=100, deadline=None)
     def test_power_sums_match_reference(self, data, n_cols, n_rows, k):
@@ -348,6 +359,12 @@ class TestCoupledSupDifference:
         pair = synthetic_pair(diffs)
         assert coupled_sup_difference(pair, 1, 1.0) == 2.0
         assert coupled_sup_difference(pair, 1, 0.5) == 0.5  # horizon excludes t=1
+
+    @pytest.mark.parametrize("k", [0.5, 40])
+    def test_order_outside_the_cap_is_rejected(self, k):
+        pair = synthetic_pair(np.ones((50, 2, 1)))
+        with pytest.raises(ValueError, match="moment order"):
+            coupled_sup_difference(pair, k, 1.0)
 
     def test_from_batch_needs_a_coupled_pair(self):
         import warnings

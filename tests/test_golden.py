@@ -6,7 +6,9 @@ it.  A change that alters output bits on purpose must say why and update
 the digests below in the same change.
 """
 
+import csv
 import hashlib
+import io
 import json
 import pathlib
 
@@ -38,6 +40,13 @@ SIMULATE_SHA256 = {
     "trajectory_N3_{tag}.json": "35db6c805298901ffe321e36bd487a02e15e9f0fd78a9e92959c9f23eca3727a",
 }
 UNIQUENESS_CSV_SHA256 = "23c90a887e555007996d2035cb75ea76516e22cc7e4a89bae10fcd8ec0f93af2"
+# levels 0 and 0.5: the clamp bites at the top level as well, so every
+# replication's top-level row against level 1.5 is "recorded", not "identical"
+CLAMPED_TOP_DOC = {**EXPR_DOC, "levels": [0.0, 0.5]}
+CLAMPED_TOP_UNIQUENESS_SHA256 = {
+    "uniqueness_{tag}.csv": "2193812f1f025959a22d1ae7db9a128efac43a20ce1b0672bbd9e602db127edc",
+    "uniqueness_{tag}.json": "648d388dd7e21f18487cc0fa49128740f06ebba5be17972b2305ad0d65a851c8",
+}
 
 PILOT_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 # result CSVs of the three pilot experiments, the same at --threads 1 and 2
@@ -89,6 +98,18 @@ def test_simulate_and_uniqueness_digests(tmp_path):
     got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in SIMULATE_SHA256}
     assert got == SIMULATE_SHA256
     assert sha256((out / f"uniqueness_{tag}.csv").read_bytes()) == UNIQUENESS_CSV_SHA256
+
+
+def test_uniqueness_digests_when_the_top_clamp_bites(tmp_path):
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(CLAMPED_TOP_DOC))
+    out = tmp_path / "out"
+    assert cli.main(["--out", str(out), "uniqueness", str(cfgp)]) == 0
+    tag = parse_config(CLAMPED_TOP_DOC).hash16
+    rows = list(csv.DictReader(io.StringIO((out / f"uniqueness_{tag}.csv").read_text())))
+    assert sum(r["N"] == "0.5" and r["verdict"] == "recorded" for r in rows) == 4
+    got = {name: sha256((out / name.format(tag=tag)).read_bytes()) for name in CLAMPED_TOP_UNIQUENESS_SHA256}
+    assert got == CLAMPED_TOP_UNIQUENESS_SHA256
 
 
 @pytest.mark.parametrize("chunk", [None, 37])

@@ -12,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from shelab import cli, harness
 from shelab.coeff import Coefficient
 from shelab.estimators import Z_95, Ensemble
+from shelab.noise import NoiseSpec
+from shelab.solver import SolverBlowupError, solve_truncated
 from shelab.harness import (
     CSV_COLUMNS,
     ConfigError,
@@ -113,6 +115,8 @@ class TestConfigRejection:
             (lambda d: d["grid"].update(R=1e308, dx=1.0, dt=1.0), "grid: .*too many lattice points"),
             (lambda d: d["grid"].update(R=1e7, dx=0.1), "resource budget: .* space-time points"),
             (lambda d: d["grid"].update(T=1e9, dt=0.005), "resource budget: .* space-time points"),
+            # 81 x 246,801 lattice points: uniqueness holds 2 x 4 top-level trajectories of them
+            (lambda d: d["grid"].update(T=1234.0), "resource budget: .* space-time points"),
             (lambda d: d.update(grid={**d["grid"], "R": 2e5, "T": 0.005}, probes={"times": [0.005]}),
              "resource budget: .* one solver chunk"),
             (lambda d: d.update(replications=10 ** 7, probes={"x_stride": 1}), "resource budget: .* probe samples"),
@@ -352,6 +356,70 @@ class TestUniquenessExperiment:
                             NoiseSpec(seed=2, replication=0, grid=cfg.grid))
         with pytest.raises(ExperimentError, match=r"\(m=\d+, j=\d+\)"):
             _assert_identical(a, b, "doctored pair")
+
+    def test_differing_inactive_levels_name_replication_and_point(self, monkeypatch):
+        # a drift that breaks the elementwise contract: of two or more stacked
+        # levels it pushes only the last, which is top + 1 in every such pass
+        def drift(t, x):
+            out = np.zeros_like(x)
+            if x.shape[0] > 1:
+                out[-1] += 1e-3
+            return out
+
+        monkeypatch.setitem(harness._coeff.BUILTINS, "push_last", Coefficient.from_callable("push_last", drift))
+        with pytest.raises(ExperimentError) as exc:
+            run_uniqueness_coupling(parse_config(base_doc(b="push_last", levels=[0.5, 6.0], replications=2)))
+        assert str(exc.value) == (
+            "pathwise uniqueness violated for levels 6 vs 7, replication 0: first differing lattice point "
+            "(m=1, j=1): np.float64(0.9803188292480104) vs np.float64(0.9803238292480104)")
+
+    @pytest.mark.parametrize("reps,width", [(6, 4), (2, 2)])
+    def test_three_batched_passes(self, monkeypatch, reps, width):
+        # one pass over every level the pair checks read, then the top level's
+        # full lattice under each of the two coefficient pairs
+        widths = []
+        solve = harness._solver.solve_batch
+
+        def counted(levels, b, sigma, u0, grid, seed, replications, *probes):
+            widths.append(len(replications))
+            return solve(levels, b, sigma, u0, grid, seed, replications, *probes)
+
+        monkeypatch.setattr(harness._solver, "solve_batch", counted)
+        run_uniqueness_coupling(parse_config(base_doc(levels=[0.5, 6.0], replications=reps)))
+        assert widths == [width] * 3
+
+    def test_blowup_at_replication_2_raises_its_first_abort(self, monkeypatch):
+        # at seed 4 only replication 2 crosses 5 (path max 5.98 at level 3; the
+        # others stay below 4.1), so it alone aborts, at the top level
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 5.0, np.inf, 0.0))
+        monkeypatch.setitem(harness._coeff.BUILTINS, "bomb", bomb)
+        cfg = parse_config(base_doc(b="bomb", replications=4, levels=[1.0, 3.0], seed=4))
+        with pytest.raises(SolverBlowupError) as exc:
+            run_uniqueness_coupling(cfg)
+        assert (exc.value.step, exc.value.cell) == (35, 52)
+        with pytest.raises(SolverBlowupError) as alone:
+            solve_truncated(3.0, bomb, cfg.diffusion, cfg.u0, cfg.grid, NoiseSpec(seed=4, replication=2, grid=cfg.grid))
+        assert str(alone.value) == str(exc.value)
+
+    def test_differing_second_parse_names_replication_and_point(self, monkeypatch):
+        # the second coefficient pair's drift differs only above 3.8, which at
+        # seed 11 replication 2 alone reaches (path max 4.06; the others <= 3.55)
+        cfg = parse_config(base_doc(b="0.5*sin(x)", sigma="x/(1+abs(x)/8)", replications=4,
+                                    levels=[0.0, 3.0], seed=11))
+        parse = Coefficient.from_source
+        calls = []
+
+        def from_source(source):
+            calls.append(source)
+            return parse(source + " + max(x - 3.8, 0)" if len(calls) % 4 == 3 else source)
+
+        monkeypatch.setattr(Coefficient, "from_source", staticmethod(from_source))
+        with pytest.raises(ExperimentError) as exc:
+            run_uniqueness_coupling(cfg)
+        assert str(exc.value) == (
+            "pathwise uniqueness violated for re-parsed coefficients at level 3, replication 2: "
+            "first differing lattice point (m=32, j=65): np.float64(3.157702166268927) vs "
+            "np.float64(3.1584056338169133)")
 
 
 _json_scalars = st.one_of(

@@ -447,6 +447,28 @@ class TestStackedLevels:
         assert lo.step == hi.step == 0 and lo.cell < hi.cell
         assert [(a.step, a.cell) for a in stacked.aborted[(2.0, 3.0)]] == [(0, lo.cell)] * 2
 
+    def test_abort_records_do_not_depend_on_chunking(self, monkeypatch):
+        # aborts in both chunks of 4: the merged records, and so the budget
+        # message naming the first of them, equal those of one batch of 8
+        doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
+               "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
+               "replications": 8, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
+               "probes": {"times": [0.25], "x_stride": 20}}
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0))
+        cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
+        steps, xs = harness._probe_indices(cfg)
+
+        def run(chunk):
+            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
+            with pytest.raises(harness.ExperimentError) as exc:
+                harness._abort_budget(aborted[(1.0,)], cfg)
+            return aborted, str(exc.value)
+
+        chunked, one = run(4), run(256)
+        assert {a.replication // 4 for a in chunked[0][(1.0,)]} == {0, 1}
+        assert chunked == one
+
     def test_abort_order_across_chunks(self, monkeypatch):
         doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
                "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
@@ -458,16 +480,17 @@ class TestStackedLevels:
         monkeypatch.setattr(harness, "_CHUNK", 5)
         steps, xs = harness._probe_indices(cfg)
         batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2)
-        # chunk by chunk, then step, then replication; each chunk's records as its own solve gives them
+        # by step, then replication, as one solve of all 32 gives them; each chunk's records as its own solve does
         for key in ((1.0,), (2.0,), (1.0, 2.0)):
             expected = []
             for start in range(0, 32, 5):
                 chunk = np.arange(start, min(start + 5, 32))
                 expected += solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, chunk, steps, xs).aborted[key]
-            assert batch.aborted[key] == expected
+            assert batch.aborted[key] == sorted(expected, key=lambda a: (a.step, a.replication))
+            assert batch.aborted[key] == solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, np.arange(32),
+                                                     steps, xs).aborted[key]
         records = batch.aborted[(1.0,)]
-        assert records == sorted(records, key=lambda a: (a.replication // 5, a.step, a.replication))
-        assert [a.step for a in records] != sorted(a.step for a in records)  # chunk order shows
+        assert len({a.replication // 5 for a in records}) > 1  # aborts in more than one chunk
         first = records[0]
         with pytest.raises(harness.ExperimentError) as exc:
             harness.run_moment_verification(cfg)
