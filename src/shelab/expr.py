@@ -287,17 +287,6 @@ def _compile(node):
             ufunc = _ARITH[node.op]
             return lambda t, x: ufunc(left(t, x), right(t, x))
         if node.op == "/":
-            if isinstance(node.right, Num):
-                divisor = float(node.right.value)
-                if divisor != 0:
-                    return lambda t, x: np.divide(left(t, x), divisor)
-
-                def divide_by_zero(t, x):
-                    left(t, x)  # a domain error of the dividend comes first
-                    raise EvalDomainError("division by zero")
-
-                return divide_by_zero
-
             def divide(t, x):
                 a, b = left(t, x), right(t, x)
                 if _any(b == 0):

@@ -79,8 +79,6 @@ class ExportError(OSError):
     pass
 
 
-_CHUNK = 256  # replications solved per batch; never affects results
-
 _TOP_KEYS = {
     "b", "sigma", "u0", "grid", "replications", "levels", "orders", "seed",
     "bounded_sigma", "constants", "probes", "assumption_levels",
@@ -96,7 +94,8 @@ _MAX_LEVEL = 700.0
 # (convergence: {N} and {N+1}); full-lattice passes hold at most
 # max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
 # pass over every level; uniqueness: two passes at the top level over its
-# min(replications, 4) checked replications, one per coefficient pair)
+# min(replications, 4) checked replications, one per coefficient pair); a
+# chunk of solver.chunk_replications exceeds 2^15 cells only at one replication
 _MAX_TRAJECTORY = 1 << 27  # space-time points of the full-lattice trajectories held at once (1 GiB stored)
 _MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
 _MAX_PROBE_SAMPLES = 1 << 27  # probe samples one pass keeps over all its levels (1 GiB)
@@ -181,28 +180,6 @@ def parse_config(doc: dict) -> ExperimentConfig:
     except _expr.ParseError as err:
         raise ConfigError(f"sigma: {err}") from err
 
-    u0_doc = doc["u0"]
-    _check_keys(u0_doc, _U0_KEYS, "u0")
-    for key in ("value", "a", "b", "bound"):
-        if key in u0_doc:
-            _require(_is_number(u0_doc[key]), f"u0.{key} must be a number")
-    if "source" in u0_doc:
-        _require(isinstance(u0_doc["source"], str), "u0.source must be an expression string")
-    kind = u0_doc.get("kind")
-    try:
-        if kind == "constant":
-            u0 = InitialCondition.constant(u0_doc["value"])
-        elif kind == "indicator":
-            u0 = InitialCondition.indicator(u0_doc["a"], u0_doc["b"])
-        elif kind == "expr":
-            u0 = InitialCondition.from_expression(u0_doc["source"], u0_doc.get("bound"))
-        else:
-            raise ConfigError(f"u0.kind must be constant, indicator, or expr, got {kind!r}")
-    except (KeyError, ValueError, _expr.ParseError) as err:
-        if isinstance(err, ConfigError):
-            raise
-        raise ConfigError(f"u0: {err}") from err
-
     grid_doc = doc["grid"]
     _check_keys(grid_doc, _GRID_KEYS, "grid")
     for key in ("R", "dx", "dt", "T"):
@@ -273,6 +250,30 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _check_clamp_levels(assumption_levels, "assumption_levels")
     _check_budget(grid, reps, len(levels), n_times if times is None else len(times), stride)
 
+    # u0 comes last: it is evaluated on the lattice, which the budget has bounded
+    u0_doc = doc["u0"]
+    _check_keys(u0_doc, _U0_KEYS, "u0")
+    for key in ("value", "a", "b", "bound"):
+        if key in u0_doc:
+            _require(_is_number(u0_doc[key]), f"u0.{key} must be a number")
+    if "source" in u0_doc:
+        _require(isinstance(u0_doc["source"], str), "u0.source must be an expression string")
+    kind = u0_doc.get("kind")
+    try:
+        if kind == "constant":
+            u0 = InitialCondition.constant(u0_doc["value"])
+        elif kind == "indicator":
+            u0 = InitialCondition.indicator(u0_doc["a"], u0_doc["b"])
+        elif kind == "expr":
+            u0 = InitialCondition.from_expression(u0_doc["source"], u0_doc.get("bound"))
+        else:
+            raise ConfigError(f"u0.kind must be constant, indicator, or expr, got {kind!r}")
+        u0(grid.xs)  # the solver's first row; an explicit bound skips from_expression's sampling
+    except (KeyError, ValueError, ArithmeticError) as err:
+        if isinstance(err, ConfigError):
+            raise
+        raise ConfigError(f"u0: {err}") from err
+
     return ExperimentConfig(
         raw=doc,
         drift=drift,
@@ -312,8 +313,8 @@ def _check_budget(grid: GridSpec, reps: int, n_levels: int, n_probe_times: int, 
     for what, amount, limit in (
         ("space-time points of full-lattice trajectories held at once",
          points * (steps + 1) * max(n_levels, 2 * min(reps, 4)), _MAX_TRAJECTORY),
-        ("levels x cells x replications in one solver chunk", stacked * points * min(reps, _CHUNK),
-         _MAX_CHUNK_CELLS),
+        ("levels x cells x replications in one solver chunk",
+         stacked * points * min(reps, _solver.chunk_replications(stacked, points)), _MAX_CHUNK_CELLS),
         ("probe samples in one solver pass", stacked * reps * probe_points, _MAX_PROBE_SAMPLES),
         ("cell-steps per clamp level", reps * points * steps, _MAX_CELL_STEPS),
     ):
@@ -545,10 +546,11 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
 def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1):
     """Solve all replications at every given clamp level in one pass per chunk; order-stable."""
     n = cfg.replications
-    starts = list(range(0, n, _CHUNK))
+    chunk = _solver.chunk_replications(len(levels), cfg.grid.n_points)
+    starts = list(range(0, n, chunk))
 
     def job(start):
-        reps = np.arange(start, min(start + _CHUNK, n), dtype=np.uint64)
+        reps = np.arange(start, min(start + chunk, n), dtype=np.uint64)
         return _solver.solve_batch(
             levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid,
             cfg.seed, reps, probe_steps, probe_x_idx,

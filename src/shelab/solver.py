@@ -62,6 +62,7 @@ __all__ = [
     "solve_truncated",
     "solve_pair_coupled",
     "solve_batch",
+    "chunk_replications",
     "solve_lattice",
     "field_trajectories",
     "save_trajectory",
@@ -69,7 +70,12 @@ __all__ = [
 ]
 
 
-_BLOCK_DRAWS = 1 << 15  # noise draws per standard_normals call in solve_batch
+_BLOCK_DRAWS = 1 << 15  # one pass's working set: cells per chunk, draws per standard_normals call
+
+
+def chunk_replications(n_levels: int, n_points: int) -> int:
+    """Replications per :func:`solve_batch` chunk of ``n_levels`` stacked levels of ``n_points`` cells."""
+    return max(1, _BLOCK_DRAWS // (n_levels * n_points))
 
 
 class SolverBlowupError(RuntimeError):
@@ -244,8 +250,10 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     max and aborts are kept per (level, replication), and per coupled pair
     of levels exactly one apart, with the pair's sup difference.  This is
     the package's one stepping loop.  Noise is drawn for a block of steps
-    per call (up to ``_BLOCK_DRAWS`` draws); each draw depends only on
-    ``(seed, replication, m, j)``, so the block size never changes a bit.
+    per call, up to ``_BLOCK_DRAWS`` draws, the cells of a
+    :func:`chunk_replications` batch; each draw depends only on ``(seed,
+    replication, m, j)``, so neither size changes a bit.  Dead rows restart
+    from ``u0``, where both coefficients were evaluated at step 0.
     """
     levels = tuple(_as_level(v).level for v in levels)
     if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
@@ -314,10 +322,10 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                 if not alive.any():
                     break
         if any_dead:
-            # dead rows are still advanced (from zero) every step: they add
+            # dead rows are still advanced (from u0) every step: they add
             # nothing to path max or sup difference, whatever they regrow to
             dead = ~alive
-            state[dead] = 0.0
+            state[dead] = row0
             row_max[dead] = 0.0
         np.maximum(path_max, row_max, out=path_max)
         if pairs:

@@ -1,0 +1,133 @@
+"""The config validator is total: a near-valid document parses or is a ConfigError.
+
+Documents are drawn close to the shipped pilot configs (one key replaced,
+retyped, scaled, deleted or added, or a whole ``u0`` object), so the type,
+range and budget clauses are reached, not just the key check.  Every
+rejected document also goes through the CLI, which must exit 1 without a
+traceback.  An accepted document is never run.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import pathlib
+import tempfile
+import warnings
+
+from hypothesis import example, given, settings, strategies as st
+
+from shelab import cli
+from shelab.harness import ConfigError, parse_config
+
+PILOTS = [json.loads(p.read_text())
+          for p in sorted((pathlib.Path(__file__).parent.parent / "scripts" / "configs").glob("*.json"))]
+
+# optional keys no pilot sets, so that adding one is a mutation too
+OPTIONAL_PATHS = [
+    ("assumption_levels",), ("bounded_sigma",), ("grid", "boundary"), ("u0", "bound"),
+    ("constants", "L_b"), ("constants", "L_sigma"), ("constants", "sigma_sup"),
+    ("constants", "inflate_L_sigma"), ("probes", "n_times"), ("probes", "times"), ("probes", "x_stride"),
+]
+EXPRESSIONS = ["x", "1", "0.5*sin(x)", "log(x)", "1/x", "sqrt(x)", "x^0.5", "exp(x)", "exp(1000*x)",
+               "1e999", "t", "sin(", "y", ""]
+
+json_scalars = (st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+                | st.text(max_size=6) | st.sampled_from(EXPRESSIONS))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+SCALES = [-1, 0, 2, 10 ** 6, 10 ** 30, 1e-9, 1e-3, 0.5, 1.5, 1e3, 1e12, 1e300]
+
+
+def _paths(doc):
+    paths = []
+    for key, value in doc.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths += [(key, sub) for sub in value]
+    return paths + [p for p in OPTIONAL_PATHS if p not in paths]
+
+
+def _is_plain_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _scaled(value, factor):
+    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
+        return value
+    if isinstance(value, list):
+        return [_scaled(v, factor) for v in value]
+    return value * factor
+
+
+@st.composite
+def one_key_mutated(draw):
+    doc = copy.deepcopy(draw(st.sampled_from(PILOTS)))
+    path = draw(st.sampled_from(_paths(doc)))
+    parent = doc
+    for key in path[:-1]:
+        if not isinstance(parent.get(key), dict):
+            parent[key] = {}
+        parent = parent[key]
+    key = path[-1]
+    old = parent.get(key)
+    how = draw(st.sampled_from(["replace", "retype", "scale", "delete"]))
+    if how == "delete":
+        parent.pop(key, None)
+    elif how == "replace" or old is None:
+        parent[key] = draw(json_values)
+    elif how == "retype":
+        parent[key] = draw(st.sampled_from([str(old), [old], {"value": old}, bool(old)]
+                                           + ([int(old)] if isinstance(old, float) else [])
+                                           + ([float(old)] if _is_plain_int(old) else [])))
+    else:
+        parent[key] = _scaled(old, draw(st.sampled_from(SCALES)))
+    return doc
+
+
+numbers = st.floats(allow_nan=False) | st.integers(-10, 10)
+u0_objects = st.fixed_dictionaries({}, optional={
+    "kind": st.sampled_from(["constant", "indicator", "expr", "bogus"]),
+    "value": numbers | json_scalars,
+    "a": numbers,
+    "b": numbers,
+    "source": st.sampled_from(EXPRESSIONS) | json_scalars,
+    "bound": numbers | json_scalars,
+})
+
+
+def _parses_or_exits_1(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-window warnings of scaled grids
+        try:
+            parse_config(doc)
+            return  # accepted: never run
+        except ConfigError:
+            pass
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = cli.main(["--out", os.path.join(tmp, "out"), "verify-moments", path])
+    assert code == 1, err.getvalue()
+    assert "config rejected" in err.getvalue() and "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(one_key_mutated())
+def test_near_valid_documents_parse_or_exit_1(doc):
+    _parses_or_exits_1(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PILOTS), u0_objects)
+@example(PILOTS[0], {"kind": "expr", "source": "log(x)"})
+@example(PILOTS[0], {"kind": "expr", "source": "1/x", "bound": 1.0})
+def test_u0_objects_parse_or_exit_1(pilot, u0):
+    _parses_or_exits_1({**pilot, "u0": u0})

@@ -15,7 +15,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from shelab import cli, harness
+from shelab import cli, solver
 from shelab.harness import load_config, parse_config
 from shelab.noise import standard_normals
 
@@ -118,10 +118,11 @@ def test_uniqueness_digests_when_the_top_clamp_bites(tmp_path):
 def test_pilot_result_digests(command, config, threads, chunk, tmp_path, monkeypatch):
     # neither thread nor shard chunking of the stacked solver passes changes
     # a bit; the solver's buffers are sized per chunk.  The pilots' 256, 400
-    # and 2000 replications are 1, 2 and 8 chunks at the default 256 and 7,
-    # 11 and 55 at 37, each with a short last chunk
+    # and 2000 replications (8 x 81, 2 x 81 and 2 x 161 stacked cells each)
+    # are 6, 2 and 20 chunks under solver.chunk_replications and 7, 11 and 55
+    # at 37, each with a short last chunk
     if chunk is not None:
-        monkeypatch.setattr(harness, "_CHUNK", chunk)
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: chunk)
     path = PILOT_CONFIGS / config
     out = tmp_path / "out"
     assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0

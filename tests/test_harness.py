@@ -112,20 +112,25 @@ class TestConfigRejection:
             (lambda d: d.update(u0={"kind": "indicator", "a": 0.0, "b": True}), "u0.b must be a number"),
             (lambda d: d.update(u0={"kind": "expr", "source": "1", "bound": "1"}), "u0.bound must be a number"),
             (lambda d: d.update(u0={"kind": "expr", "source": 1}), "u0.source must be an expression string"),
+            (lambda d: d.update(u0={"kind": "expr", "source": "log(x)"}), "u0: log of a non-positive value"),
+            # an explicit bound skips sampling the profile; the lattice still evaluates it
+            (lambda d: d.update(u0={"kind": "expr", "source": "log(x)", "bound": 1.0}),
+             "u0: log of a non-positive value"),
             (lambda d: d["grid"].update(R=1e308, dx=1.0, dt=1.0), "grid: .*too many lattice points"),
             (lambda d: d["grid"].update(R=1e7, dx=0.1), "resource budget: .* space-time points"),
             (lambda d: d["grid"].update(T=1e9, dt=0.005), "resource budget: .* space-time points"),
             # 81 x 246,801 lattice points: uniqueness holds 2 x 4 top-level trajectories of them
             (lambda d: d["grid"].update(T=1234.0), "resource budget: .* space-time points"),
-            (lambda d: d.update(grid={**d["grid"], "R": 2e5, "T": 0.005}, probes={"times": [0.005]}),
+            # 2 x 2 stacked levels of 4,400,001 cells: one replication alone exceeds 2^24
+            (lambda d: d.update(grid={**d["grid"], "R": 2.2e5, "T": 0.005}, probes={"times": [0.005]}),
              "resource budget: .* one solver chunk"),
             (lambda d: d.update(replications=10 ** 7, probes={"x_stride": 1}), "resource budget: .* probe samples"),
             (lambda d: d["probes"].update(x_stride=1, times=[0.25] * 100000), "resource budget: .* probe samples"),
             (lambda d: d.update(replications=3 * 10 ** 7, probes={"x_stride": 10 ** 6, "n_times": 1}),
              "resource budget: .* cell-steps"),
-            # one solver pass stacks every level: 300 levels hold 600 x the per-level arrays
+            # one solver pass stacks every level: 300 levels hold 600 x 30,001 cells per replication
             (lambda d: d.update(replications=256, levels=[0.5 * i for i in range(300)],
-                                grid={**d["grid"], "R": 200.0}),
+                                grid={**d["grid"], "R": 1500.0, "T": 0.005}, probes={"times": [0.005]}),
              "resource budget: .* one solver chunk"),
             (lambda d: d.update(replications=10 ** 5, levels=[0.5 * i for i in range(300)],
                                 probes={"times": [0.1, 0.25], "x_stride": 1}),

@@ -411,9 +411,10 @@ class TestStackedLevels:
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_dead_rows_add_nothing_after_their_abort(self, boundary):
-        # dead rows are zeroed and still advanced; a drift that is huge at
-        # exactly 0 regrows them (to 5000, then inf) every later step, and
-        # none of that may reach a path max or a sup difference
+        # dead rows restart from u0 and are still advanced; a drift that is
+        # huge at exactly u0's value after t = 0 regrows them (to about 5000)
+        # every later step, and none of that may reach a path max or a sup
+        # difference
         g = mkgrid(boundary=boundary)
         u0 = InitialCondition.constant(1.0)
         levels, reps = (1.0, 2.0), np.arange(12)
@@ -421,7 +422,7 @@ class TestStackedLevels:
         clean = solve_batch(levels, ZERO, LINEAR, *args)
         tau = float(np.median(clean.path_max_abs[(2.0,)]))  # about 3.8: level 1 clips at e < tau
         regrow = Coefficient.from_callable(
-            "regrow", lambda t, x: np.where(x == 0.0, 1e6, np.where(x > tau, np.inf, 0.0)))
+            "regrow", lambda t, x: np.where((x == 1.0) & (t > 0), 1e6, np.where(x > tau, np.inf, 0.0)))
         sol = solve_batch(levels, regrow, LINEAR, *args)
         dead = {a.replication: a.step for a in sol.aborted[(2.0,)]}
         assert 0 < len(dead) < len(reps) and sol.aborted[(1.0,)] == []
@@ -435,6 +436,19 @@ class TestStackedLevels:
             assert sol.path_max_abs[(1.0, 2.0)][r] == np.abs(lattice).max()
             assert sol.sup_abs_diff[(1.0, 2.0)][r] == np.abs(lattice[1] - lattice[0]).max()
 
+    def test_dead_rows_restart_from_u0(self):
+        # sigma x*x/x is undefined only at 0: a dead row reset to 0 would fail
+        # the whole batch with a domain error; from u0 each abort stays its own
+        doc = {"b": "zero", "sigma": "x*x/x", "u0": {"kind": "constant", "value": 1.0},
+               "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
+               "replications": 64, "levels": [1.0, 3.0], "orders": [2.0], "seed": 4,
+               "probes": {"times": [0.1, 0.25], "x_stride": 20}}
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 5.0, np.inf, 0.0))
+        cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
+        steps, xs = harness._probe_indices(cfg)
+        aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
+        assert aborted[(1.0,)] == [] and len(aborted[(3.0,)]) == 12
+
     def test_pair_abort_takes_the_first_bad_cell_of_either_level(self):
         g = mkgrid()
         u0 = InitialCondition.from_expression("4*(x+4)", bound=32.0)
@@ -447,25 +461,31 @@ class TestStackedLevels:
         assert lo.step == hi.step == 0 and lo.cell < hi.cell
         assert [(a.step, a.cell) for a in stacked.aborted[(2.0, 3.0)]] == [(0, lo.cell)] * 2
 
-    def test_abort_records_do_not_depend_on_chunking(self, monkeypatch):
+    @pytest.mark.parametrize("R,chunk", [(4.0, 4), (820.0, None)])
+    def test_abort_records_do_not_depend_on_chunking(self, R, chunk, monkeypatch):
         # aborts in both chunks of 4: the merged records, and so the budget
-        # message naming the first of them, equal those of one batch of 8
+        # message naming the first of them, equal those of one batch of 8.
+        # At R = 820 one replication stacks 2 x 16,401 cells, more than
+        # solver._BLOCK_DRAWS, so the solver's own rule makes chunks of one
         doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
-               "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
+               "grid": {"R": R, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
                "replications": 8, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
                "probes": {"times": [0.25], "x_stride": 20}}
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0))
         cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
         steps, xs = harness._probe_indices(cfg)
+        if chunk is None:
+            assert solver.chunk_replications(len(cfg.levels), cfg.grid.n_points) == 1
 
         def run(chunk):
-            monkeypatch.setattr(harness, "_CHUNK", chunk)
+            if chunk is not None:
+                monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: chunk)
             aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
             with pytest.raises(harness.ExperimentError) as exc:
                 harness._abort_budget(aborted[(1.0,)], cfg)
             return aborted, str(exc.value)
 
-        chunked, one = run(4), run(256)
+        chunked, one = run(chunk), run(256)
         assert {a.replication // 4 for a in chunked[0][(1.0,)]} == {0, 1}
         assert chunked == one
 
@@ -477,7 +497,7 @@ class TestStackedLevels:
         cfg = harness.parse_config(doc)
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0), declared_growth=0.0)
         cfg = dataclasses.replace(cfg, drift=bomb)
-        monkeypatch.setattr(harness, "_CHUNK", 5)
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 5)
         steps, xs = harness._probe_indices(cfg)
         batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2)
         # by step, then replication, as one solve of all 32 gives them; each chunk's records as its own solve does
