@@ -264,7 +264,7 @@ class Ensemble:
     def from_batch(cls, batch, grid, level=None) -> "Ensemble":
         """The batch's solve at clamp level ``level`` (default: its lowest level)."""
         level = batch.levels[0] if level is None else float(level)
-        vals = batch.samples[batch.levels.index(level)]
+        vals = batch.samples[batch.probe_levels.index(level)]
         ok = np.isfinite(vals).all(axis=(1, 2))
         return cls(*_probe_coords(batch, grid), samples=vals[ok], horizon=grid.T)
 
@@ -354,7 +354,7 @@ class PairEnsemble:
         key = (key, key + 1.0)
         if key not in batch.sup_abs_diff:
             raise CouplingError(f"batch has no coupled pair of levels {key}")
-        diff = batch.samples[batch.levels.index(key[1])] - batch.samples[batch.levels.index(key[0])]
+        diff = batch.samples[batch.probe_levels.index(key[1])] - batch.samples[batch.probe_levels.index(key[0])]
         ok = np.isfinite(diff).all(axis=(1, 2))
         return cls(
             *_probe_coords(batch, grid),

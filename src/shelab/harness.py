@@ -93,8 +93,8 @@ _MAX_LEVEL = 700.0
 # one solver pass stacks every level an experiment reads: at most 2 len(levels)
 # (convergence: {N} and {N+1}); full-lattice passes hold at most
 # max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
-# pass over every level; uniqueness: two passes at the top level over its
-# min(replications, 4) checked replications, one per coefficient pair); a
+# pass over every level; uniqueness: the top level of its min(replications, 4)
+# checked replications in each of its two passes, one per coefficient pair); a
 # chunk of solver.chunk_replications exceeds 2^15 cells only at one replication
 _MAX_TRAJECTORY = 1 << 27  # space-time points of the full-lattice trajectories held at once (1 GiB stored)
 _MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
@@ -179,6 +179,8 @@ def parse_config(doc: dict) -> ExperimentConfig:
         diffusion = _coeff.Coefficient.from_source(doc["sigma"])
     except _expr.ParseError as err:
         raise ConfigError(f"sigma: {err}") from err
+    _check_evaluable("b", drift)
+    _check_evaluable("sigma", diffusion)
 
     grid_doc = doc["grid"]
     _check_keys(grid_doc, _GRID_KEYS, "grid")
@@ -295,6 +297,20 @@ def parse_config(doc: dict) -> ExperimentConfig:
         probe_n_times=n_times,
         assumption_levels=tuple(float(v) for v in assumption_levels),
     )
+
+
+def _check_evaluable(key, psi):
+    """Reject an expression coefficient that fails at all six points (t, x) with t in {0, 1} and x in
+    {-1, 0, 1}: it fails at every state.  One that fails on part of the domain (``log(x)``) may run."""
+    if psi.compiled is None:
+        return
+    for t, x in [(t, x) for t in (0.0, 1.0) for x in (-1.0, 0.0, 1.0)]:
+        try:
+            psi(t, x)
+            return
+        except ArithmeticError as err:
+            failure = err
+    raise ConfigError(f"{key}: {psi.name} cannot be evaluated at any (t, x) in {{0, 1}} x {{-1, 0, 1}}: {failure}")
 
 
 def _check_clamp_levels(levels, key):
@@ -764,22 +780,20 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         # independently constructed coefficient objects: re-parse expression text
         return _coeff.Coefficient.from_source(cfg.raw["b"]), _coeff.Coefficient.from_source(cfg.raw["sigma"])
 
-    def solve(levels, b, s, probe_steps, probe_x_idx):
-        return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, probe_steps, probe_x_idx)
-
-    def top_lattice(b, s):
-        sol = solve((top,), b, s, np.arange(g.n_steps + 1), np.arange(g.n_points))
-        return sol.samples[0], sol.aborted[(top,)]
+    def top_lattice(levels, b, s):
+        return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, np.arange(g.n_steps + 1),
+                                   np.arange(g.n_points), probe_levels=(top,))
 
     b1, s1 = fresh_pair()
     b2, s2 = fresh_pair()
-    # three passes over every checked replication: the pair checks read only
-    # path max, sup difference and aborts, so their pass probes nothing; then
-    # the top level's full lattice under each coefficient pair
-    no_probes = np.arange(0)
-    pairs = solve(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, no_probes, no_probes)
-    top_1, aborted_1 = top_lattice(b1, s1)
-    top_2, aborted_2 = top_lattice(b2, s2)
+    # two passes over every checked replication: every level the checks read under
+    # the first coefficient pair, keeping the top level's full lattice alone; then the
+    # top level alone under the second pair, the re-solve that lattice is compared with
+    first = top_lattice(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1)
+    top_1, path_max, sup_diff, aborted = first.samples[0], first.path_max_abs, first.sup_abs_diff, first.aborted
+    second = top_lattice((top,), b2, s2)
+    top_2, aborted_2 = second.samples[0], second.aborted[(top,)]
+    del first, second  # top_1 and top_2 alone hold the two lattices
 
     def raise_first_abort(aborted, rep):
         for a in aborted:
@@ -789,7 +803,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     for rep in reps.tolist():
         # each replication's first abort is raised in this order: top under
         # each coefficient pair, then the pair at top, then the pair at bottom
-        raise_first_abort(aborted_1, rep)
+        raise_first_abort(aborted[(top,)], rep)
         raise_first_abort(aborted_2, rep)
         if not np.array_equal(top_1[rep], top_2[rep]):
             top_1 = top_2 = None  # the re-solve holds no more than the two passes did
@@ -797,9 +811,9 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
                                     [((top,), b1, s1), ((top,), b2, s2)])
         records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
 
-        raise_first_abort(pairs.aborted[(top, top + 1.0)], rep)
-        diff = float(pairs.sup_abs_diff[(top, top + 1.0)][rep])
-        if float(pairs.path_max_abs[(top,)][rep]) < math.exp(top):
+        raise_first_abort(aborted[(top, top + 1.0)], rep)
+        diff = float(sup_diff[(top, top + 1.0)][rep])
+        if float(path_max[(top,)][rep]) < math.exp(top):
             # a finite pair run (an abort was raised above) is identical exactly when its sup difference is 0
             if diff != 0.0:
                 top_1 = top_2 = None  # as above
@@ -812,8 +826,8 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
         # documented active-clamp row at the lowest configured level
         if bottom < top:
-            raise_first_abort(pairs.aborted[(bottom, bottom + 1.0)], rep)
-            diff = float(pairs.sup_abs_diff[(bottom, bottom + 1.0)][rep])
+            raise_first_abort(aborted[(bottom, bottom + 1.0)], rep)
+            diff = float(sup_diff[(bottom, bottom + 1.0)][rep])
             verdict = "recorded" if diff > 0 else "identical"
             if diff > 0:
                 diag["active_clamp_rows"] += 1
@@ -872,11 +886,23 @@ def _fmt(v):
 
 
 def render_csv(results: ResultSet) -> str:
+    """``csv.writer``'s table of the ``_fmt`` of each value, rows joined directly; a row holding another
+    type, or a str with a character csv may quote (``,`` ``"`` ``\\r`` ``\\n``), goes through csv."""
+    spell = {float: float.__repr__, int: int.__repr__, str: str, type(None): lambda v: ""}
+    values = attrgetter(*CSV_COLUMNS)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in results.records:
-        writer.writerow([_fmt(getattr(r, col)) for col in CSV_COLUMNS])
+        row = values(r)
+        try:
+            line = ",".join([spell[type(v)](v) for v in row])
+        except KeyError:
+            line = ""
+        if line.count(",") == len(row) - 1 and not ('"' in line or "\r" in line or "\n" in line):
+            buf.write(line + "\n")
+        else:
+            writer.writerow([_fmt(v) for v in row])
     return buf.getvalue()
 
 

@@ -175,7 +175,7 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
         raise SolverBlowupError(first.step, first.cell)
     trajs = []
     for level, other in zip(levels, levels[::-1]):
-        vals = sol.samples[sol.levels.index(level), 0]
+        vals = sol.samples[sol.probe_levels.index(level), 0]
         vals.setflags(write=False)
         prov = {"level": float(level), "drift": b.name, "diffusion": sigma.name,
                 "u0": u0.describe(), "grid": grid.describe(),
@@ -198,17 +198,19 @@ class BatchSolution:
     """Probe-restricted output of a batch of replications at stacked clamp levels.
 
     ``samples[i]`` has shape (B, n_probe_times, n_probe_cells) and holds the
-    solution at clamp level ``levels[i]``; a replication's samples at a level
-    are NaN from the step it aborted at that level onward.  The per-run data
+    solution at clamp level ``probe_levels[i]``, one of ``levels`` (all of
+    them unless the solve asked for fewer); a replication's samples at a
+    level are NaN from the step it aborted at that level onward.  The per-run data
     is keyed by a tuple of levels: ``(N,)`` for the solve at each level and
     ``(N, N + 1)`` for each coupled pair of levels exactly one apart, whose
     run ends at the first abort of either level.
     """
 
     levels: tuple
+    probe_levels: tuple  # the levels ``samples`` holds, in order
     probe_step_idx: np.ndarray
     probe_x_idx: np.ndarray
-    samples: np.ndarray  # (n_levels, B, nt, nx)
+    samples: np.ndarray  # (len(probe_levels), B, nt, nx)
     path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
     sup_abs_diff: dict  # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort
     aborted: dict  # key -> [AbortRecord], by step, then replication
@@ -224,9 +226,10 @@ class BatchSolution:
         first = parts[0]
         if len(parts) == 1:
             return first
-        assert all(p.levels == first.levels for p in parts)
+        assert all((p.levels, p.probe_levels) == (first.levels, first.probe_levels) for p in parts)
         return BatchSolution(
             levels=first.levels,
+            probe_levels=first.probe_levels,
             probe_step_idx=first.probe_step_idx,
             probe_x_idx=first.probe_x_idx,
             samples=np.concatenate([p.samples for p in parts], axis=1),
@@ -238,7 +241,7 @@ class BatchSolution:
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
-                probe_step_idx, probe_x_idx) -> BatchSolution:
+                probe_step_idx, probe_x_idx, probe_levels=None) -> BatchSolution:
     """Advance a batch of replications at every clamp level of ``levels`` at once.
 
     ``levels`` is a strictly increasing tuple of clamp levels, advanced as
@@ -254,10 +257,16 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     :func:`chunk_replications` batch; each draw depends only on ``(seed,
     replication, m, j)``, so neither size changes a bit.  Dead rows restart
     from ``u0``, where both coefficients were evaluated at step 0.
+    Only the levels of ``probe_levels`` (by default all of ``levels``) are
+    sampled: ``samples`` is (len(probe_levels), B, len(probe_step_idx), len(probe_x_idx)).
     """
     levels = tuple(_as_level(v).level for v in levels)
     if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
         raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
+    probe_levels = levels if probe_levels is None else tuple(_as_level(v).level for v in probe_levels)
+    if not set(probe_levels) <= set(levels):
+        raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
+    probe_rows = [levels.index(v) for v in probe_levels]
     pairs = [(i, j) for i, lo in enumerate(levels) for j, hi in enumerate(levels) if hi == lo + 1.0]
     lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
@@ -282,7 +291,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     diff_buf = abs_buf[:len(pairs)]
     diff = np.empty((len(pairs), B))
 
-    samples = np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan)
+    samples = np.full((len(probe_rows), B, probe_step_idx.size, probe_x_idx.size), np.nan)
+    probed = np.ix_(probe_rows, range(B), probe_x_idx)  # the probed cells of a (L, B, J) state
     path_max = np.full((L, B), float(np.max(np.abs(row0))))
     pair_max = np.full((len(pairs), B), float(np.max(np.abs(row0))))
     sup_diff = np.zeros((len(pairs), B))
@@ -297,7 +307,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     scale = math.sqrt(grid.dt * grid.dx)
 
     if 0 in slot_of_step:
-        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., probe_x_idx]
+        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][probed]
 
     for m in range(grid.n_steps):
         if m % block == 0:
@@ -343,11 +353,11 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
         slot = slot_of_step.get(m + 1)
         if slot is not None:
-            samples[:, :, slot, :] = state[..., probe_x_idx]
+            samples[:, :, slot, :] = state[probed]
         src, dst = dst, src
 
     # a replication's probes after the step it died at are NaN
-    samples[probe_step_idx > death_step[:, :, None]] = np.nan
+    samples[probe_step_idx > death_step[probe_rows, :, None]] = np.nan
 
     def records(step, cell):
         dead = np.flatnonzero(step < grid.n_steps)
@@ -369,6 +379,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     return BatchSolution(
         levels=levels,
+        probe_levels=probe_levels,
         probe_step_idx=probe_step_idx,
         probe_x_idx=probe_x_idx,
         samples=samples,

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -113,6 +115,10 @@ class TestConfigRejection:
             (lambda d: d.update(u0={"kind": "expr", "source": "1", "bound": "1"}), "u0.bound must be a number"),
             (lambda d: d.update(u0={"kind": "expr", "source": 1}), "u0.source must be an expression string"),
             (lambda d: d.update(u0={"kind": "expr", "source": "log(x)"}), "u0: log of a non-positive value"),
+            # coefficient expressions that fail at every state and time
+            (lambda d: d.update(b="x/0"), "b: x/0 cannot be evaluated at any .*division by zero"),
+            (lambda d: d.update(b="1e999"), "b: 1e999 cannot be evaluated at any .*non-finite result"),
+            (lambda d: d.update(sigma="x/(x-x)"), "sigma: x/\\(x-x\\) cannot be evaluated at any"),
             # an explicit bound skips sampling the profile; the lattice still evaluates it
             (lambda d: d.update(u0={"kind": "expr", "source": "log(x)", "bound": 1.0}),
              "u0: log of a non-positive value"),
@@ -147,6 +153,11 @@ class TestConfigRejection:
         assert cli.main(["--out", str(tmp_path / "out"), "verify-moments", str(cfgp)]) == 1
         err = capsys.readouterr().err
         assert "config rejected" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["log(x)", "sqrt(x)", "x/t"])
+    def test_expressions_valid_somewhere_parse(self, source):
+        # each fails at some states or times but not at all of them: a run failure at worst
+        assert parse_config(base_doc(b=source, sigma=source)).drift.name == source
 
     def test_valid_config_parses(self):
         cfg = parse_config(base_doc())
@@ -378,20 +389,38 @@ class TestUniquenessExperiment:
             "pathwise uniqueness violated for levels 6 vs 7, replication 0: first differing lattice point "
             "(m=1, j=1): np.float64(0.9803188292480104) vs np.float64(0.9803238292480104)")
 
+    def test_stacking_sensitive_drift_fails_the_re_parse_check(self, monkeypatch):
+        # a drift that breaks the elementwise contract: it pushes every level
+        # of a stacked pass, so the top level of the first pass differs from
+        # the lone top-level pass, while two lone re-solves agree
+        def drift(t, x):
+            out = np.zeros_like(x)
+            if x.shape[0] > 1:
+                out += 1e-3
+            return out
+
+        monkeypatch.setitem(harness._coeff.BUILTINS, "push_stacked", Coefficient.from_callable("push_stacked", drift))
+        with pytest.raises(ExperimentError) as exc:
+            run_uniqueness_coupling(parse_config(base_doc(b="push_stacked", levels=[0.5, 6.0], replications=2)))
+        assert str(exc.value) == (
+            "pathwise uniqueness check for re-parsed coefficients at level 6, replication 0: the batched pass "
+            "and a re-solve of the replication alone disagree")
+
     @pytest.mark.parametrize("reps,width", [(6, 4), (2, 2)])
-    def test_three_batched_passes(self, monkeypatch, reps, width):
-        # one pass over every level the pair checks read, then the top level's
-        # full lattice under each of the two coefficient pairs
-        widths = []
+    def test_two_batched_passes(self, monkeypatch, reps, width):
+        # one pass over every level the checks read, keeping the top level's
+        # full lattice, then the top level alone under the second coefficient pair
+        calls = []
         solve = harness._solver.solve_batch
 
-        def counted(levels, b, sigma, u0, grid, seed, replications, *probes):
-            widths.append(len(replications))
-            return solve(levels, b, sigma, u0, grid, seed, replications, *probes)
+        def counted(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs):
+            calls.append((levels, len(replications), kwargs))
+            return solve(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs)
 
         monkeypatch.setattr(harness._solver, "solve_batch", counted)
         run_uniqueness_coupling(parse_config(base_doc(levels=[0.5, 6.0], replications=reps)))
-        assert widths == [width] * 3
+        assert calls == [((0.5, 1.5, 6.0, 7.0), width, {"probe_levels": (6.0,)}),
+                         ((6.0,), width, {"probe_levels": (6.0,)})]
 
     def test_blowup_at_replication_2_raises_its_first_abort(self, monkeypatch):
         # at seed 4 only replication 2 crosses 5 (path max 5.98 at level 3; the
@@ -444,6 +473,20 @@ _json_values = st.recursive(
     max_leaves=10,
 )
 _records = st.builds(Record, **{f.name: _json_scalars for f in dataclasses.fields(Record)})
+
+
+class TestCsvWriter:
+    """``render_csv`` is byte-identical to ``csv.writer`` over the ``_fmt`` of each value."""
+
+    @given(records=st.lists(_records, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_csv_writer(self, records):
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(harness.CSV_COLUMNS)
+        for r in records:
+            writer.writerow([harness._fmt(getattr(r, col)) for col in harness.CSV_COLUMNS])
+        assert render_csv(ResultSet(experiment="verify-moments", records=records)) == buf.getvalue()
 
 
 class TestJsonWriter:

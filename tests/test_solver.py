@@ -316,12 +316,21 @@ class TestStackedLevels:
 
     def assert_matches_separate(self, levels, b, sigma, u0, g, seed, reps, steps, cells):
         stacked = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells)
-        assert stacked.levels == levels
+        assert stacked.levels == stacked.probe_levels == levels  # every level is probed by default
         for i, level in enumerate(levels):
             alone = solve_batch((level,), b, sigma, u0, g, seed, reps, steps, cells)
             assert np.array_equal(stacked.samples[i], alone.samples[0], equal_nan=True)
             assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)])
             assert stacked.aborted[(level,)] == alone.aborted[(level,)]
+            # the same stacked pass probing this level alone: its row and every record unchanged
+            probed = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, probe_levels=(level,))
+            assert probed.probe_levels == (level,) and probed.samples.shape == (1,) + stacked.samples.shape[1:]
+            assert np.array_equal(probed.samples[0], stacked.samples[i], equal_nan=True)
+            for key in stacked.aborted:
+                assert probed.aborted[key] == stacked.aborted[key]
+                assert np.array_equal(probed.path_max_abs[key], stacked.path_max_abs[key])
+            for key in stacked.sup_abs_diff:
+                assert np.array_equal(probed.sup_abs_diff[key], stacked.sup_abs_diff[key])
         pairs = [(lo, hi) for lo in levels for hi in levels if hi == lo + 1.0]
         assert sorted(stacked.sup_abs_diff) == pairs
         for lo, hi in pairs:
@@ -360,10 +369,29 @@ class TestStackedLevels:
         sol = self.assert_matches_reference_loop(g, b, sigma, u0, (0.5, 3.0), 4, 1)
         assert sol.samples[:, 0, 1, 0].min() > sol.samples[:, 0, 1, 1].max()
 
-    def test_four_levels_equal_separate_solves(self):
+    @pytest.mark.parametrize("b,sigma,levels,top_bites", [
+        (ZERO, LINEAR, (0.25, 0.5, 1.25, 1.5), True),
+        (ZERO, LINEAR, (0.25, 0.5, 1.5, 2.5), False),
+        (Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x*exp(-abs(x)/8)"), (0.25, 0.5, 1.25, 1.5), False),
+    ])
+    def test_four_levels_equal_separate_solves(self, b, sigma, levels, top_bites):
         g = mkgrid()
-        self.assert_matches_separate((0.25, 0.5, 1.25, 1.5), ZERO, LINEAR, InitialCondition.constant(1.0), g,
-                                     123, np.arange(5), np.array([10, 25, 50]), np.array([0, 20, 40, 60, 80]))
+        stacked = self.assert_matches_separate(levels, b, sigma, InitialCondition.constant(1.0), g,
+                                               123, np.arange(5), np.array([10, 25, 50]), np.array([0, 20, 40, 60, 80]))
+        # the lowest level's clamp bites; the top level's as given
+        bites = [bool((stacked.path_max_abs[(v,)] > math.exp(v)).any()) for v in levels]
+        assert bites[0] and bites[-1] == top_bites
+
+    def test_probe_levels_pick_rows_in_their_own_order(self):
+        g = mkgrid()
+        args = (ONE, LINEAR, InitialCondition.constant(1.0), g, 3, np.arange(2), np.array([0, 10, 50]),
+                np.array([5, 40]))
+        full = solve_batch((1.0, 2.0, 3.0), *args)
+        some = solve_batch((1.0, 2.0, 3.0), *args, probe_levels=(3.0, 1.0))
+        assert some.probe_levels == (3.0, 1.0)
+        assert np.array_equal(some.samples, full.samples[[2, 0]])
+        with pytest.raises(ValueError, match="probe levels"):
+            solve_batch((1.0, 2.0), *args, probe_levels=(2.5,))
 
     def test_non_adjacent_pairs_and_periodic_boundary(self):
         g = mkgrid(boundary="periodic")
@@ -391,8 +419,11 @@ class TestStackedLevels:
         for level in levels[:3]:
             assert stacked.aborted[(level,)] == [] and np.isfinite(stacked.samples[levels.index(level)]).all()
         assert stacked.aborted[(0.5, 1.5)] == []
+        probed = solve_batch(levels, bomb, LINEAR, u0, g, 5, reps, np.array([5, g.n_steps]), np.array([20, 40]),
+                             probe_levels=(2.0,))
         for r in reps:
             assert np.isnan(stacked.samples[3, r, -1]).all() == (int(r) in dead)
+            assert np.isnan(probed.samples[0, r, -1]).all() == (int(r) in dead)
 
     def test_lattice_views_raise_at_their_own_abort(self):
         g = mkgrid()
