@@ -47,8 +47,8 @@ class GridSpec:
             )
         if not (math.isfinite(2.0 * self.R / self.dx) and math.isfinite(self.T / self.dt)):
             raise GridError("grid has too many lattice points to count")
-        if self.n_points < 1:
-            raise GridError("grid has zero cells")
+        if self.n_points < 3:
+            raise GridError(f"grid has {self.n_points} cell(s); the stencil needs at least 3")
         if self.n_steps < 1:
             raise GridError(f"horizon T={self.T:g} is shorter than one time step dt={self.dt:g}")
         if self.R < 4.0 * math.sqrt(self.T):

@@ -19,7 +19,8 @@ Experiments:
 Everything an experiment consumes is in the config; no wall-clock, no
 environment.  Rendering of results is deterministic (sorted keys, repr
 floats), so re-running a config reproduces the output files byte for byte,
-regardless of the ``threads`` setting, which only chunks replications.
+regardless of the ``threads`` setting, which only spreads the solver's
+replication chunks over pool threads.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _json_string
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, asdict, replace
 from operator import attrgetter
 
@@ -94,8 +94,10 @@ _MAX_LEVEL = 700.0
 # (convergence: {N} and {N+1}); full-lattice passes hold at most
 # max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
 # pass over every level; uniqueness: the top level of its min(replications, 4)
-# checked replications in each of its two passes, one per coefficient pair); a
-# chunk of solver.chunk_replications exceeds 2^15 cells only at one replication
+# checked replications in each of its two passes, one per coefficient pair);
+# solver.solve_batch advances every pass, these included, in chunks of
+# solver.chunk_replications replications, which exceed 2^15 cells only at one
+# replication, and --threads runs at most one chunk per core at once
 _MAX_TRAJECTORY = 1 << 27  # space-time points of the full-lattice trajectories held at once (1 GiB stored)
 _MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
 _MAX_PROBE_SAMPLES = 1 << 27  # probe samples one pass keeps over all its levels (1 GiB)
@@ -560,29 +562,18 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
 
 
 def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1):
-    """Solve all replications at every given clamp level in one pass per chunk; order-stable."""
-    n = cfg.replications
-    chunk = _solver.chunk_replications(len(levels), cfg.grid.n_points)
-    starts = list(range(0, n, chunk))
+    """Solve all replications at every given clamp level in one :func:`solver.solve_batch` pass.
 
-    def job(start):
-        reps = np.arange(start, min(start + chunk, n), dtype=np.uint64)
-        return _solver.solve_batch(
-            levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid,
-            cfg.seed, reps, probe_steps, probe_x_idx,
-        )
-
+    The solver chunks the replications and runs the chunks on up to
+    ``threads`` threads; neither changes a bit of the result.
+    """
     try:
-        if threads > 1 and len(starts) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(job, starts))
-        else:
-            parts = [job(s) for s in starts]
+        return _solver.solve_batch(levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid, cfg.seed,
+                                   np.arange(cfg.replications), probe_steps, probe_x_idx, threads=threads)
     except ArithmeticError as err:
         # coefficient domain violation (log of a non-positive state, ...):
         # the whole batch shares the failure, unlike per-replication overflow
         raise ExperimentError(f"coefficient evaluation failed during simulation: {err}") from err
-    return _solver.BatchSolution.concatenated(parts)
 
 
 def _abort_budget(aborted, cfg):
@@ -782,7 +773,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
     def top_lattice(levels, b, s):
         return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, np.arange(g.n_steps + 1),
-                                   np.arange(g.n_points), probe_levels=(top,))
+                                   np.arange(g.n_points), probe_levels=(top,), threads=threads)
 
     b1, s1 = fresh_pair()
     b2, s2 = fresh_pair()

@@ -14,22 +14,26 @@ inside every step.
 Boundary handling: ``dirichlet`` freezes the two end cells at their initial
 values (no drift or noise applied there); ``periodic`` wraps the Laplacian.
 
-:func:`solve_batch` is the only stepping loop.  Replications are independent
-by construction (counter-based noise), and the truncation argument compares
-clamp levels driven by the same noise, so a batch of B replications at L
-levels is advanced as one stacked (L, B, J) array: each step draws the
-noise once, clips the state to the L clamp bounds once and calls each
-coefficient once.  The arithmetic is elementwise, hence bit-identical
-however the replications are batched and whichever levels share a pass;
-coefficients must therefore act elementwise on arrays of any shape.  The
-single-replication full-lattice solves (:func:`solve_lattice`,
-:func:`solve_truncated`, :func:`solve_pair_coupled`) are views of that loop:
-one replication, every step and cell probed.
+:func:`solve_batch` is the only stepping loop, and it owns the replication
+axis.  Replications are independent by construction (counter-based noise),
+and the truncation argument compares clamp levels driven by the same noise,
+so a chunk of replications at L levels is advanced as one stacked
+(L, B, J) array: each step draws the noise once, clips the state to the L
+clamp bounds once and calls each coefficient once.  A call splits its
+replications into chunks of :func:`chunk_replications` replications, runs
+them inline or on up to ``threads`` pool threads, and writes each into its
+own columns of outputs allocated once for the whole call.  The arithmetic
+is elementwise, hence bit-identical however the replications are chunked
+and whichever levels share a pass; coefficients must therefore act
+elementwise on arrays of any shape.  The single-replication full-lattice
+solves (:func:`solve_lattice`, :func:`solve_truncated`,
+:func:`solve_pair_coupled`) are views of that loop: one replication, every
+step and cell probed.
 
-Each :func:`solve_batch` call allocates its buffers once: a double-buffered
-state padded with two ghost columns (they take the periodic wrap, so one
-stencil serves both boundaries), the clipped state and one step scratch.
-A step writes the next state with ``out=`` ufuncs in the fixed order
+Each chunk allocates its buffers once: a double-buffered state padded with
+two ghost columns (they take the periodic wrap, so one stencil serves both
+boundaries), the clipped state and one step scratch.  A step writes the
+next state with ``out=`` ufuncs in the fixed order
 ``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results and the
 gathered probe cells are the only arrays allocated per step.  The
 bookkeeping reads finiteness off the per-row max of ``|u|``, which is NaN
@@ -40,9 +44,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -74,7 +79,7 @@ _BLOCK_DRAWS = 1 << 15  # one pass's working set: cells per chunk, draws per sta
 
 
 def chunk_replications(n_levels: int, n_points: int) -> int:
-    """Replications per :func:`solve_batch` chunk of ``n_levels`` stacked levels of ``n_points`` cells."""
+    """Replications :func:`solve_batch` advances per chunk of ``n_levels`` stacked levels of ``n_points`` cells."""
     return max(1, _BLOCK_DRAWS // (n_levels * n_points))
 
 
@@ -195,7 +200,7 @@ class AbortRecord:
 
 @dataclass
 class BatchSolution:
-    """Probe-restricted output of a batch of replications at stacked clamp levels.
+    """Probe-restricted output of one :func:`solve_batch` call: all its replications, however chunked.
 
     ``samples[i]`` has shape (B, n_probe_times, n_probe_cells) and holds the
     solution at clamp level ``probe_levels[i]``, one of ``levels`` (all of
@@ -213,35 +218,11 @@ class BatchSolution:
     samples: np.ndarray  # (len(probe_levels), B, nt, nx)
     path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
     sup_abs_diff: dict  # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort
-    aborted: dict  # key -> [AbortRecord], by step, then replication
-
-    @staticmethod
-    def concatenated(parts: list) -> "BatchSolution":
-        """The batches ``parts`` (same levels and probes) as one, replications in part order.
-
-        Abort records are ordered by step, then replication, as one batch of
-        all the parts' replications (ascending) orders them, so they never
-        depend on how the replications were split.
-        """
-        first = parts[0]
-        if len(parts) == 1:
-            return first
-        assert all((p.levels, p.probe_levels) == (first.levels, first.probe_levels) for p in parts)
-        return BatchSolution(
-            levels=first.levels,
-            probe_levels=first.probe_levels,
-            probe_step_idx=first.probe_step_idx,
-            probe_x_idx=first.probe_x_idx,
-            samples=np.concatenate([p.samples for p in parts], axis=1),
-            path_max_abs={k: np.concatenate([p.path_max_abs[k] for p in parts]) for k in first.path_max_abs},
-            sup_abs_diff={k: np.concatenate([p.sup_abs_diff[k] for p in parts]) for k in first.sup_abs_diff},
-            aborted={k: sorted((r for p in parts for r in p.aborted[k]), key=attrgetter("step", "replication"))
-                     for k in first.aborted},
-        )
+    aborted: dict  # key -> [AbortRecord], by step, then position in the batch
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
-                probe_step_idx, probe_x_idx, probe_levels=None) -> BatchSolution:
+                probe_step_idx, probe_x_idx, probe_levels=None, threads=1) -> BatchSolution:
     """Advance a batch of replications at every clamp level of ``levels`` at once.
 
     ``levels`` is a strictly increasing tuple of clamp levels, advanced as
@@ -252,13 +233,18 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     level's bits equal those of a solve at that level alone.  Liveness, path
     max and aborts are kept per (level, replication), and per coupled pair
     of levels exactly one apart, with the pair's sup difference.  This is
-    the package's one stepping loop.  Noise is drawn for a block of steps
-    per call, up to ``_BLOCK_DRAWS`` draws, the cells of a
-    :func:`chunk_replications` batch; each draw depends only on ``(seed,
-    replication, m, j)``, so neither size changes a bit.  Dead rows restart
-    from ``u0``, where both coefficients were evaluated at step 0.
-    Only the levels of ``probe_levels`` (by default all of ``levels``) are
-    sampled: ``samples`` is (len(probe_levels), B, len(probe_step_idx), len(probe_x_idx)).
+    the package's one stepping loop.
+
+    The outputs are allocated once for all B replications; chunks of
+    :func:`chunk_replications` replications, each with its own state
+    buffers, are advanced into their columns, inline or on ``min(threads,
+    chunks, cores)`` pool threads.  Noise is drawn for a block of steps per
+    call, up to ``_BLOCK_DRAWS`` draws; each draw depends only on ``(seed,
+    replication, m, j)``, so neither size nor ``threads`` changes a bit.
+    Dead rows restart from ``u0``, where both coefficients were evaluated
+    at step 0.  Only the levels of ``probe_levels`` (by default all of
+    ``levels``) are sampled: ``samples`` is (len(probe_levels), B,
+    len(probe_step_idx), len(probe_x_idx)).
     """
     levels = tuple(_as_level(v).level for v in levels)
     if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
@@ -270,91 +256,108 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     pairs = [(i, j) for i, lo in enumerate(levels) for j, hi in enumerate(levels) if hi == lo + 1.0]
     lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
-    L, B = len(levels), reps.size
+    L, B, J = len(levels), reps.size, grid.n_points
     probe_step_idx = np.asarray(probe_step_idx, dtype=int)
     probe_x_idx = np.asarray(probe_x_idx, dtype=int)
     slot_of_step = {int(s): i for i, s in enumerate(probe_step_idx)}
 
     bounds = np.array([TruncationLevel(v).clamp_bound for v in levels])[:, None, None]
     row0 = u0(grid.xs)
-    J = grid.n_points
     lo, hi = _updated_cells(grid)
-    # per-call buffers: the padded state (double-buffered), the clipped state,
-    # step scratch and |state| (also |pair differences|); --threads jobs never share them
-    buffers = np.zeros((2, L, B, J + 2))
-    buffers[..., 1:-1] = row0
-    src, dst = buffers
-    x_buf = np.empty((L, B, hi - lo))
-    tmp = np.empty((L, B, hi - lo))
-    abs_buf = np.empty((L, B, J))
-    row_max = np.empty((L, B))
-    diff_buf = abs_buf[:len(pairs)]
-    diff = np.empty((len(pairs), B))
-
-    samples = np.full((len(probe_rows), B, probe_step_idx.size, probe_x_idx.size), np.nan)
-    probed = np.ix_(probe_rows, range(B), probe_x_idx)  # the probed cells of a (L, B, J) state
-    path_max = np.full((L, B), float(np.max(np.abs(row0))))
-    pair_max = np.full((len(pairs), B), float(np.max(np.abs(row0))))
-    sup_diff = np.zeros((len(pairs), B))
-    alive = np.ones((L, B), dtype=bool)
-    any_dead = False
-    death_step = np.full((L, B), grid.n_steps)
-    death_cell = np.zeros((L, B), dtype=int)
-
     cells = np.arange(J, dtype=np.uint64)
-    reps_col = reps[:, None, None]
-    block = max(1, _BLOCK_DRAWS // (B * J))
     scale = math.sqrt(grid.dt * grid.dx)
 
-    if 0 in slot_of_step:
-        samples[:, :, slot_of_step[0], :] = src[..., 1:-1][probed]
+    # the outputs, once for all B replications; a chunk writes only its own columns
+    outputs = (
+        np.full((len(probe_rows), B, probe_step_idx.size, probe_x_idx.size), np.nan),  # samples
+        np.full((L, B), float(np.max(np.abs(row0)))),  # path max per level
+        np.full((len(pairs), B), float(np.max(np.abs(row0)))),  # path max per pair
+        np.zeros((len(pairs), B)),  # sup difference per pair
+        np.full((L, B), grid.n_steps),  # death step
+        np.zeros((L, B), dtype=int),  # death cell
+    )
 
-    for m in range(grid.n_steps):
-        if m % block == 0:
-            steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
-            noise = standard_normals(seed, reps_col, steps, cells)  # (B, block, J)
-            np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
-            np.divide(noise, grid.dx, out=noise)
-        _advance_into(src, dst, m * grid.dt, noise[:, m % block, lo:hi], b, sigma, grid, bounds, x_buf, tmp)
-        state = dst[..., 1:-1]
+    def advance(span):
+        # the chunk's columns of the outputs
+        samples, path_max, pair_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
+        n = span.stop - span.start
+        # per-chunk buffers: the padded state (double-buffered), the clipped state,
+        # step scratch and |state| (also |pair differences|); --threads jobs never share them
+        buffers = np.zeros((2, L, n, J + 2))
+        buffers[..., 1:-1] = row0
+        src, dst = buffers
+        x_buf = np.empty((L, n, hi - lo))
+        tmp = np.empty((L, n, hi - lo))
+        abs_buf = np.empty((L, n, J))
+        row_max = np.empty((L, n))
+        diff_buf = abs_buf[:len(pairs)]
+        diff = np.empty((len(pairs), n))
+        probed = np.ix_(probe_rows, range(n), probe_x_idx)  # the probed cells of a (L, n, J) state
+        alive = np.ones((L, n), dtype=bool)
+        any_dead = False
+        reps_col = reps[span, None, None]
+        block = max(1, _BLOCK_DRAWS // (n * J))
 
-        # |.|.max is NaN or inf exactly on the rows that are no longer finite
-        np.abs(state, out=abs_buf)
-        abs_buf.max(axis=-1, out=row_max)
-        finite = np.isfinite(row_max)
-        if not finite.all():
-            newly_dead = alive & ~finite
-            if newly_dead.any():
-                death_step[newly_dead] = m
-                death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
-                alive &= finite
-                any_dead = True
-                if not alive.any():
-                    break
-        if any_dead:
-            # dead rows are still advanced (from u0) every step: they add
-            # nothing to path max or sup difference, whatever they regrow to
-            dead = ~alive
-            state[dead] = row0
-            row_max[dead] = 0.0
-        np.maximum(path_max, row_max, out=path_max)
-        if pairs:
-            for p, (i, j) in enumerate(pairs):
-                np.subtract(state[j], state[i], out=diff_buf[p])
-            np.abs(diff_buf, out=diff_buf)
-            diff_buf.max(axis=-1, out=diff)
-            both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
+        if 0 in slot_of_step:
+            samples[:, :, slot_of_step[0], :] = src[..., 1:-1][probed]
+
+        for m in range(grid.n_steps):
+            if m % block == 0:
+                steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
+                noise = standard_normals(seed, reps_col, steps, cells)  # (n, block, J)
+                np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
+                np.divide(noise, grid.dx, out=noise)
+            _advance_into(src, dst, m * grid.dt, noise[:, m % block, lo:hi], b, sigma, grid, bounds, x_buf, tmp)
+            state = dst[..., 1:-1]
+
+            # |.|.max is NaN or inf exactly on the rows that are no longer finite
+            np.abs(state, out=abs_buf)
+            abs_buf.max(axis=-1, out=row_max)
+            finite = np.isfinite(row_max)
+            if not finite.all():
+                newly_dead = alive & ~finite
+                if newly_dead.any():
+                    death_step[newly_dead] = m
+                    death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
+                    alive &= finite
+                    any_dead = True
+                    if not alive.any():
+                        break
             if any_dead:
-                pair_dead = ~(alive[lo_idx] & alive[hi_idx])
-                diff[pair_dead] = 0.0
-                both_max[pair_dead] = 0.0
-            np.maximum(sup_diff, diff, out=sup_diff)
-            np.maximum(pair_max, both_max, out=pair_max)
+                # dead rows are still advanced (from u0) every step: they add
+                # nothing to path max or sup difference, whatever they regrow to
+                dead = ~alive
+                state[dead] = row0
+                row_max[dead] = 0.0
+            np.maximum(path_max, row_max, out=path_max)
+            if pairs:
+                for p, (i, j) in enumerate(pairs):
+                    np.subtract(state[j], state[i], out=diff_buf[p])
+                np.abs(diff_buf, out=diff_buf)
+                diff_buf.max(axis=-1, out=diff)
+                both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
+                if any_dead:
+                    pair_dead = ~(alive[lo_idx] & alive[hi_idx])
+                    diff[pair_dead] = 0.0
+                    both_max[pair_dead] = 0.0
+                np.maximum(sup_diff, diff, out=sup_diff)
+                np.maximum(pair_max, both_max, out=pair_max)
 
-        slot = slot_of_step.get(m + 1)
-        if slot is not None:
-            samples[:, :, slot, :] = state[probed]
-        src, dst = dst, src
+            slot = slot_of_step.get(m + 1)
+            if slot is not None:
+                samples[:, :, slot, :] = state[probed]
+            src, dst = dst, src
+
+    chunk = chunk_replications(L, J)
+    spans = [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
+    workers = min(threads, len(spans), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(advance, spans))
+    else:
+        for span in spans:
+            advance(span)
+    samples, path_max, pair_max, sup_diff, death_step, death_cell = outputs
 
     # a replication's probes after the step it died at are NaN
     samples[probe_step_idx > death_step[probe_rows, :, None]] = np.nan

@@ -4,7 +4,9 @@ Documents are drawn close to the shipped pilot configs (one key replaced,
 retyped, scaled, deleted or added, or a whole ``u0`` object), so the type,
 range and budget clauses are reached, not just the key check.  Every
 rejected document also goes through the CLI, which must exit 1 without a
-traceback.  An accepted document is never run.
+traceback.  Near-valid variants of a tiny document (9 cells, 4 steps, 30
+replications) that parse are run through every CLI command, which must
+return an exit code and raise nothing.
 """
 
 import contextlib
@@ -16,7 +18,7 @@ import pathlib
 import tempfile
 import warnings
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shelab import cli
 from shelab.harness import ConfigError, parse_config
@@ -65,8 +67,8 @@ def _scaled(value, factor):
 
 
 @st.composite
-def one_key_mutated(draw):
-    doc = copy.deepcopy(draw(st.sampled_from(PILOTS)))
+def one_key_mutated(draw, bases=PILOTS):
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     path = draw(st.sampled_from(_paths(doc)))
     parent = doc
     for key in path[:-1]:
@@ -131,3 +133,39 @@ def test_near_valid_documents_parse_or_exit_1(doc):
 @example(PILOTS[0], {"kind": "expr", "source": "1/x", "bound": 1.0})
 def test_u0_objects_parse_or_exit_1(pilot, u0):
     _parses_or_exits_1({**pilot, "u0": u0})
+
+
+TINY = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
+        "grid": {"R": 0.4, "dx": 0.1, "dt": 0.005, "T": 0.02, "boundary": "dirichlet"},
+        "replications": 30, "levels": [1.0, 2.0], "orders": [2.0], "seed": 7, "bounded_sigma": False,
+        "constants": {"c": 2.0}, "probes": {"times": [0.01, 0.02], "x_stride": 2}}
+CONFIG_COMMANDS = ["check-assumptions", "simulate", "verify-moments", "verify-tails", "convergence", "uniqueness"]
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ASSERTION, cli.EXIT_IO}
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_key_mutated([TINY]))
+@example(TINY)
+def test_accepted_documents_run_to_an_exit_code(doc):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # small-window warnings of the tiny grid
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return  # rejections are the tests above
+        # a scaled count or grid can parse and still take minutes; keep each run small
+        assume(cfg.grid.n_steps <= 100 and cfg.replications * cfg.grid.n_points * cfg.grid.n_steps <= 10 ** 5)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            out = os.path.join(tmp, "out")
+            runs = [[command, path] for command in CONFIG_COMMANDS]
+            for argv in runs:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = cli.main(["--out", out, *argv])
+                assert code in EXIT_CODES, err.getvalue()
+                if argv[0] == "verify-moments" and code == cli.EXIT_OK:
+                    # the written result set reads back through report
+                    runs += [["report", str(p)] for p in pathlib.Path(out).glob("verify-moments_*.json")]

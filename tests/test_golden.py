@@ -100,7 +100,11 @@ def test_simulate_and_uniqueness_digests(tmp_path):
     assert sha256((out / f"uniqueness_{tag}.csv").read_bytes()) == UNIQUENESS_CSV_SHA256
 
 
-def test_uniqueness_digests_when_the_top_clamp_bites(tmp_path):
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_uniqueness_digests_when_the_top_clamp_bites(chunk, tmp_path, monkeypatch):
+    # at chunk 1 each of the four checked replications is its own solver chunk
+    if chunk is not None:
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: chunk)
     cfgp = tmp_path / "config.json"
     cfgp.write_text(json.dumps(CLAMPED_TOP_DOC))
     out = tmp_path / "out"

@@ -419,8 +419,25 @@ class TestUniquenessExperiment:
 
         monkeypatch.setattr(harness._solver, "solve_batch", counted)
         run_uniqueness_coupling(parse_config(base_doc(levels=[0.5, 6.0], replications=reps)))
-        assert calls == [((0.5, 1.5, 6.0, 7.0), width, {"probe_levels": (6.0,)}),
-                         ((6.0,), width, {"probe_levels": (6.0,)})]
+        assert calls == [((0.5, 1.5, 6.0, 7.0), width, {"probe_levels": (6.0,), "threads": 1}),
+                         ((6.0,), width, {"probe_levels": (6.0,), "threads": 1})]
+
+    def test_passes_are_chunked_by_the_solver(self, monkeypatch):
+        # at one replication per chunk every noise draw spans one replication,
+        # and the records are those of the unchunked passes
+        cfg = parse_config(base_doc(levels=[0.5, 6.0], replications=6))
+        expected = run_uniqueness_coupling(cfg).records
+        widths = []
+        draw = harness._solver.standard_normals
+
+        def recorded(seed, replication, *index):
+            widths.append(np.shape(replication)[0])
+            return draw(seed, replication, *index)
+
+        monkeypatch.setattr(harness._solver, "chunk_replications", lambda n_levels, n_points: 1)
+        monkeypatch.setattr(harness._solver, "standard_normals", recorded)
+        assert run_uniqueness_coupling(cfg).records == expected
+        assert widths and set(widths) == {1}
 
     def test_blowup_at_replication_2_raises_its_first_abort(self, monkeypatch):
         # at seed 4 only replication 2 crosses 5 (path max 5.98 at level 3; the

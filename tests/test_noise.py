@@ -209,3 +209,5 @@ def test_degenerate_grids_rejected():
         small_grid(T=0.001, dt=0.005)  # shorter than one step
     with pytest.raises(GridError):
         small_grid(dt=0.05)  # violates dt <= dx^2
+    with pytest.raises(GridError, match="2 cell"):
+        small_grid(R=0.4, dx=0.8)  # two cells: no interior cell for the stencil

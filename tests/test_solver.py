@@ -492,12 +492,14 @@ class TestStackedLevels:
         assert lo.step == hi.step == 0 and lo.cell < hi.cell
         assert [(a.step, a.cell) for a in stacked.aborted[(2.0, 3.0)]] == [(0, lo.cell)] * 2
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("R,chunk", [(4.0, 4), (820.0, None)])
-    def test_abort_records_do_not_depend_on_chunking(self, R, chunk, monkeypatch):
+    def test_abort_records_do_not_depend_on_chunking(self, R, chunk, threads, monkeypatch):
         # aborts in both chunks of 4: the merged records, and so the budget
-        # message naming the first of them, equal those of one batch of 8.
-        # At R = 820 one replication stacks 2 x 16,401 cells, more than
-        # solver._BLOCK_DRAWS, so the solver's own rule makes chunks of one
+        # message naming the first of them, equal those of one batch of 8,
+        # also when the chunks run on a pool.  At R = 820 one replication
+        # stacks 2 x 16,401 cells, more than solver._BLOCK_DRAWS, so the
+        # solver's own rule makes chunks of one
         doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
                "grid": {"R": R, "dx": 0.1, "dt": 0.005, "T": 0.25, "boundary": "dirichlet"},
                "replications": 8, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
@@ -511,7 +513,7 @@ class TestStackedLevels:
         def run(chunk):
             if chunk is not None:
                 monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: chunk)
-            aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
+            aborted = harness._collect(cfg, cfg.levels, steps, xs, threads=threads).aborted
             with pytest.raises(harness.ExperimentError) as exc:
                 harness._abort_budget(aborted[(1.0,)], cfg)
             return aborted, str(exc.value)
@@ -549,6 +551,45 @@ class TestStackedLevels:
             f"{len(records)} of 32 replications aborted (> 1% budget); first at replication "
             f"{first.replication}, step {first.step}, cell {first.cell}"
         )
+
+
+def test_pool_width_is_bounded_by_the_machine(monkeypatch):
+    # --threads far above the chunk count and the core count starts no more
+    # workers than cores; a stub pool records the width and runs inline
+    widths = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
+           "grid": {"R": 4.0, "dx": 0.1, "dt": 0.005, "T": 0.05, "boundary": "dirichlet"},
+           "replications": 8, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
+           "probes": {"times": [0.05], "x_stride": 20}}
+    cfg = harness.parse_config(doc)
+    steps, xs = harness._probe_indices(cfg)
+    expected = harness._collect(cfg, cfg.levels, steps, xs)
+    monkeypatch.setattr(solver, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 1)
+    for cpus, width in ((3, 3), (64, 8), (None, None)):
+        monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
+        widths.clear()
+        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=10 ** 6)
+        assert widths == ([] if width is None else [width])  # one core: the chunks run inline
+        np.testing.assert_array_equal(batch.samples, expected.samples)
+        for key in expected.path_max_abs:
+            np.testing.assert_array_equal(batch.path_max_abs[key], expected.path_max_abs[key])
+        for key in expected.sup_abs_diff:
+            np.testing.assert_array_equal(batch.sup_abs_diff[key], expected.sup_abs_diff[key])
 
 
 def test_trajectory_dump_roundtrip(tmp_path):
