@@ -47,7 +47,7 @@ from . import estimators as _est
 from . import solver as _solver
 from .grid import GridSpec, GridError
 from .kernel import InitialCondition
-from .noise import NoiseSpec
+from .noise import NOISE_STREAM, NoiseSpec
 from . import expr as _expr
 
 __all__ = [
@@ -536,6 +536,7 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
         "experiment": experiment,
         "config_hash": cfg.config_hash,
         "seed": cfg.seed,
+        "noise_stream": NOISE_STREAM,
         "package_version": __version__,
         "grid": g.describe(),
         "replications": cfg.replications,

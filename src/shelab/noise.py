@@ -1,14 +1,17 @@
 """Counter-based space-time white-noise increments.
 
-Each lattice cell increment is a centered Gaussian with variance ``dt*dx``,
-produced by running Philox4x32-10 (the Random123 counter-based generator) on
-the counter ``(cell index j, step index m, replication lo, replication hi)``
-with the 64-bit seed as the key, then mapping the resulting 64-bit word
-through the inverse normal CDF.  Consequences:
+Each lattice cell increment is a centered Gaussian with variance ``dt*dx``.
+Draw ``j`` of step ``m`` of a replication on a grid of ``J`` cells is output
+word ``j % 4`` of Philox4x64-10 (Salmon, Moraes, Dror and Shaw, "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011; numpy ships it in C as
+:class:`numpy.random.Philox`) under the key ``(seed, replication)`` at the
+counter ``m * ceil(J / 4) + j // 4``, mapped to a uniform strictly inside
+(0, 1) and through the inverse normal CDF.  Consequences:
 
-* the tuple ``(seed, replication, m, j)`` fully determines an increment,
-  so fields regenerate bit-identically and are independent of iteration
-  order and of how replications are scheduled across workers;
+* the tuple ``(seed, replication, m, j, J)`` fully determines an increment,
+  and J comes from the config's grid, so fields regenerate bit-identically
+  and are independent of iteration order and of how replications are
+  scheduled across workers;
 * distinct clamp levels can be driven by the *same* realisation (common
   random numbers) simply by reusing one :class:`NoiseSpec`, which is what
   the coupled-difference experiments require.
@@ -16,15 +19,19 @@ through the inverse normal CDF.  Consequences:
 The inverse CDF is scipy's ``ndtri``, the same special-function family as
 the kernel module's ``ndtr``: one audited path for all Gaussian plumbing.
 
-Lane layout: a call holds its n counters in two (2, n) uint64 buffers,
-``even`` with the words (c0, c2) and ``odd`` with (c1, c3), each word's
-low 32 bits in a 64-bit slot.  One round is five in-place ufuncs and no
-dtype copy: ``even`` times the multiplier pair (M0, M1) into a product
-buffer, whose lane-swapped view yields the next ``even`` (high halves,
-xored with ``odd`` and then with the round-key pair) and the next ``odd``
-(low halves).  The 53-bit uniform and ``ndtri`` then run in place on the
-output.  Buffers are allocated per call, so concurrent callers share
-nothing.
+Stream layout: the counter is the integer ``m * ceil(J / 4) + j // 4`` in
+four little-endian 64-bit words (below 2^64 on any grid, so only word 0 is
+nonzero).  A replication's draws are thus its key's stream of 64-bit words,
+step ``m`` starting at word ``m * 4 * ceil(J / 4)``, and a block of
+consecutive steps is one contiguous counter range: one ``state`` write and
+one ``random_raw`` call per replication.  ``random_raw`` returns the blocks
+of counter c + 1, c + 2, ... from state counter c, so the state is set one
+block before the first.  The words are gathered into the output as they
+are and mapped once for the whole call: the top 52 bits f of a word become
+``(f + 0.5) * 2^-52``, computed in place as the float64 with mantissa f and
+the exponent of 1.0, minus ``1 - 2^-53`` (exact).  Its extremes are 2^-53
+and 1 - 2^-53, so every draw is finite (``|z| <= 8.21``).  Generators are
+made per call, so concurrent callers share nothing.
 """
 
 from __future__ import annotations
@@ -33,17 +40,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import Philox
 from scipy.special import ndtri
 
 from .grid import GridSpec
 
-__all__ = ["NoiseSpec", "NoiseField", "generate", "stream_for_level_pair", "standard_normals"]
+__all__ = ["NOISE_STREAM", "NoiseSpec", "NoiseField", "generate", "stream_for_level_pair", "standard_normals"]
 
-_PHILOX_M = np.array([[0xD2511F53], [0xCD9E8D57]], dtype=np.uint64)  # (M0, M1), one per even lane
-_PHILOX_W0 = 0x9E3779B9
-_PHILOX_W1 = 0xBB67AE85
-_MASK32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+NOISE_STREAM = 2  # the stream layout's version, recorded in every result's provenance
+
+_WORDS = 4  # 64-bit output words per Philox4x64 counter block
+_EXPONENT_OF_ONE = np.uint64(0x3FF0000000000000)
+_BELOW_ONE = 1.0 - 2.0 ** -53  # 1 + f 2^-52 minus this is (f + 0.5) 2^-52, exactly
 
 
 @dataclass(frozen=True)
@@ -61,67 +69,96 @@ class NoiseSpec:
             raise ValueError("replication index must fit in 64 bits")
 
 
-def _philox_lanes(c0, c1, c2, c3):
-    """The counter words' low 32 bits as two (2, n) uint64 lane buffers.
+def _plan(m, j, row: int):
+    """The stream words one replication's draws at the broadcast ``(m, j)`` take.
 
-    ``even`` holds (c0, c2) and ``odd`` holds (c1, c3), each word
-    broadcast to the common shape of the four and flattened.  Returns
-    ``even``, ``odd`` and that shape.
+    Returns the generator counter to seek to (one block before the first,
+    as four words), the number of words to draw and the offset of each
+    draw's word among them, or ``None`` when the draws are too scattered
+    for one contiguous range to pay.
     """
-    shape = np.broadcast_shapes(*(np.shape(c) for c in (c0, c1, c2, c3)))
-    even = np.empty((2, math.prod(shape)), dtype=np.uint64)
-    odd = np.empty_like(even)
-    for lane, word in ((even[0], c0), (odd[0], c1), (even[1], c2), (odd[1], c3)):
-        np.copyto(lane.reshape(shape), np.bitwise_and(word, _MASK32))
-    return even, odd, shape
+    m_lo, m_hi, j_lo, j_hi = int(m.min()), int(m.max()), int(j.min()), int(j.max())
+    start = j_lo - j_lo % _WORDS
+    n_words = (m_hi - m_lo) * row + j_hi - start + 1
+    if n_words > 16 * np.broadcast(m, j).size + 64:  # a seek per draw is cheaper
+        return None
+    counter = ((m_lo * row + start) // _WORDS - 1) % 2 ** 256
+    offsets = (m - np.uint64(m_lo)) * np.uint64(row) + (j - np.uint64(start))
+    return [(counter >> s) & (2 ** 64 - 1) for s in (0, 64, 128, 192)], n_words, offsets.astype(np.intp)
 
 
-def _philox_rounds(even, odd, k0: int, k1: int):
-    """Ten Philox4x32 rounds on the lanes of :func:`_philox_lanes`, in place.
+def _gather(gen, state: dict, replication: int, m, j, row: int, bits, plan=None):
+    """Write one replication's raw words for the broadcast ``(m, j)`` into ``bits``.
 
-    Products are formed in uint64, so no word ever needs a uint32 copy:
-    with ``p = even * (M0, M1)`` and ``q`` its lane-swapped view, one round
-    sets ``even = hi(q) ^ odd ^ (k0, k1)`` and ``odd = lo(q)``.
+    ``state`` is a Philox state dict holding the seed; Python lists in it
+    make the write several times cheaper than arrays.
     """
-    prod = np.empty_like(even)
-    swapped = prod[::-1]
-    keys = np.array([[[(k0 + r * _PHILOX_W0) & 0xFFFFFFFF], [(k1 + r * _PHILOX_W1) & 0xFFFFFFFF]]
-                     for r in range(10)], dtype=np.uint64)
-    for key in keys:
-        np.multiply(even, _PHILOX_M, out=prod)
-        np.right_shift(swapped, _SHIFT32, out=even)
-        np.bitwise_xor(even, odd, out=even)
-        np.bitwise_xor(even, key, out=even)
-        np.bitwise_and(swapped, _MASK32, out=odd)
+    plan = plan or _plan(m, j, row)
+    if plan is None:  # scattered: one counter range per draw
+        m, j = np.broadcast_arrays(m, j)
+        for i in np.ndindex(bits.shape):
+            _gather(gen, state, replication, m[i], j[i], row, bits[i + (Ellipsis,)])
+        return
+    counter, n_words, offsets = plan
+    state["state"]["counter"] = counter
+    state["state"]["key"][1] = replication
+    gen.state = state
+    gen.random_raw(n_words).take(offsets, out=bits, mode="clip")
 
 
-def _philox_words(c0, c1, c2, c3, k0, k1):
-    """Ten Philox4x32 rounds; returns the first two output words (uint32)."""
-    even, odd, shape = _philox_lanes(c0, c1, c2, c3)
-    _philox_rounds(even, odd, int(k0), int(k1))
-    return even[0].reshape(shape).astype(np.uint32), odd[0].reshape(shape).astype(np.uint32)
+def _uniforms(bits):
+    """Raw words to ``(f + 0.5) * 2^-52`` from their top 52 bits f, in place; returns the float64 view."""
+    np.right_shift(bits, np.uint64(12), out=bits)
+    np.bitwise_or(bits, _EXPONENT_OF_ONE, out=bits)  # 1 + f 2^-52
+    u = bits.view(np.float64)
+    return np.subtract(u, _BELOW_ONE, out=u)
 
 
-def standard_normals(seed: int, replication, m, j):
-    """Standard normal draws keyed on ``(seed, replication, m, j)``.
+def standard_normals(seed: int, replication, m, j, n_points=None):
+    """Standard normal draws keyed on ``(seed, replication, m, j, n_points)``.
 
-    Arguments broadcast like numpy integer arrays; the output has the
-    broadcast shape.  Every element depends only on its own index tuple.
+    ``replication``, ``m`` and ``j`` broadcast like numpy integer arrays and
+    the output has the broadcast shape.  Every element depends only on its
+    own index tuple and on ``n_points``, the grid's J: each ``j`` must be
+    below it.  ``n_points`` may be omitted when every ``m`` is 0, where the
+    counter ``j // 4`` does not depend on it.  A replication's draws are
+    one contiguous range of its stream when they span a block of steps.
     """
-    rep = np.asarray(replication, dtype=np.uint64)
-    seed = int(np.uint64(seed))
-    even, odd, shape = _philox_lanes(np.asarray(j, dtype=np.uint64), np.asarray(m, dtype=np.uint64),
-                                     rep, rep >> _SHIFT32)
-    _philox_rounds(even, odd, seed & 0xFFFFFFFF, seed >> 32)
-    bits = even[0]
-    np.left_shift(bits, _SHIFT32, out=bits)
-    np.bitwise_or(bits, odd[0], out=bits)
-    np.right_shift(bits, np.uint64(11), out=bits)
-    # top 53 bits, centered in the half-open cell: uniform on (0, 1)
-    out = np.empty(shape)
-    np.add(bits.reshape(shape), 0.5, out=out)
-    np.multiply(out, 2.0 ** -53, out=out)
-    ndtri(out, out=out)
+    rep, m, j = (np.asarray(a, dtype=np.uint64) for a in (replication, m, j))
+    shape = np.broadcast_shapes(rep.shape, m.shape, j.shape)
+    if n_points is None:
+        if m.any():
+            raise ValueError("n_points is required when a step index m is not 0")
+        row = 0
+    else:
+        if j.size and int(j.max()) >= n_points:
+            raise ValueError(f"cell index {int(j.max())} is not below n_points = {n_points}")
+        row = _WORDS * -(-int(n_points) // _WORDS)
+    # the replication axes first, so that each replication fills one row of ``bits``
+    rep, m, j = (a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in (rep, m, j))
+    axes = [k for k, n in enumerate(rep.shape) if n > 1]
+    order = axes + [k for k in range(len(shape)) if k not in axes]
+    rep, m, j = (a.transpose(order) for a in (rep, m, j))
+    out = np.empty(tuple(shape[k] for k in order))
+    if out.size:
+        lead, n = out.shape[:len(axes)], math.prod(out.shape[:len(axes)])
+
+        def per_replication(a):
+            return np.broadcast_to(a, lead + a.shape[len(axes):]).reshape((n,) + a.shape[len(axes):])
+
+        ms, js = per_replication(m), per_replication(j)
+        # one plan for all replications when m and j do not vary along their axes
+        shared = all(a.shape[k] == 1 for a in (m, j) for k in range(len(axes)))
+        plan = _plan(ms[0], js[0], row) if shared else None
+        gen = Philox(key=np.zeros(2, dtype=np.uint64))
+        state = {"bit_generator": "Philox", "state": {"counter": None, "key": [int(np.uint64(seed)), 0]},
+                 "buffer": [0] * _WORDS, "buffer_pos": _WORDS, "has_uint32": 0, "uinteger": 0}
+        bits = out.view(np.uint64).reshape((n,) + out.shape[len(axes):])
+        for r, replication in enumerate(rep.reshape(-1).tolist()):
+            _gather(gen, state, replication, ms[r], js[r], row, bits[r, ...], plan)
+        ndtri(_uniforms(out.view(np.uint64)), out=out)
+    if order != sorted(order):
+        out = np.ascontiguousarray(out.transpose(np.argsort(order)))
     return out if out.ndim else float(out)
 
 
@@ -145,7 +182,7 @@ def generate(spec: NoiseSpec) -> NoiseField:
     g = spec.grid
     steps = np.arange(g.n_steps, dtype=np.uint64)[:, None]
     cells = np.arange(g.n_points, dtype=np.uint64)[None, :]
-    z = standard_normals(spec.seed, np.uint64(spec.replication), steps, cells)
+    z = standard_normals(spec.seed, np.uint64(spec.replication), steps, cells, g.n_points)
     dw = z * math.sqrt(g.dt * g.dx)
     dw.setflags(write=False)
     return NoiseField(spec=spec, increments=dw)

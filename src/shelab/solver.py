@@ -22,7 +22,9 @@ so a chunk of replications at L levels is advanced as one stacked
 clamp bounds once and calls each coefficient once.  A call splits its
 replications into chunks of :func:`chunk_replications` replications, runs
 them inline or on up to ``threads`` pool threads, and writes each into its
-own columns of outputs allocated once for the whole call.  The arithmetic
+own columns of outputs allocated once for the whole call.  Noise comes
+from one place, ``standard_normals``, looked up on this module at every
+call, for a block of steps at a time.  The arithmetic
 is elementwise, hence bit-identical however the replications are chunked
 and whichever levels share a pass; coefficients must therefore act
 elementwise on arrays of any shape.  The single-replication full-lattice
@@ -55,7 +57,7 @@ from .coeff import Coefficient, TruncationLevel, _as_level
 # unused here, kept importable: benchmark/tracer.py wraps it by name on this module
 from .coeff import truncated_fn  # noqa: F401
 from .grid import GridSpec, BOUNDARIES
-from .noise import NoiseSpec, standard_normals
+from .noise import NOISE_STREAM, NoiseSpec, standard_normals
 # unused here, kept importable: benchmark/tracer.py wraps them by name on this module
 from .noise import generate, stream_for_level_pair  # noqa: F401
 
@@ -75,7 +77,12 @@ __all__ = [
 ]
 
 
-_BLOCK_DRAWS = 1 << 15  # one pass's working set: cells per chunk, draws per standard_normals call
+_BLOCK_DRAWS = 1 << 15  # one pass's working set: stacked cells per chunk
+# a standard_normals call draws a block of steps: at most _NOISE_DRAWS in all and
+# _SPAN_DRAWS per replication.  Each replication's span costs one generator seek
+# (a few microseconds), which ~1,000 draws amortise; longer spans only grow the buffer
+_NOISE_DRAWS = 1 << 17
+_SPAN_DRAWS = 1 << 13
 
 
 def chunk_replications(n_levels: int, n_points: int) -> int:
@@ -184,7 +191,8 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
         vals.setflags(write=False)
         prov = {"level": float(level), "drift": b.name, "diffusion": sigma.name,
                 "u0": u0.describe(), "grid": grid.describe(),
-                "seed": int(noise_spec.seed), "replication": int(noise_spec.replication)}
+                "seed": int(noise_spec.seed), "replication": int(noise_spec.replication),
+                "noise_stream": NOISE_STREAM}
         if len(levels) == 2:
             prov["coupled_with_level"] = float(other)
         trajs.append(FieldTrajectory(vals, grid, float(level), noise_spec, prov))
@@ -238,9 +246,12 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     The outputs are allocated once for all B replications; chunks of
     :func:`chunk_replications` replications, each with its own state
     buffers, are advanced into their columns, inline or on ``min(threads,
-    chunks, cores)`` pool threads.  Noise is drawn for a block of steps per
-    call, up to ``_BLOCK_DRAWS`` draws; each draw depends only on ``(seed,
-    replication, m, j)``, so neither size nor ``threads`` changes a bit.
+    chunks, cores)`` pool threads.  Each chunk draws its noise with one
+    ``standard_normals`` call per block of steps (up to ``_NOISE_DRAWS``
+    draws, ``_SPAN_DRAWS`` per replication), in which each replication's
+    draws are one contiguous range of its Philox stream.  A draw depends
+    only on ``(seed, replication, m, j, J)``, J the grid's cell count, so
+    neither block nor chunk size nor ``threads`` changes a bit.
     Dead rows restart from ``u0``, where both coefficients were evaluated
     at step 0.  Only the levels of ``probe_levels`` (by default all of
     ``levels``) are sampled: ``samples`` is (len(probe_levels), B,
@@ -296,7 +307,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         alive = np.ones((L, n), dtype=bool)
         any_dead = False
         reps_col = reps[span, None, None]
-        block = max(1, _BLOCK_DRAWS // (n * J))
+        block = max(1, min(_NOISE_DRAWS // (n * J), _SPAN_DRAWS // J))
 
         if 0 in slot_of_step:
             samples[:, :, slot_of_step[0], :] = src[..., 1:-1][probed]
@@ -304,7 +315,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         for m in range(grid.n_steps):
             if m % block == 0:
                 steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
-                noise = standard_normals(seed, reps_col, steps, cells)  # (n, block, J)
+                noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, J)
                 np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
                 np.divide(noise, grid.dx, out=noise)
             _advance_into(src, dst, m * grid.dt, noise[:, m % block, lo:hi], b, sigma, grid, bounds, x_buf, tmp)

@@ -217,7 +217,7 @@ class TestMomentEstimates:
         times, xs = [0.1, 0.2, 0.3], np.linspace(-1.0, 1.0, 90)
         # 400 x 270 samples span several passes of 2^15
         z = standard_normals(5, 1, np.arange(400, dtype=np.uint64)[:, None],
-                             np.arange(270, dtype=np.uint64)[None, :])
+                             np.arange(270, dtype=np.uint64)[None, :], 270)
         ens = grid_ensemble(np.exp(z).reshape(400, 3, 90), times, xs)
         for k in (1.0, 2.0, 4.0):
             got = moment_estimates(ens, k)

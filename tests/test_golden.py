@@ -10,7 +10,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -32,31 +35,31 @@ EXPR_DOC = {
     "seed": 11,
 }
 
-NORMALS_BLOCK_SHA256 = "4b9e10c4003c6be289c8339341346601dfb53f7c8d50861195698f3da7e160fd"
+NORMALS_BLOCK_SHA256 = "d7aff5dd27de5428f0bfda2770d655a7ae4c8c290e55a52328cc74fc92724cf2"
 SIMULATE_SHA256 = {
-    "trajectory_N0_{tag}.bin": "5e8ca975bafffa337fa371e53eae964191a76b8a66208ecf936dbef0f9641854",
-    "trajectory_N0_{tag}.json": "b41a78b39a069b32bea9613deac428704fb3bab6eb5bd9f72ae317439f81144a",
-    "trajectory_N3_{tag}.bin": "3fe9f3393ffdf7812a862cfb30a3c25cc1d8de0b8ebe0a74826571df931267a8",
-    "trajectory_N3_{tag}.json": "35db6c805298901ffe321e36bd487a02e15e9f0fd78a9e92959c9f23eca3727a",
+    "trajectory_N0_{tag}.bin": "965134ade0f154dfd378342ef4d6629be0e48c4ba607fcf20def61dd1e26a6f7",
+    "trajectory_N0_{tag}.json": "c770cda062cf46900edecdc8324d0ac7f43da60ae2eeae993600643a6e8dc155",
+    "trajectory_N3_{tag}.bin": "138325793bf2545d9471d425b674e1d987b0c2adb0145b703e6b2950a871187d",
+    "trajectory_N3_{tag}.json": "0d86e30a50db119d37db2ef8ebac8166bb1148ca465004d03583de25332635db",
 }
-UNIQUENESS_CSV_SHA256 = "23c90a887e555007996d2035cb75ea76516e22cc7e4a89bae10fcd8ec0f93af2"
+UNIQUENESS_CSV_SHA256 = "316b07dbfe4aee897c0d8304c59f829c8ce495cd7da631090d3a163b1f4d4228"
 # levels 0 and 0.5: the clamp bites at the top level as well, so every
 # replication's top-level row against level 1.5 is "recorded", not "identical"
 CLAMPED_TOP_DOC = {**EXPR_DOC, "levels": [0.0, 0.5]}
 CLAMPED_TOP_UNIQUENESS_SHA256 = {
-    "uniqueness_{tag}.csv": "2193812f1f025959a22d1ae7db9a128efac43a20ce1b0672bbd9e602db127edc",
-    "uniqueness_{tag}.json": "648d388dd7e21f18487cc0fa49128740f06ebba5be17972b2305ad0d65a851c8",
+    "uniqueness_{tag}.csv": "94404310f7b7914015bfc908da383548119f4b8b5da2c7030a317edc59a2d9fb",
+    "uniqueness_{tag}.json": "feff444ae9dec93a198452550d8868eb72ce20bacf24e22463e48782c0dea084",
 }
 
 PILOT_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 # result CSVs of the three pilot experiments, the same at --threads 1 and 2
 PILOT_CSV_SHA256 = {
     ("verify-moments", "pilot_moments.json"): {
-        "verify-moments_{tag}.csv": "01d034c8a7c4d02eb53a288376a2edb5a7b21573b14e488498428495a7e7a2cd",
+        "verify-moments_{tag}.csv": "afa6aea4f93560f1b0036a7c6d8766f92f2ae0c89ccddbac7fe4fb2984758d7d",
     },
     ("convergence", "pilot_convergence.json"): {
-        "convergence_{tag}.csv": "c197f0243073aca2562053dd4a4fbac0ba2c501a7e0560166ca5aba98887654a",
-        "convergence_{tag}_plot.csv": "7e753037ebbd16f270babda99a3e63abdf8ce565b8330679a9462e661feeea44",
+        "convergence_{tag}.csv": "56abe5f37189e2f6dcab3608bc6bd4e230198032dd1a531da803202c3f95cf40",
+        "convergence_{tag}_plot.csv": "abdb28e5a4453b49b7ffdd5e686a1a6bcc1681dce2a1ba8456d8b9b2627db80c",
     },
     ("verify-tails", "pilot_tails.json"): {
         "verify-tails_{tag}.csv": "b47fe0247c05a33d6294604d932ccb3b74474a7bc1b775a2694434d928478715",
@@ -69,11 +72,11 @@ PILOT_CSV_SHA256 = {
 # slopes come from LAPACK least squares, whose last bits may vary by build
 PILOT_JSON_SHA256 = {
     ("verify-moments", "pilot_moments.json"):
-        "b8b445553c58ff9e69fd372c7e3887f50c8e432ff3b6e210e5cfcaf2c69bcc2e",
+        "46cc0ee3614b5384d037ac47ef3cb906ab2d6152b6a4bd6a605c83eb2677d4fb",
     ("verify-tails", "pilot_tails.json"):
-        "6d094bf082075698cff9d33a360f46a1d1a4ce523a439699b2c9b2e455c89611",
+        "53f6f0c57389e50eb7436a3926cfd6acbc7d84ac01a85cc816e120214aa4ea61",
     ("uniqueness", "pilot_convergence.json"):
-        "e1eb9fb42f068c37b4cf70eb60f367e2b8f9c36d064d02b5d9b740ee3cc243b0",
+        "87e0808d4c1377be8e6e09f51f081b59435b0545cce4fcb87a5ebbb74aca7b87",
 }
 
 
@@ -81,11 +84,42 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def test_standard_normals_block_digest():
+def normals_block_digest() -> str:
     reps = np.arange(256, dtype=np.uint64)[:, None]
     cells = np.arange(161, dtype=np.uint64)[None, :]
-    block = standard_normals(11, reps, np.uint64(7), cells)
-    assert sha256(block.astype("<f8").tobytes()) == NORMALS_BLOCK_SHA256
+    return sha256(standard_normals(11, reps, np.uint64(7), cells, 161).astype("<f8").tobytes())
+
+
+def test_standard_normals_block_digest():
+    assert normals_block_digest() == NORMALS_BLOCK_SHA256
+
+
+def avx512_dispatch_targets():
+    """The AVX-512 targets (X86_V4 and AVX512_*) numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [t for t in __cpu_dispatch__ if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
+
+
+def test_standard_normals_block_digest_without_avx512_dispatch():
+    # the words are integer arithmetic in C, the uniform map is exact and ndtri
+    # is scalar code, so numpy's SIMD dispatch level must not move a bit
+    targets = avx512_dispatch_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 target on this CPU")
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(solver.__file__).resolve().parents[1]), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    code = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+            f"assert not any(__cpu_features__[t] for t in {targets!r})\n"
+            "from test_golden import normals_block_digest\n"
+            "print(normals_block_digest())")
+    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == NORMALS_BLOCK_SHA256
 
 
 def test_simulate_and_uniqueness_digests(tmp_path):

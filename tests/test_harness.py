@@ -387,7 +387,7 @@ class TestUniquenessExperiment:
             run_uniqueness_coupling(parse_config(base_doc(b="push_last", levels=[0.5, 6.0], replications=2)))
         assert str(exc.value) == (
             "pathwise uniqueness violated for levels 6 vs 7, replication 0: first differing lattice point "
-            "(m=1, j=1): np.float64(0.9803188292480104) vs np.float64(0.9803238292480104)")
+            "(m=1, j=1): np.float64(1.0345112901090616) vs np.float64(1.0345162901090617)")
 
     def test_stacking_sensitive_drift_fails_the_re_parse_check(self, monkeypatch):
         # a drift that breaks the elementwise contract: it pushes every level
@@ -439,22 +439,22 @@ class TestUniquenessExperiment:
         assert run_uniqueness_coupling(cfg).records == expected
         assert widths and set(widths) == {1}
 
-    def test_blowup_at_replication_2_raises_its_first_abort(self, monkeypatch):
-        # at seed 4 only replication 2 crosses 5 (path max 5.98 at level 3; the
-        # others stay below 4.1), so it alone aborts, at the top level
+    def test_blowup_in_one_replication_raises_its_first_abort(self, monkeypatch):
+        # at seed 4 only replication 1 crosses 5 (path max 7.12 at level 3; the
+        # others stay below 4.0), so it alone aborts, at the top level
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 5.0, np.inf, 0.0))
         monkeypatch.setitem(harness._coeff.BUILTINS, "bomb", bomb)
         cfg = parse_config(base_doc(b="bomb", replications=4, levels=[1.0, 3.0], seed=4))
         with pytest.raises(SolverBlowupError) as exc:
             run_uniqueness_coupling(cfg)
-        assert (exc.value.step, exc.value.cell) == (35, 52)
+        assert (exc.value.step, exc.value.cell) == (29, 54)
         with pytest.raises(SolverBlowupError) as alone:
-            solve_truncated(3.0, bomb, cfg.diffusion, cfg.u0, cfg.grid, NoiseSpec(seed=4, replication=2, grid=cfg.grid))
+            solve_truncated(3.0, bomb, cfg.diffusion, cfg.u0, cfg.grid, NoiseSpec(seed=4, replication=1, grid=cfg.grid))
         assert str(alone.value) == str(exc.value)
 
     def test_differing_second_parse_names_replication_and_point(self, monkeypatch):
-        # the second coefficient pair's drift differs only above 3.8, which at
-        # seed 11 replication 2 alone reaches (path max 4.06; the others <= 3.55)
+        # the second coefficient pair's drift differs only above 3.37, which at
+        # seed 11 replication 0 alone reaches (path max 3.43; the others <= 3.32)
         cfg = parse_config(base_doc(b="0.5*sin(x)", sigma="x/(1+abs(x)/8)", replications=4,
                                     levels=[0.0, 3.0], seed=11))
         parse = Coefficient.from_source
@@ -462,15 +462,15 @@ class TestUniquenessExperiment:
 
         def from_source(source):
             calls.append(source)
-            return parse(source + " + max(x - 3.8, 0)" if len(calls) % 4 == 3 else source)
+            return parse(source + " + max(x - 3.37, 0)" if len(calls) % 4 == 3 else source)
 
         monkeypatch.setattr(Coefficient, "from_source", staticmethod(from_source))
         with pytest.raises(ExperimentError) as exc:
             run_uniqueness_coupling(cfg)
         assert str(exc.value) == (
-            "pathwise uniqueness violated for re-parsed coefficients at level 3, replication 2: "
-            "first differing lattice point (m=32, j=65): np.float64(3.157702166268927) vs "
-            "np.float64(3.1584056338169133)")
+            "pathwise uniqueness violated for re-parsed coefficients at level 3, replication 0: "
+            "first differing lattice point (m=29, j=28): np.float64(2.349312081351156) vs "
+            "np.float64(2.349595599179111)")
 
 
 _json_scalars = st.one_of(

@@ -4,11 +4,12 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
 from shelab.grid import GridSpec, GridError
-from shelab.noise import NoiseSpec, _philox_words, generate, standard_normals, stream_for_level_pair
+from shelab.noise import NoiseSpec, _uniforms, generate, standard_normals, stream_for_level_pair
 
 
 def small_grid(**kw):
@@ -19,105 +20,152 @@ def small_grid(**kw):
         return GridSpec(**args)
 
 
-# Random123 philox4x32_10 known-answer vectors: (counter, key) -> first two
-# output words (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3")
+M64 = 2 ** 64 - 1
+
+
+def reference_philox4x64_10(counter, key):
+    """Philox4x64-10 in Python ints: ten rounds, the key bumped by the Weyl constants after each.
+
+    Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as
+    1, 2, 3", SC 2011.  A round multiplies words 0 and 2 by (M0, M1) into
+    128-bit products and sets ``(hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0)``.
+    """
+    x0, x1, x2, x3 = counter
+    k0, k1 = key
+    for _ in range(10):
+        p0 = 0xD2E7470EE14C6C93 * x0
+        p1 = 0xCA5A826395121157 * x2
+        x0, x1, x2, x3 = (p1 >> 64) ^ x1 ^ k0, p1 & M64, (p0 >> 64) ^ x3 ^ k1, p0 & M64
+        k0 = (k0 + 0x9E3779B97F4A7C15) & M64
+        k1 = (k1 + 0xBB67AE8584CAA73B) & M64
+    return x0, x1, x2, x3
+
+
+def counter_words(c):
+    """The 256-bit counter ``c`` as four little-endian 64-bit words."""
+    return [(c >> s) & M64 for s in (0, 64, 128, 192)]
+
+
+def reference_normal(seed, rep, m, j, n_points):
+    """Draw (m, j): word j % 4 of the block at counter m * ceil(J / 4) + j // 4, key (seed, rep)."""
+    c = m * -(-n_points // 4) + j // 4
+    word = reference_philox4x64_10(counter_words(c), (seed, rep))[j % 4]
+    return float(ndtri(((word >> 12) + 0.5) * 2.0 ** -52))
+
+
+# Random123 philox4x64_10 known-answer vectors (kat_vectors): (counter, key) -> the four output words
 @pytest.mark.parametrize(
     "ctr,key,words",
     [
-        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D)),
-        ((0xFFFFFFFF,) * 4, (0xFFFFFFFF,) * 2, (0x408F276D, 0x41C83B0E)),
-        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
-         (0xD16CFE09, 0x94FDCCEB)),
+        ((0, 0, 0, 0), (0, 0),
+         (0x16554D9ECA36314C, 0xDB20FE9D672D0FDC, 0xD7E772CEE186176B, 0x7E68B68AEC7BA23B)),
+        ((M64,) * 4, (M64,) * 2,
+         (0x87B092C3013FE90B, 0x438C3C67BE8D0224, 0x9CC7D7C69CD777B6, 0xA09CAEBF594F0BA0)),
     ],
 )
-def test_philox_known_answer_vectors(ctr, key, words):
-    c = [np.array([v], dtype=np.uint64) for v in ctr]
-    w0, w1 = _philox_words(*c, np.uint32(key[0]), np.uint32(key[1]))
-    assert (int(w0[0]), int(w1[0])) == words
+def test_reference_matches_the_published_known_answers(ctr, key, words):
+    assert reference_philox4x64_10(ctr, key) == words
 
 
-# The astype-based Philox and normal map that the (2, n) lane layout
-# replaced, kept as the reference the lanes must match bit for bit.
-_M0, _M1 = np.uint64(0xD2511F53), np.uint64(0xCD9E8D57)
-_W0, _W1 = np.uint32(0x9E3779B9), np.uint32(0xBB67AE85)
-_MASK32 = np.uint64(0xFFFFFFFF)
+@pytest.mark.parametrize("counter", [0, 1, M64 - 1, M64, 2 ** 64, 2 ** 256 - 2, 2 ** 256 - 1])
+@pytest.mark.parametrize("key", [(0, 0), (M64, M64), (12345, 2 ** 63)])
+def test_random_raw_starts_one_block_past_its_counter(counter, key):
+    # numpy's generator draws the blocks c + 1, c + 2, ...: counter M64 carries
+    # into word 1, and 2^256 - 1 wraps to block 0
+    gen = Philox(counter=np.array(counter_words(counter), dtype=np.uint64), key=np.array(key, dtype=np.uint64))
+    want = [w for c in (counter + 1, counter + 2) for w in reference_philox4x64_10(counter_words(c % 2 ** 256), key)]
+    assert gen.random_raw(8).tolist() == want
 
 
-def reference_philox_words(c0, c1, c2, c3, k0, k1):
-    c0 = c0.astype(np.uint32)
-    c1 = c1.astype(np.uint32)
-    c2 = c2.astype(np.uint32)
-    c3 = c3.astype(np.uint32)
-    with np.errstate(over="ignore"):  # uint32 wraparound is the point
-        for _ in range(10):
-            p0 = c0.astype(np.uint64) * _M0
-            p1 = c2.astype(np.uint64) * _M1
-            hi0 = (p0 >> np.uint64(32)).astype(np.uint32)
-            lo0 = (p0 & _MASK32).astype(np.uint32)
-            hi1 = (p1 >> np.uint64(32)).astype(np.uint32)
-            lo1 = (p1 & _MASK32).astype(np.uint32)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-            k0 = k0 + _W0
-            k1 = k1 + _W1
-    return c0, c1
+def reference_normals(seed, reps, ms, js, n_points):
+    reps, ms, js = np.broadcast_arrays(*(np.asarray(a, dtype=np.uint64) for a in (reps, ms, js)))
+    return np.array([reference_normal(seed, int(r), int(m), int(j), n_points)
+                     for r, m, j in zip(reps.ravel(), ms.ravel(), js.ravel())]).reshape(reps.shape)
 
 
-def reference_standard_normals(seed, replication, m, j):
-    rep = np.asarray(replication, dtype=np.uint64)
-    m = np.asarray(m, dtype=np.uint64)
-    j = np.asarray(j, dtype=np.uint64)
-    rep, m, j = np.broadcast_arrays(rep, m, j)
-    seed = np.uint64(seed)
-    k0 = np.uint32(seed & _MASK32)
-    k1 = np.uint32(seed >> np.uint64(32))
-    w0, w1 = reference_philox_words(j & _MASK32, m & _MASK32, rep & _MASK32, rep >> np.uint64(32), k0, k1)
-    bits = (w0.astype(np.uint64) << np.uint64(32)) | w1.astype(np.uint64)
-    u = ((bits >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
-    out = ndtri(u)
-    return out if out.ndim else float(out)
-
-
-_U64 = st.integers(0, 2 ** 64 - 1)
-# small values, values just past 2^32 (whose high word the counter drops for m and j) and any 64-bit value
-_INDEX = st.one_of(st.integers(0, 50), st.integers(2 ** 32 - 2, 2 ** 32 + 2), _U64)
-
-
-def _index_array(draw, shape):
-    return np.array(draw(st.lists(_INDEX, min_size=math.prod(shape), max_size=math.prod(shape))),
-                    dtype=np.uint64).reshape(shape)
+# keys and indices near 0, near 2^64 - 1 and anywhere in 64 bits
+_U64 = st.integers(0, M64)
+_EDGE = st.one_of(st.integers(0, 40), st.integers(M64 - 40, M64), _U64)
 
 
 @st.composite
-def normal_arguments(draw):
-    """(replication, m, j) as scalars, 1-d arrays, zero-size arrays or a (B,1,1) x (s,1) x (J,) block."""
-    layout = draw(st.sampled_from(["scalar", "1-d", "empty", "block"]))
-    if layout == "scalar":
-        return tuple(draw(_INDEX) for _ in range(3))
-    if layout == "block":
-        B, s, J = (draw(st.integers(1, 5)) for _ in range(3))
-        return _index_array(draw, (B, 1, 1)), _index_array(draw, (s, 1)), _index_array(draw, (J,))
-    n = 0 if layout == "empty" else draw(st.integers(1, 12))
-    return tuple(_index_array(draw, (n,)) for _ in range(3))
+def step_blocks(draw):
+    """The solver's layout: (B, 1, 1) replications x s consecutive steps x every cell of J.
 
-
-@settings(max_examples=150, deadline=None)
-@given(seed=_U64, args=normal_arguments())
-def test_standard_normals_match_the_astype_reference_bit_for_bit(seed, args):
-    got = standard_normals(seed, *args)
-    want = reference_standard_normals(seed, *args)
-    assert type(got) is type(want)
-    assert np.shape(got) == np.shape(want)
-    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    The first step puts the counter near 0, near 2^64 - 1 (so that the block
+    may carry into counter word 1) or anywhere.
+    """
+    n_points = draw(st.integers(1, 13))
+    per_step = -(-n_points // 4)
+    s = draw(st.integers(1, 4))
+    m0 = draw(st.one_of(st.integers(0, 5), st.integers(M64 // per_step - 4, M64 // per_step), _U64))
+    m0 = min(m0, M64 + 1 - s)
+    reps = draw(st.lists(_EDGE, min_size=1, max_size=3))
+    return (n_points, np.array(reps, dtype=np.uint64)[:, None, None],
+            np.arange(m0, m0 + s, dtype=np.uint64)[:, None], np.arange(n_points, dtype=np.uint64))
 
 
 @settings(max_examples=60, deadline=None)
-@given(ctr=st.lists(_U64, min_size=4, max_size=4), k0=st.integers(0, 2 ** 32 - 1), k1=st.integers(0, 2 ** 32 - 1))
-def test_philox_words_match_the_astype_reference(ctr, k0, k1):
-    c = [np.array([v], dtype=np.uint64) for v in ctr]
-    got = _philox_words(*c, np.uint32(k0), np.uint32(k1))
-    want = reference_philox_words(*c, np.uint32(k0), np.uint32(k1))
-    assert [w.dtype for w in got] == [np.uint32, np.uint32]
-    assert [int(w[0]) for w in got] == [int(w[0]) for w in want]
+@given(seed=_EDGE, block=step_blocks())
+def test_step_blocks_match_the_python_int_reference(seed, block):
+    n_points, reps, steps, cells = block
+    got = standard_normals(seed, reps, steps, cells, n_points)
+    assert got.shape == (reps.size, steps.size, n_points)
+    assert got.tobytes() == reference_normals(seed, reps, steps, cells, n_points).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_EDGE, n_points=st.integers(1, 9), data=st.data())
+def test_scattered_draws_match_the_python_int_reference(seed, n_points, data):
+    # every element its own replication, step and cell, as scalars or a 1-d array
+    n = data.draw(st.integers(0, 6))
+    reps = np.array(data.draw(st.lists(_EDGE, min_size=n, max_size=n)), dtype=np.uint64)
+    ms = np.array(data.draw(st.lists(_EDGE, min_size=n, max_size=n)), dtype=np.uint64)
+    js = np.array(data.draw(st.lists(st.integers(0, n_points - 1), min_size=n, max_size=n)), dtype=np.uint64)
+    got = standard_normals(seed, reps, ms, js, n_points)
+    assert got.tobytes() == reference_normals(seed, reps, ms, js, n_points).tobytes()
+    if n:
+        assert standard_normals(seed, int(reps[0]), int(ms[0]), int(js[0]), n_points) == got[0]
+
+
+def test_a_block_across_the_counter_carry_matches_the_reference():
+    # J = 8 puts two counters in a step, so steps 2^63 - 1 and 2^63 span
+    # counters 2^64 - 2 to 2^64 + 1, across the carry into word 1
+    steps = np.array([[2 ** 63 - 1], [2 ** 63]], dtype=np.uint64)
+    cells = np.arange(8, dtype=np.uint64)
+    got = standard_normals(3, np.uint64(M64), steps, cells, 8)
+    assert got.tobytes() == reference_normals(3, M64, steps, cells, 8).tobytes()
+
+
+def test_the_replication_may_sit_on_any_axis():
+    got = standard_normals(5, np.arange(3, dtype=np.uint64), np.arange(4)[:, None], 2, 7)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == reference_normals(5, np.arange(3), np.arange(4)[:, None], 2, 7).tobytes()
+
+
+def test_extreme_words_map_strictly_inside_the_unit_interval():
+    # the largest word once mapped to (2^53 - 1 + 0.5) 2^-53, which rounds to 1.0 (ndtri: +inf)
+    bits = np.array([0, 2 ** 12 - 1, M64 - (2 ** 12 - 1), M64], dtype=np.uint64)
+    u = _uniforms(bits)
+    assert u.tolist() == [2.0 ** -53, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53]
+    z = ndtri(u)
+    assert np.all(np.isfinite(z)) and z[0] == -z[-1] and z[-1] < 8.21
+
+
+def test_a_draw_depends_on_the_grid_width_only_past_step_0():
+    cells = np.arange(5, dtype=np.uint64)
+    first = standard_normals(9, 1, 0, cells)
+    assert first.tobytes() == standard_normals(9, 1, 0, cells, 5).tobytes() == standard_normals(9, 1, 0, cells, 9).tobytes()
+    # J = 5 and 8 both give two counters a step, J = 9 three
+    assert standard_normals(9, 1, 1, cells, 5).tobytes() == standard_normals(9, 1, 1, cells, 8).tobytes()
+    assert not np.array_equal(standard_normals(9, 1, 1, cells, 5), standard_normals(9, 1, 1, cells, 9))
+
+
+def test_out_of_grid_indices_are_rejected():
+    with pytest.raises(ValueError, match="n_points is required"):
+        standard_normals(1, 0, np.array([0, 1]), 0)
+    with pytest.raises(ValueError, match="cell index 5 is not below n_points = 5"):
+        standard_normals(1, 0, 0, np.arange(6), 5)
 
 
 def test_regeneration_is_bit_identical():
@@ -141,14 +189,14 @@ def test_order_independence_under_permutation():
     rng = np.random.default_rng(0)
     ms = rng.integers(0, M, size=500)
     js = rng.integers(0, J, size=500)
-    scattered = standard_normals(42, 5, ms, js) * math.sqrt(spec.grid.dt * spec.grid.dx)
+    scattered = standard_normals(42, 5, ms, js, J) * math.sqrt(spec.grid.dt * spec.grid.dx)
     assert np.array_equal(scattered, field.increments[ms, js])
 
 
 def test_cell_variance_scales_with_grid():
     g1 = small_grid(dx=0.1, dt=0.005)
     g2 = small_grid(dx=0.05, dt=0.002)
-    z = standard_normals(7, 0, np.arange(200)[:, None], np.arange(500)[None, :])
+    z = standard_normals(7, 0, np.arange(200)[:, None], np.arange(500)[None, :], 500)
     for g in (g1, g2):
         dw = z * math.sqrt(g.dt * g.dx)
         assert np.var(dw) == pytest.approx(g.dt * g.dx, rel=0.02)
@@ -157,7 +205,7 @@ def test_cell_variance_scales_with_grid():
 # one million increments on a (2000 x 500) lattice with dt=1e-3, dx=0.05
 @pytest.fixture(scope="module")
 def increments():
-    z = standard_normals(20240601, 0, np.arange(2000)[:, None], np.arange(500)[None, :])
+    z = standard_normals(20240601, 0, np.arange(2000)[:, None], np.arange(500)[None, :], 500)
     return z * math.sqrt(1e-3 * 0.05)
 
 
@@ -171,7 +219,7 @@ class TestDistribution:
         assert float(increments.var()) == pytest.approx(5e-5, rel=0.01)
 
     def test_kolmogorov_smirnov_on_standardised_sample(self):
-        z = standard_normals(77, 0, np.arange(1000)[:, None], np.arange(100)[None, :]).ravel()
+        z = standard_normals(77, 0, np.arange(1000)[:, None], np.arange(100)[None, :], 100).ravel()
         p = stats.kstest(z, "norm").pvalue
         assert p > 1e-3
 

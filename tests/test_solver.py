@@ -38,7 +38,7 @@ def mkgrid(**kw):
 def cell_increments(grid, seed, rep, m):
     """The noise increments dW[m, :] of one replication, drawn directly."""
     cells = np.arange(grid.n_points, dtype=np.uint64)
-    return standard_normals(seed, rep, m, cells) * math.sqrt(grid.dt * grid.dx)
+    return standard_normals(seed, rep, m, cells, grid.n_points) * math.sqrt(grid.dt * grid.dx)
 
 
 def reference_advance(state, t, dw, drift_fn, diffusion_fn, grid):
@@ -263,12 +263,15 @@ class TestSolveBatch:
                 float(np.max(np.abs(high.values - low.values))), rel=0, abs=0
             )
 
-    def test_noise_block_size_does_not_change_bits(self, monkeypatch):
+    # 50 steps as 7 blocks of 7, then 1 (the call's limit), or as 10 blocks of 5 (the replication's)
+    @pytest.mark.parametrize("limit,steps_per_block", [("_NOISE_DRAWS", 7), ("_SPAN_DRAWS", 5)])
+    def test_noise_block_size_does_not_change_bits(self, limit, steps_per_block, monkeypatch):
         g = mkgrid()
         u0 = InitialCondition.constant(1.0)
         args = ((0.5, 1.5), ZERO, LINEAR, u0, g, 123, np.arange(3), np.arange(g.n_steps + 1), np.arange(g.n_points))
         whole = solve_batch(*args)  # one draw covers the horizon
-        monkeypatch.setattr(solver, "_BLOCK_DRAWS", 7 * 3 * g.n_points)  # 50 steps = 7 blocks of 7, then 1
+        per_block = steps_per_block * g.n_points * (3 if limit == "_NOISE_DRAWS" else 1)
+        monkeypatch.setattr(solver, limit, per_block)
         blocked = solve_batch(*args)
         assert np.array_equal(whole.samples, blocked.samples)
         assert np.array_equal(whole.sup_abs_diff[(0.5, 1.5)], blocked.sup_abs_diff[(0.5, 1.5)])
@@ -478,7 +481,7 @@ class TestStackedLevels:
         cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
         steps, xs = harness._probe_indices(cfg)
         aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
-        assert aborted[(1.0,)] == [] and len(aborted[(3.0,)]) == 12
+        assert aborted[(1.0,)] == [] and len(aborted[(3.0,)]) == 13
 
     def test_pair_abort_takes_the_first_bad_cell_of_either_level(self):
         g = mkgrid()
