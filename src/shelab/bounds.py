@@ -112,14 +112,18 @@ class BoundReport:
     @classmethod
     def compare(cls, outcome: BoundOutcome, estimate: float | None) -> "BoundReport":
         bound_log = None if outcome.bound is None else outcome.bound.log_value
+        return cls(bound_log=bound_log, verdict=cls.judge(outcome, estimate)[0])
+
+    @staticmethod
+    def judge(outcome: BoundOutcome, estimate: float | None) -> tuple:
+        """The verdict on ``estimate`` and the log it was judged by, None for no estimate or one of
+        at most zero, which is below any positive bound."""
+        log_estimate = None if estimate is None or estimate <= 0 else math.log(estimate)
         if not outcome.valid:
-            verdict = "not-applicable"
-        elif estimate is None or estimate <= 0:
-            # an estimate of exactly zero is below any positive bound
-            verdict = "dominates"
-        else:
-            verdict = "dominates" if math.log(estimate) <= bound_log else "violated"
-        return cls(bound_log=bound_log, verdict=verdict)
+            return "not-applicable", log_estimate
+        if log_estimate is None or log_estimate <= outcome.bound.log_value:
+            return "dominates", log_estimate
+        return "violated", log_estimate
 
 
 def moment_bound_unbounded_sigma(k: float, t: float, constants: ProblemConstants) -> BoundOutcome:

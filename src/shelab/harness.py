@@ -17,10 +17,17 @@ Experiments:
   of consecutive clamp levels whose clamps never engage.
 
 Everything an experiment consumes is in the config; no wall-clock, no
-environment.  Rendering of results is deterministic (sorted keys, repr
-floats), so re-running a config reproduces the output files byte for byte,
-regardless of the ``threads`` setting, which only spreads the solver's
-replication chunks over pool threads.
+environment.  Rendering of results is deterministic, so re-running a config
+reproduces the output files byte for byte, regardless of the ``threads``
+setting, which only spreads the solver's replication chunks over pool threads.
+
+``export`` spells each record value once, a field at a time, and writes both
+result files from those strings: floats (numpy's too) with ``float.__repr__``
+in both files, JSON respelling only nan and inf; ints with ``int.__repr__``;
+strs raw for the CSV and escaped for JSON.  A column holding None, a bool or
+mixed types is spelled value by value; ``csv.writer`` quotes a cell holding
+, " \\r or \\n, and a value that is no JSON scalar sends the JSON document
+through ``json.dumps``.  Both files equal those two references byte for byte.
 """
 
 from __future__ import annotations
@@ -438,24 +445,6 @@ _RECORD_FIELDS = tuple(f.name for f in fields(Record))
 # one record of the "records" array as json.dumps(indent=2, sort_keys=True) lays it out
 _JSON_KEYS = tuple(sorted(_RECORD_FIELDS))
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in _JSON_KEYS) + "\n    }"
-_json_values = attrgetter(*_JSON_KEYS)
-# json.dumps's spelling of each scalar type it writes (exact types only)
-_JSON_SCALAR = {
-    float: float.__repr__,  # nan, inf and -inf are respelled by _json_row
-    str: _json_string,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_row(record) -> str:
-    """``record`` as one element of the records array; KeyError on a value of any other type."""
-    out = [_JSON_SCALAR[type(v)](v) for v in _json_values(record)]
-    if not _JSON_NONFINITE.keys().isdisjoint(out):  # only a float is written unquoted as nan or inf
-        out = [_JSON_NONFINITE.get(v, v) for v in out]
-    return _JSON_ROW % tuple(out)
 
 
 def _record(cfg: ExperimentConfig, experiment: str, N, verdict: str, k=None, t=None, x=None,
@@ -508,21 +497,8 @@ class ResultSet:
         )
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` plus a newline.
-
-        The records array, the bulk of the document, is formatted here row by
-        row and spliced in as the last key.  A record holding a value whose type
-        is not exactly str, int, float, bool or None sends the whole document
-        through json.dumps.
-        """
-        try:
-            rows = [_json_row(r) for r in self.records]
-        except KeyError:
-            return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-        records = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
-        rest = {"experiment": self.experiment, "diagnostics": self.diagnostics, "provenance": self.provenance}
-        head = json.dumps(rest, indent=2, sort_keys=True)
-        return f'{head[:-2]},\n  "records": {records}\n}}\n'
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` plus a newline."""
+        return _json_text(self, _spelled(self.records))
 
     @classmethod
     def from_json(cls, text: str) -> "ResultSet":
@@ -620,23 +596,23 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     min_margin = math.inf
     aborted_all = []
     batch = _collect(cfg, cfg.levels, probe_steps, probe_x_idx, threads)
+    judge, seed, tag = _bounds.BoundReport.judge, cfg.seed, cfg.hash16
     for level in cfg.levels:
         aborted_all += _abort_budget(batch.aborted[(level,)], cfg)
         ens = _est.Ensemble.from_batch(batch, cfg.grid, level)
-        for k in cfg.orders:
+        N, xs = float(level), ens.probe_xs.tolist()
+        for k in map(float, cfg.orders):
             estimates = iter(_est.moment_estimates(ens, k))
-            for pt in ens.probe_times:
-                outcome = bound_fn(k, float(pt))
-                for px in ens.probe_xs:
-                    est = next(estimates)
-                    report = _bounds.BoundReport.compare(outcome, est.power_hi)
-                    if report.verdict == "dominates" and est.power_hi and est.power_hi > 0:
-                        min_margin = min(min_margin, report.bound_log - math.log(est.power_hi))
-                    records.append(_record(
-                        cfg, "verify-moments", level, report.verdict, k=k, t=pt, x=px,
-                        estimate=est.power_mean, ci_lo=est.power_lo, ci_hi=est.power_hi,
-                        bound_log=report.bound_log,
-                    ))
+            for t in ens.probe_times.tolist():
+                outcome = bound_fn(k, t)
+                bound_log = None if outcome.bound is None else outcome.bound.log_value
+                for x, est in zip(xs, estimates):
+                    hi = est.power_hi
+                    verdict, log_hi = judge(outcome, hi)
+                    if verdict == "dominates" and log_hi is not None:
+                        min_margin = min(min_margin, bound_log - log_hi)
+                    records.append(Record("verify-moments", N, k, t, x, est.power_mean, est.power_lo, hi,
+                                          bound_log, verdict, seed, tag))
     violations = sum(r.verdict == "violated" for r in records)
     return ResultSet(
         experiment="verify-moments",
@@ -869,33 +845,71 @@ def run_assumption_check(cfg: ExperimentConfig) -> dict:
 # -- export ---------------------------------------------------------------------
 
 
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_CSV_SPECIAL = re.compile('[,"\r\n]')  # the characters that make csv.writer quote a cell
+
+
 def _fmt(v):
     if v is None:
         return ""
     if isinstance(v, float):
-        return repr(v)
+        return float.__repr__(v)
     return str(v)
 
 
-def render_csv(results: ResultSet) -> str:
-    """``csv.writer``'s table of the ``_fmt`` of each value, rows joined directly; a row holding another
-    type, or a str with a character csv may quote (``,`` ``"`` ``\\r`` ``\\n``), goes through csv."""
-    spell = {float: float.__repr__, int: int.__repr__, str: str, type(None): lambda v: ""}
-    values = attrgetter(*CSV_COLUMNS)
+def _csv_quoted(cell: str) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for r in results.records:
-        row = values(r)
-        try:
-            line = ",".join([spell[type(v)](v) for v in row])
-        except KeyError:
-            line = ""
-        if line.count(",") == len(row) - 1 and not ('"' in line or "\r" in line or "\n" in line):
-            buf.write(line + "\n")
-        else:
-            writer.writerow([_fmt(v) for v in row])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([cell])
+    return buf.getvalue()[:-1]
+
+
+def _spell(column) -> tuple:
+    """One record field's CSV cells and JSON values, each value spelled once: a column of floats, ints
+    or strs in one map, any other column value by value.  The JSON values are None if one is no scalar."""
+    types = set(map(type, column))
+    if all(issubclass(t, float) for t in types):
+        cells = list(map(float.__repr__, column))
+        return cells, list(map(_JSON_NONFINITE.get, cells, cells))
+    if types == {int}:
+        cells = list(map(int.__repr__, column))
+        return cells, cells
+    if types == {str}:
+        cells, values = column, list(map(_json_string, column))
+    else:
+        cells = list(map(_fmt, column))
+        scalars = all(v is None or isinstance(v, (str, int, float)) for v in column)
+        values = list(map(json.dumps, column)) if scalars else None
+    if _CSV_SPECIAL.search("".join(cells)):
+        cells = [_csv_quoted(c) if _CSV_SPECIAL.search(c) else c for c in cells]
+    return cells, values
+
+
+def _spelled(records) -> dict:
+    """Every field of ``records`` spelled once for both result files: field -> (CSV cells, JSON values)."""
+    return {f: _spell(list(map(attrgetter(f), records))) for f in _RECORD_FIELDS}
+
+
+def _csv_text(spelled) -> str:
+    lines = map(",".join, zip(*(spelled[c][0] for c in CSV_COLUMNS)))
+    return "\n".join([",".join(CSV_COLUMNS), *lines]) + "\n"
+
+
+def _json_text(results: ResultSet, spelled) -> str:
+    """The records array, the bulk of the document, is laid out from ``spelled`` and spliced in as the
+    last key; a record value that is no JSON scalar sends the whole document through json.dumps."""
+    values = [spelled[k][1] for k in _JSON_KEYS]
+    if None in values:
+        return json.dumps(results.to_dict(), indent=2, sort_keys=True) + "\n"
+    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(*values)))
+    records = f"[\n{rows}\n  ]" if rows else "[]"
+    rest = {"experiment": results.experiment, "diagnostics": results.diagnostics, "provenance": results.provenance}
+    head = json.dumps(rest, indent=2, sort_keys=True)
+    return f'{head[:-2]},\n  "records": {records}\n}}\n'
+
+
+def render_csv(results: ResultSet) -> str:
+    """csv.writer's table of the ``_fmt`` of each record value under a ``CSV_COLUMNS`` header."""
+    return _csv_text(_spelled(results.records))
 
 
 def render_convergence_plot_csv(results: ResultSet) -> str:
@@ -918,12 +932,13 @@ def export(results: ResultSet, out_dir, formats=("csv", "json")) -> list:
     paths = []
     tag = results.provenance.get("config_hash", "results")[:16]
     base = f"{results.experiment}_{tag}"
+    spelled = _spelled(results.records)
     try:
         os.makedirs(out_dir, exist_ok=True)
         if "csv" in formats:
             p = os.path.join(out_dir, base + ".csv")
             with open(p, "w", encoding="utf-8", newline="") as fh:
-                fh.write(render_csv(results))
+                fh.write(_csv_text(spelled))
             paths.append(p)
             if results.experiment == "convergence":
                 p = os.path.join(out_dir, base + "_plot.csv")
@@ -933,7 +948,7 @@ def export(results: ResultSet, out_dir, formats=("csv", "json")) -> list:
         if "json" in formats:
             p = os.path.join(out_dir, base + ".json")
             with open(p, "w", encoding="utf-8") as fh:
-                fh.write(results.to_json())
+                fh.write(_json_text(results, spelled))
             paths.append(p)
     except OSError as err:
         raise ExportError(f"cannot write results to {out_dir}: {err}") from err

@@ -178,3 +178,27 @@ def test_pilot_json_digests(command, config, threads, tmp_path):
     assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0
     got = sha256((out / f"{command}_{load_config(path).hash16}.json").read_bytes())
     assert got == PILOT_JSON_SHA256[(command, config)]
+
+
+# sin in the drift and exp in the diffusion: numpy dispatches both by CPU
+# features, so these bytes are compared run with run, not pinned to a digest
+EXPR_MOMENTS_DOC = {**EXPR_DOC, "replications": 80, "orders": [2.0, 4.0],
+                    "sigma": "x/(1+abs(x)/8) + 0.1*exp(-x*x)"}
+
+
+def test_expression_moments_bytes_do_not_depend_on_chunks_or_threads(tmp_path, monkeypatch):
+    # the 80 replications are one solver chunk by default and three (37, 37, 6) at chunk 37
+    cfgp = tmp_path / "config.json"
+    cfgp.write_text(json.dumps(EXPR_MOMENTS_DOC))
+    tag = parse_config(EXPR_MOMENTS_DOC).hash16
+    default = solver.chunk_replications
+    runs = {}
+    for chunk in (None, 37):
+        monkeypatch.setattr(solver, "chunk_replications",
+                            default if chunk is None else lambda n_levels, n_points: chunk)
+        for threads in (1, 2):
+            out = tmp_path / f"out_{chunk}_{threads}"
+            assert cli.main(["--out", str(out), "--threads", str(threads), "verify-moments", str(cfgp)]) == 0
+            runs[chunk, threads] = [(out / f"verify-moments_{tag}.{ext}").read_bytes() for ext in ("csv", "json")]
+    assert runs[None, 1][0].count(b"\n") == 1 + 2 * 2 * 20 * 9  # levels x orders x probe times x probe xs
+    assert all(files == runs[None, 1] for files in runs.values())

@@ -6,6 +6,7 @@ import math
 import os
 import pathlib
 import re
+import tempfile
 
 import numpy as np
 import pytest
@@ -491,6 +492,35 @@ _json_values = st.recursive(
 )
 _records = st.builds(Record, **{f.name: _json_scalars for f in dataclasses.fields(Record)})
 
+# one strategy per column: a column of one type, as the experiments write, or of mixed types
+_column_kinds = st.sampled_from([
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf]),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+    st.text(max_size=8),
+    st.sampled_from(["verify-moments", "a,b", '"', "\r", "x\ny"]),
+    st.none(),
+    _json_scalars,
+    st.one_of(_json_scalars, st.integers(-5, 5).map(np.int64)),  # json.dumps raises on np.int64
+])
+
+
+@st.composite
+def _record_tables(draw):
+    n = draw(st.integers(min_value=0, max_value=6))
+    columns = [draw(st.lists(draw(_column_kinds), min_size=n, max_size=n)) for _ in dataclasses.fields(Record)]
+    return [Record(*row) for row in zip(*columns)]
+
+
+def _csv_reference(records) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(harness.CSV_COLUMNS)
+    for r in records:
+        writer.writerow([harness._fmt(getattr(r, col)) for col in harness.CSV_COLUMNS])
+    return buf.getvalue()
+
 
 class TestCsvWriter:
     """``render_csv`` is byte-identical to ``csv.writer`` over the ``_fmt`` of each value."""
@@ -558,6 +588,37 @@ class TestExport:
         ]
         text = open(paths[0]).read()
         assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
+
+    @given(records=st.one_of(st.lists(_records, max_size=4), _record_tables()))
+    @settings(max_examples=300, deadline=None)
+    def test_export_writes_render_csv_and_to_json(self, records):
+        # export spells each value once for both files; each file must still equal its reference
+        res = ResultSet(experiment="verify-moments", records=records, provenance={"config_hash": "ab"})
+        csv_text = render_csv(res)
+        assert csv_text == _csv_reference(records)
+        with tempfile.TemporaryDirectory() as out:
+            try:
+                json_text = json.dumps(res.to_dict(), indent=2, sort_keys=True) + "\n"
+            except TypeError:  # a value json.dumps cannot write
+                with pytest.raises(TypeError):
+                    res.to_json()
+                with pytest.raises(TypeError):
+                    export(res, out)
+                return
+            assert res.to_json() == json_text
+            paths = export(res, out)
+            assert [pathlib.Path(p).read_bytes() for p in paths] == [csv_text.encode(), json_text.encode()]
+
+    def test_numpy_float_is_spelled_as_a_float_in_both_files(self, tmp_path):
+        rec = Record("verify-moments", np.float64(2.0), 2.0, np.float64(0.25), -np.float64(0.0),
+                     np.float64(1.5e-300), None, np.float64(math.inf), np.float64(math.nan), "dominates", 1, "ab")
+        res = ResultSet(experiment="verify-moments", records=[rec], provenance={"config_hash": "ab"})
+        csv_path, json_path = export(res, tmp_path / "a")
+        row = pathlib.Path(csv_path).read_text().splitlines()[1]
+        assert row == "verify-moments,2.0,2.0,0.25,-0.0,1.5e-300,,inf,nan,dominates,1,ab"
+        assert '"N": 2.0,' in pathlib.Path(json_path).read_text()
+        assert cli.main(["--out", str(tmp_path / "b"), "report", "--format", "csv", json_path]) == 0
+        assert (tmp_path / "b" / os.path.basename(csv_path)).read_bytes() == pathlib.Path(csv_path).read_bytes()
 
 
 class TestCli:
