@@ -169,7 +169,10 @@ def _step_grid(lo: float, hi: float, resolution: float, include_ends: bool) -> n
     pts = np.arange(k_lo, k_hi + 1, dtype=float) * resolution
     pts = pts[(pts >= lo) & (pts <= hi)]
     if include_ends:
-        pts = np.unique(np.concatenate([[lo], pts, [hi]]))
+        # pts is strictly increasing inside [lo, hi]: add each end unless it is already there
+        head = [lo] if not pts.size or pts[0] != lo else []
+        tail = [hi] if hi != (pts[-1] if pts.size else lo) else []
+        pts = np.concatenate([head, pts, tail])
     if pts.size < 2:
         raise ValueError(f"window [{lo}, {hi}] has fewer than two grid points at step {resolution}")
     return pts

@@ -90,7 +90,7 @@ def _bucket_sums(y: np.ndarray) -> np.ndarray:
     if cols > width:
         # a wide exponent range: fewer columns per bucket table keep it small
         return np.concatenate([_bucket_sums(y[:, c0:c0 + width]) for c0 in range(0, cols, width)])
-    mant = np.ldexp(frac, _MANT_BITS).astype(np.int64)
+    mant = (frac * 2.0 ** _MANT_BITS).astype(np.int64)  # exact: a power-of-two scale
     # one int64 bucket per (column, exponent), column-major
     sums = np.zeros(cols * span, dtype=np.int64)
     np.add.at(sums, (np.arange(cols) * span + (exp - e_min)).ravel(), mant.ravel())
@@ -98,9 +98,11 @@ def _bucket_sums(y: np.ndarray) -> np.ndarray:
     key = np.flatnonzero(sums)
     if key.size:
         col, row = np.divmod(key, span)
-        terms = sums[key].astype(object) << (row + (e_min + _DEN_BITS)).astype(object)
+        # shift by the offset within the column only (small integers fold fast),
+        # then each column total once by the common exponent
+        terms = sums[key].astype(object) << row.astype(object)
         first = np.flatnonzero(np.diff(col, prepend=-1))
-        out[col[first]] = np.add.reduceat(terms, first)
+        out[col[first]] = np.add.reduceat(terms, first) << (e_min + _DEN_BITS)
     return out
 
 

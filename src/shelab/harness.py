@@ -538,15 +538,17 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
 # -- batch collection -----------------------------------------------------------
 
 
-def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1):
-    """Solve all replications at every given clamp level in one :func:`solver.solve_batch` pass.
+def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1, pairs=()):
+    """Solve all replications at every given clamp level in one :func:`solver.solve_batch` pass,
+    tracking the coupled ``pairs`` of those levels.
 
     The solver chunks the replications and runs the chunks on up to
     ``threads`` threads; neither changes a bit of the result.
     """
     try:
         return _solver.solve_batch(levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid, cfg.seed,
-                                   np.arange(cfg.replications), probe_steps, probe_x_idx, threads=threads)
+                                   np.arange(cfg.replications), probe_steps, probe_x_idx,
+                                   pairs=pairs, threads=threads)
     except ArithmeticError as err:
         # coefficient domain violation (log of a non-positive state, ...):
         # the whole batch shares the failure, unlike per-replication overflow
@@ -685,7 +687,8 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
     table = {float(k): [] for k in cfg.orders}  # k -> [(N, value, active)]
     plateau_level = None
     union = sorted(set(cfg.levels) | {level + 1.0 for level in cfg.levels})
-    batch = _collect(cfg, tuple(union), probe_steps, probe_x_idx, threads)
+    batch = _collect(cfg, tuple(union), probe_steps, probe_x_idx, threads,
+                     pairs=[(level, level + 1.0) for level in cfg.levels])
     for level in sorted(cfg.levels):
         aborted_all += _abort_budget(batch.aborted[(level, level + 1.0)], cfg)
         pair = _est.PairEnsemble.from_batch(batch, cfg.grid, level)
@@ -748,16 +751,17 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         # independently constructed coefficient objects: re-parse expression text
         return _coeff.Coefficient.from_source(cfg.raw["b"]), _coeff.Coefficient.from_source(cfg.raw["sigma"])
 
-    def top_lattice(levels, b, s):
+    def top_lattice(levels, b, s, pairs=()):
         return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, np.arange(g.n_steps + 1),
-                                   np.arange(g.n_points), probe_levels=(top,), threads=threads)
+                                   np.arange(g.n_points), probe_levels=(top,), pairs=pairs, threads=threads)
 
     b1, s1 = fresh_pair()
     b2, s2 = fresh_pair()
     # two passes over every checked replication: every level the checks read under
     # the first coefficient pair, keeping the top level's full lattice alone; then the
     # top level alone under the second pair, the re-solve that lattice is compared with
-    first = top_lattice(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1)
+    first = top_lattice(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1,
+                        pairs=[(bottom, bottom + 1.0), (top, top + 1.0)])
     top_1, path_max, sup_diff, aborted = first.samples[0], first.path_max_abs, first.sup_abs_diff, first.aborted
     second = top_lattice((top,), b2, s2)
     top_2, aborted_2 = second.samples[0], second.aborted[(top,)]
@@ -816,7 +820,8 @@ def _raise_first_difference(cfg: ExperimentConfig, rep: int, what: str, runs):
     spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
     trajs = []
     for levels, b, sigma in runs:
-        sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec)
+        sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec,
+                                    pairs=[levels] if len(levels) == 2 else ())
         trajs += _solver.field_trajectories(sol, levels, b, sigma, cfg.u0, cfg.grid, spec)
     _assert_identical(*trajs, what)
     raise ExperimentError(f"pathwise uniqueness check for {what}: the batched pass and a re-solve "

@@ -164,22 +164,25 @@ def solve_pair_coupled(level, b, sigma, u0, grid, noise_spec):
     """Solve at clamp levels N and N+1 under pathwise-identical noise."""
     level = _as_level(level).level
     levels = (level, level + 1.0)
-    return field_trajectories(solve_lattice(levels, b, sigma, u0, grid, noise_spec),
+    return field_trajectories(solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=(levels,)),
                               levels, b, sigma, u0, grid, noise_spec)
 
 
-def solve_lattice(levels, b, sigma, u0, grid, noise_spec) -> "BatchSolution":
-    """One replication at every clamp level of ``levels`` in one pass, every lattice point probed."""
+def solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=()) -> "BatchSolution":
+    """One replication at every clamp level of ``levels`` in one pass, every lattice point probed.
+
+    ``pairs`` are the coupled pairs to track, as in :func:`solve_batch`.
+    """
     return solve_batch(levels, b, sigma, u0, grid, noise_spec.seed, [noise_spec.replication],
-                       np.arange(grid.n_steps + 1), np.arange(grid.n_points))
+                       np.arange(grid.n_steps + 1), np.arange(grid.n_points), pairs=pairs)
 
 
 def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
     """Read-only trajectories of a :func:`solve_lattice` pass at one level or one coupled pair.
 
-    ``levels`` is ``(N,)`` or ``(N, N + 1)``; raises :class:`SolverBlowupError`
-    at that run's first abort (for a pair, the first step at which either
-    level blew up).
+    ``levels`` is ``(N,)`` or a pair ``(N, N + 1)`` the pass tracked; raises
+    :class:`SolverBlowupError` at that run's first abort (for a pair, the
+    first step at which either level blew up).
     """
     levels = tuple(levels)
     if sol.aborted[levels]:
@@ -215,7 +218,7 @@ class BatchSolution:
     them unless the solve asked for fewer); a replication's samples at a
     level are NaN from the step it aborted at that level onward.  The per-run data
     is keyed by a tuple of levels: ``(N,)`` for the solve at each level and
-    ``(N, N + 1)`` for each coupled pair of levels exactly one apart, whose
+    ``(N, N + 1)`` for each coupled pair the solve was asked to track, whose
     run ends at the first abort of either level.
     """
 
@@ -230,7 +233,7 @@ class BatchSolution:
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
-                probe_step_idx, probe_x_idx, probe_levels=None, threads=1) -> BatchSolution:
+                probe_step_idx, probe_x_idx, probe_levels=None, pairs=(), threads=1) -> BatchSolution:
     """Advance a batch of replications at every clamp level of ``levels`` at once.
 
     ``levels`` is a strictly increasing tuple of clamp levels, advanced as
@@ -239,9 +242,10 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     one clip of the state to the per-level bounds and one call of each
     coefficient for all levels.  The arithmetic is elementwise, so every
     level's bits equal those of a solve at that level alone.  Liveness, path
-    max and aborts are kept per (level, replication), and per coupled pair
-    of levels exactly one apart, with the pair's sup difference.  This is
-    the package's one stepping loop.
+    max and aborts are kept per (level, replication), and for each coupled
+    pair ``(N, N + 1)`` of ``pairs`` (two of ``levels`` exactly one apart;
+    none by default), with the pair's sup difference.  This is the
+    package's one stepping loop.
 
     The outputs are allocated once for all B replications; chunks of
     :func:`chunk_replications` replications, each with its own state
@@ -264,7 +268,11 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     if not set(probe_levels) <= set(levels):
         raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
     probe_rows = [levels.index(v) for v in probe_levels]
-    pairs = [(i, j) for i, lo in enumerate(levels) for j, hi in enumerate(levels) if hi == lo + 1.0]
+    requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
+    for pair in requested:
+        if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
+            raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
+    pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
     lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
     L, B, J = len(levels), reps.size, grid.n_points

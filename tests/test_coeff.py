@@ -112,6 +112,39 @@ class TestLocalLipschitz:
             assert fine >= coarse
 
 
+def step_grid_by_unique(lo, hi, resolution):
+    """The window grid with its ends, built by sorting and deduplicating."""
+    k_lo = math.ceil(lo / resolution - 1e-12)
+    k_hi = math.floor(hi / resolution + 1e-12)
+    pts = np.arange(k_lo, k_hi + 1, dtype=float) * resolution
+    return np.unique(np.concatenate([[lo], pts[(pts >= lo) & (pts <= hi)], [hi]]))
+
+
+@st.composite
+def windows(draw):
+    """A resolution and a window whose ends lie on grid points, near them or anywhere."""
+    res = draw(st.sampled_from([2.0 ** -11, 2.0 ** -3, 0.1, 0.37, 1.0]))
+
+    def end():
+        k = draw(st.integers(-400, 400))
+        return draw(st.sampled_from([k * res, (k + 0.5) * res, k * res * (1 + 1e-13)]))
+
+    lo, hi = sorted((end(), end()))
+    return lo, hi, res
+
+
+@given(windows())
+@settings(max_examples=400, deadline=None)
+def test_step_grid_adds_the_ends_as_unique_does(window):
+    lo, hi, res = window
+    want = step_grid_by_unique(lo, hi, res)
+    if want.size < 2:
+        with pytest.raises(ValueError, match="fewer than two grid points"):
+            coeff._step_grid(lo, hi, res, include_ends=True)
+    else:
+        assert coeff._step_grid(lo, hi, res, include_ends=True).tolist() == want.tolist()
+
+
 class TestLevelConstants:
     def test_linear_pair(self):
         lip_b, lip_s = level_constants(Coefficient.parse("2*x"), LINEAR, 1.0)

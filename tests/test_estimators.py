@@ -379,7 +379,7 @@ class TestCoupledSupDifference:
             g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
         zero, lin = Coefficient.from_source("zero"), Coefficient.from_source("linear")
         batch = solve_batch((1.0, 2.0, 3.5), zero, lin, InitialCondition.constant(1.0), g, 1, [0, 1],
-                            [g.n_steps], [g.x_index(0.0)])
+                            [g.n_steps], [g.x_index(0.0)], pairs=[(1.0, 2.0)])
         assert PairEnsemble.from_batch(batch, g, 1.0).count == 2
         # no level of the batch lies one above 3.5
         with pytest.raises(CouplingError, match="no coupled pair"):

@@ -420,8 +420,9 @@ class TestUniquenessExperiment:
 
         monkeypatch.setattr(harness._solver, "solve_batch", counted)
         run_uniqueness_coupling(parse_config(base_doc(levels=[0.5, 6.0], replications=reps)))
-        assert calls == [((0.5, 1.5, 6.0, 7.0), width, {"probe_levels": (6.0,), "threads": 1}),
-                         ((6.0,), width, {"probe_levels": (6.0,), "threads": 1})]
+        assert calls == [((0.5, 1.5, 6.0, 7.0), width,
+                          {"probe_levels": (6.0,), "pairs": [(0.5, 1.5), (6.0, 7.0)], "threads": 1}),
+                         ((6.0,), width, {"probe_levels": (6.0,), "pairs": (), "threads": 1})]
 
     def test_passes_are_chunked_by_the_solver(self, monkeypatch):
         # at one replication per chunk every noise draw spans one replication,

@@ -254,7 +254,8 @@ class TestSolveBatch:
     def test_pair_batch_tracks_sup_difference(self):
         g = mkgrid()
         u0 = InitialCondition.constant(1.0)
-        batch = solve_batch((0.5, 1.5), ZERO, LINEAR, u0, g, 123, np.arange(4), np.array([50]), np.array([40]))
+        batch = solve_batch((0.5, 1.5), ZERO, LINEAR, u0, g, 123, np.arange(4), np.array([50]), np.array([40]),
+                            pairs=[(0.5, 1.5)])
         for rep in range(4):
             low, high = solve_pair_coupled(
                 0.5, ZERO, LINEAR, u0, g, NoiseSpec(seed=123, replication=rep, grid=g)
@@ -269,10 +270,10 @@ class TestSolveBatch:
         g = mkgrid()
         u0 = InitialCondition.constant(1.0)
         args = ((0.5, 1.5), ZERO, LINEAR, u0, g, 123, np.arange(3), np.arange(g.n_steps + 1), np.arange(g.n_points))
-        whole = solve_batch(*args)  # one draw covers the horizon
+        whole = solve_batch(*args, pairs=[(0.5, 1.5)])  # one draw covers the horizon
         per_block = steps_per_block * g.n_points * (3 if limit == "_NOISE_DRAWS" else 1)
         monkeypatch.setattr(solver, limit, per_block)
-        blocked = solve_batch(*args)
+        blocked = solve_batch(*args, pairs=[(0.5, 1.5)])
         assert np.array_equal(whole.samples, blocked.samples)
         assert np.array_equal(whole.sup_abs_diff[(0.5, 1.5)], blocked.sup_abs_diff[(0.5, 1.5)])
 
@@ -318,7 +319,8 @@ class TestStackedLevels:
     """Every level of a stacked pass equals its own solve, bit for bit."""
 
     def assert_matches_separate(self, levels, b, sigma, u0, g, seed, reps, steps, cells):
-        stacked = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells)
+        pairs = [(lo, hi) for lo in levels for hi in levels if hi == lo + 1.0]
+        stacked = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, pairs=pairs)
         assert stacked.levels == stacked.probe_levels == levels  # every level is probed by default
         for i, level in enumerate(levels):
             alone = solve_batch((level,), b, sigma, u0, g, seed, reps, steps, cells)
@@ -326,7 +328,8 @@ class TestStackedLevels:
             assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)])
             assert stacked.aborted[(level,)] == alone.aborted[(level,)]
             # the same stacked pass probing this level alone: its row and every record unchanged
-            probed = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, probe_levels=(level,))
+            probed = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, probe_levels=(level,),
+                                 pairs=pairs)
             assert probed.probe_levels == (level,) and probed.samples.shape == (1,) + stacked.samples.shape[1:]
             assert np.array_equal(probed.samples[0], stacked.samples[i], equal_nan=True)
             for key in stacked.aborted:
@@ -334,11 +337,10 @@ class TestStackedLevels:
                 assert np.array_equal(probed.path_max_abs[key], stacked.path_max_abs[key])
             for key in stacked.sup_abs_diff:
                 assert np.array_equal(probed.sup_abs_diff[key], stacked.sup_abs_diff[key])
-        pairs = [(lo, hi) for lo in levels for hi in levels if hi == lo + 1.0]
         assert sorted(stacked.sup_abs_diff) == pairs
         for lo, hi in pairs:
             assert stacked.aborted[(lo, hi)] == first_abort(stacked.aborted[(lo,)], stacked.aborted[(hi,)])
-            alone = solve_batch((lo, hi), b, sigma, u0, g, seed, reps, steps, cells)
+            alone = solve_batch((lo, hi), b, sigma, u0, g, seed, reps, steps, cells, pairs=[(lo, hi)])
             for got, want in ((stacked.sup_abs_diff, alone.sup_abs_diff),
                               (stacked.path_max_abs, alone.path_max_abs),
                               (stacked.aborted, alone.aborted)):
@@ -428,12 +430,35 @@ class TestStackedLevels:
             assert np.isnan(stacked.samples[3, r, -1]).all() == (int(r) in dead)
             assert np.isnan(probed.samples[0, r, -1]).all() == (int(r) in dead)
 
+    def test_pairs_are_tracked_only_on_request(self):
+        # the bomb kills some level-2 runs, so the pair (1, 2) has abort records
+        g = mkgrid()
+        levels = (0.5, 1.0, 1.5, 2.0)
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 6.0, np.inf, 0.0))
+        args = (bomb, LINEAR, InitialCondition.constant(1.0), g, 5, np.arange(32), np.array([5, g.n_steps]),
+                np.array([20, 40]))
+        every = solve_batch(levels, *args, pairs=[(0.5, 1.5), (1.0, 2.0)])
+        one = solve_batch(levels, *args, pairs=[(1.0, 2.0)])
+        none = solve_batch(levels, *args)
+        assert every.aborted[(1.0, 2.0)]
+        assert list(one.sup_abs_diff) == [(1.0, 2.0)] and none.sup_abs_diff == {}
+        for sol in (one, none):
+            assert np.array_equal(sol.samples, every.samples, equal_nan=True)
+            assert (0.5, 1.5) not in sol.path_max_abs and (0.5, 1.5) not in sol.aborted
+            for key in sol.path_max_abs:
+                assert np.array_equal(sol.path_max_abs[key], every.path_max_abs[key])
+                assert sol.aborted[key] == every.aborted[key]
+        assert np.array_equal(one.sup_abs_diff[(1.0, 2.0)], every.sup_abs_diff[(1.0, 2.0)])
+        for bad in [(0.5, 1.0), (2.0, 3.0), (1.0,), (0.5, 1.5, 2.5)]:
+            with pytest.raises(ValueError, match="coupled pair"):
+                solve_batch(levels, *args, pairs=[bad])
+
     def test_lattice_views_raise_at_their_own_abort(self):
         g = mkgrid()
         u0 = InitialCondition.constant(10.0)
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 9.0, np.inf, 0.0))
         spec = NoiseSpec(seed=0, replication=0, grid=g)
-        sol = solve_lattice((1.0, 1.5, 2.5), bomb, LINEAR, u0, g, spec)  # only level 2.5 clips to above 9
+        sol = solve_lattice((1.0, 1.5, 2.5), bomb, LINEAR, u0, g, spec, pairs=[(1.5, 2.5)])  # only 2.5 clips above 9
         (low,) = field_trajectories(sol, (1.5,), bomb, LINEAR, u0, g, spec)
         assert np.isfinite(low.values).all()
         with pytest.raises(SolverBlowupError) as exc:
@@ -457,7 +482,7 @@ class TestStackedLevels:
         tau = float(np.median(clean.path_max_abs[(2.0,)]))  # about 3.8: level 1 clips at e < tau
         regrow = Coefficient.from_callable(
             "regrow", lambda t, x: np.where((x == 1.0) & (t > 0), 1e6, np.where(x > tau, np.inf, 0.0)))
-        sol = solve_batch(levels, regrow, LINEAR, *args)
+        sol = solve_batch(levels, regrow, LINEAR, *args, pairs=[levels])
         dead = {a.replication: a.step for a in sol.aborted[(2.0,)]}
         assert 0 < len(dead) < len(reps) and sol.aborted[(1.0,)] == []
         assert sol.aborted[(1.0, 2.0)] == sol.aborted[(2.0,)]
@@ -535,16 +560,18 @@ class TestStackedLevels:
         cfg = dataclasses.replace(cfg, drift=bomb)
         monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 5)
         steps, xs = harness._probe_indices(cfg)
-        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2)
+        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2, pairs=[(1.0, 2.0)])
         # by step, then replication, as one solve of all 32 gives them; each chunk's records as its own solve does
         for key in ((1.0,), (2.0,), (1.0, 2.0)):
+            pairs = [key] if len(key) == 2 else []
             expected = []
             for start in range(0, 32, 5):
                 chunk = np.arange(start, min(start + 5, 32))
-                expected += solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, chunk, steps, xs).aborted[key]
+                expected += solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, chunk, steps, xs,
+                                        pairs=pairs).aborted[key]
             assert batch.aborted[key] == sorted(expected, key=lambda a: (a.step, a.replication))
             assert batch.aborted[key] == solve_batch(key, bomb, LINEAR, cfg.u0, cfg.grid, 5, np.arange(32),
-                                                     steps, xs).aborted[key]
+                                                     steps, xs, pairs=pairs).aborted[key]
         records = batch.aborted[(1.0,)]
         assert len({a.replication // 5 for a in records}) > 1  # aborts in more than one chunk
         first = records[0]
@@ -580,13 +607,13 @@ def test_pool_width_is_bounded_by_the_machine(monkeypatch):
            "probes": {"times": [0.05], "x_stride": 20}}
     cfg = harness.parse_config(doc)
     steps, xs = harness._probe_indices(cfg)
-    expected = harness._collect(cfg, cfg.levels, steps, xs)
+    expected = harness._collect(cfg, cfg.levels, steps, xs, pairs=[(1.0, 2.0)])
     monkeypatch.setattr(solver, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 1)
     for cpus, width in ((3, 3), (64, 8), (None, None)):
         monkeypatch.setattr(solver.os, "cpu_count", lambda: cpus)
         widths.clear()
-        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=10 ** 6)
+        batch = harness._collect(cfg, cfg.levels, steps, xs, threads=10 ** 6, pairs=[(1.0, 2.0)])
         assert widths == ([] if width is None else [width])  # one core: the chunks run inline
         np.testing.assert_array_equal(batch.samples, expected.samples)
         for key in expected.path_max_abs:
