@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import expr as _expr
 
@@ -123,10 +122,13 @@ def initial_convolution(u0: InitialCondition, t: float, x: float) -> float:
     if u0.kind == "constant":
         return u0.value  # unit mass of the kernel
     sd = math.sqrt(t)
+    # scipy is imported here, not at module level: it is slow to import and
+    # only these two closed forms need it
     if u0.kind == "indicator":
+        from scipy.special import ndtr
+
         a, b = u0.interval
         return float(ndtr((b - x) / sd) - ndtr((a - x) / sd))
-    # imported here: scipy.integrate is slow to import and only expression profiles need it
     from scipy import integrate
 
     def integrand(y):

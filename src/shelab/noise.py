@@ -16,8 +16,20 @@ counter ``m * ceil(J / 4) + j // 4``, mapped to a uniform strictly inside
   random numbers) simply by reusing one :class:`NoiseSpec`, which is what
   the coupled-difference experiments require.
 
-The inverse CDF is scipy's ``ndtri``, the same special-function family as
-the kernel module's ``ndtr``: one audited path for all Gaussian plumbing.
+The inverse CDF is Wichura's AS241 (PPND16; "The percentage points of the
+normal distribution", Applied Statistics 37, 1988): a degree-7 rational in
+``r = 0.180625 - q^2`` for ``|q| <= 0.425``, ``q = u - 0.5``, and in the
+tails two degree-7 rationals in ``sqrt(-log p)``, ``p = 0.5 - |q|``, split
+at 5.  It is evaluated in whole-array numpy passes from ``+ - * /``,
+``sqrt``, ``frexp``, comparisons and ``copysign`` alone, every one rounded
+correctly by IEEE 754, in one fixed order (Horner), so a draw's bits do not
+depend on the CPU, numpy's SIMD dispatch or a libm.  ``log p`` comes from
+``frexp`` (p = m 2^e, m in [1/2, 1)) and a fixed atanh series,
+``log p = (e - 1/2) log 2 + 2 (s + s^3/3 + ... + s^19/19)`` with
+``s = (m - c)/(m + c)``, c = sqrt(1/2), not from ``np.log``: numpy's
+``np.log`` and ``np.exp`` are SIMD-dispatched, and their last bits differ
+between dispatch levels.  The map is within 1.1e-15 relative of scipy's
+``ndtri`` (the tests check 4e-15), and its passes release the GIL.
 
 Stream layout: the counter is the integer ``m * ceil(J / 4) + j // 4`` in
 four little-endian 64-bit words (below 2^64 on any grid, so only word 0 is
@@ -30,8 +42,9 @@ block before the first.  The words are gathered into the output as they
 are and mapped once for the whole call: the top 52 bits f of a word become
 ``(f + 0.5) * 2^-52``, computed in place as the float64 with mantissa f and
 the exponent of 1.0, minus ``1 - 2^-53`` (exact).  Its extremes are 2^-53
-and 1 - 2^-53, so every draw is finite (``|z| <= 8.21``).  Generators are
-made per call, so concurrent callers share nothing.
+and 1 - 2^-53, so every draw is finite (``|z| <= 8.21``), and ``q`` and
+``p`` above are exact on that 2^-53 grid.  Generators are made per call, so
+concurrent callers share nothing.
 """
 
 from __future__ import annotations
@@ -41,17 +54,41 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .grid import GridSpec
 
 __all__ = ["NOISE_STREAM", "NoiseSpec", "NoiseField", "generate", "stream_for_level_pair", "standard_normals"]
 
-NOISE_STREAM = 2  # the stream layout's version, recorded in every result's provenance
+NOISE_STREAM = 3  # the stream layout's version, recorded in every result's provenance
 
 _WORDS = 4  # 64-bit output words per Philox4x64 counter block
 _EXPONENT_OF_ONE = np.uint64(0x3FF0000000000000)
 _BELOW_ONE = 1.0 - 2.0 ** -53  # 1 + f 2^-52 minus this is (f + 0.5) 2^-52, exactly
+
+# AS241 (PPND16) coefficients, highest degree first, as (numerator,
+# denominator) pairs: the central rational in r = 0.180625 - q^2, the tail
+# rational in sqrt(-log p) - 1.6 and the far-tail one in sqrt(-log p) - 5
+_CENTRAL = (
+    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4, 4.5921953931549871457e+4,
+     1.3731693765509461125e+4, 1.9715909503065514427e+3, 1.3314166789178437745e+2, 3.3871328727963666080e0),
+    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4, 2.1213794301586595867e+4,
+     5.3941960214247511077e+3, 6.8718700749205790830e+2, 4.2313330701600911252e+1, 1.0))
+_TAIL = (
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1, 1.27045825245236838258e0,
+     3.64784832476320460504e0, 5.76949722146069140550e0, 4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2, 1.48103976427480074590e-1,
+     6.89767334985100004550e-1, 1.67638483018380384940e0, 2.05319162663775882187e0, 1.0))
+_FAR = (
+    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3, 2.65321895265761230930e-2,
+     2.96560571828504891230e-1, 1.78482653991729133580e0, 5.46378491116411436990e0, 6.65790464350110377720e0),
+    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5, 7.86869131145613259100e-4,
+     1.48753612908506148525e-2, 1.36929880922735805310e-1, 5.99832206555887937690e-1, 1.0))
+_SPLIT = 0.180625  # 0.425^2: r = _SPLIT - q^2 is negative exactly in the tails
+_TAIL_MID, _FAR_START = 1.6, 5.0
+_SQRT_HALF = 0.7071067811865476
+_LN2 = 0.6931471805599453
+_LOG_SERIES = tuple(1.0 / k for k in range(19, 0, -2))  # atanh series in s^2, highest degree first
+_CHUNK = 1 << 15  # draws per central pass: its three scratch rows stay in L2
 
 
 @dataclass(frozen=True)
@@ -114,6 +151,74 @@ def _uniforms(bits):
     return np.subtract(u, _BELOW_ONE, out=u)
 
 
+def _horner(coef, r, out):
+    """``coef`` (highest degree first) at ``r`` by Horner, into ``out``."""
+    np.multiply(r, coef[0], out=out)
+    for c in coef[1:-1]:
+        np.add(out, c, out=out)
+        np.multiply(out, r, out=out)
+    return np.add(out, coef[-1], out=out)
+
+
+def _rational(pair, r, num, den):
+    """``P(r) / Q(r)`` of a (numerator, denominator) pair, into ``num``."""
+    _horner(pair[0], r, num)
+    return np.divide(num, _horner(pair[1], r, den), out=num)
+
+
+def _tail_quantiles(q):
+    """The standard normal quantiles of ``0.5 + q`` for ``|q| > 0.425``.
+
+    ``p = 0.5 - |q|`` (exact on the stream's grid) is ``m 2^e``, m in
+    [1/2, 1), and ``log p = (e - 1/2) log 2 + 2 atanh(s)`` with
+    ``s = (m - c)/(m + c)``, c = sqrt(1/2), so ``|s| <= 0.1716`` and the
+    series' ten terms leave a truncation error below 3e-17 relative.
+    """
+    m, e = np.frexp(0.5 - np.abs(q))
+    s = m - _SQRT_HALF  # exact
+    np.divide(s, np.add(m, _SQRT_HALF, out=m), out=s)
+    s2 = np.multiply(s, s, out=m)
+    series = _horner(_LOG_SERIES, s2, np.empty_like(s))
+    np.multiply(series, s, out=series)
+    np.add(series, series, out=series)  # log m - log c
+    r = np.subtract(0.5, e, out=s)
+    np.multiply(r, _LN2, out=r)
+    np.subtract(r, series, out=r)  # -log p
+    np.sqrt(r, out=r)
+    far = np.flatnonzero(r > _FAR_START)
+    r_far = r[far] - _FAR_START
+    z = _rational(_TAIL, np.subtract(r, _TAIL_MID, out=r), series, s2)
+    if far.size:  # p below e^-25: about one draw in 3.6e10
+        z[far] = _rational(_FAR, r_far, np.empty_like(r_far), np.empty_like(r_far))
+    return np.copysign(z, q, out=z)
+
+
+def _normal_quantiles(u):
+    """AS241 in place: the uniforms ``u`` (C-contiguous, on the stream's
+    2^-53 grid) become standard normal quantiles; returns ``u``.
+
+    The central rational runs over every draw in chunks of ``_CHUNK``; the
+    tail draws (about 15%) are gathered once per call and overwritten.
+    """
+    flat = u.reshape(-1)
+    np.subtract(flat, 0.5, out=flat)  # q, exact
+    width = min(_CHUNK, flat.size)
+    r, num, den = np.empty(width), np.empty(width), np.empty(width)
+    where, tails = [], []
+    for start in range(0, flat.size, _CHUNK):
+        q = flat[start:start + _CHUNK]
+        k = q.size
+        np.multiply(q, q, out=r[:k])
+        np.subtract(_SPLIT, r[:k], out=r[:k])
+        t = np.flatnonzero(r[:k] < 0.0)
+        where.append(t + start)
+        tails.append(q.take(t))
+        np.multiply(q, _rational(_CENTRAL, r[:k], num[:k], den[:k]), out=q)
+    if where:
+        flat[np.concatenate(where)] = _tail_quantiles(np.concatenate(tails))
+    return u
+
+
 def standard_normals(seed: int, replication, m, j, n_points=None):
     """Standard normal draws keyed on ``(seed, replication, m, j, n_points)``.
 
@@ -156,7 +261,7 @@ def standard_normals(seed: int, replication, m, j, n_points=None):
         bits = out.view(np.uint64).reshape((n,) + out.shape[len(axes):])
         for r, replication in enumerate(rep.reshape(-1).tolist()):
             _gather(gen, state, replication, ms[r], js[r], row, bits[r, ...], plan)
-        ndtri(_uniforms(out.view(np.uint64)), out=out)
+        _normal_quantiles(_uniforms(out.view(np.uint64)))
     if order != sorted(order):
         out = np.ascontiguousarray(out.transpose(np.argsort(order)))
     return out if out.ndim else float(out)

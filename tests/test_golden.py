@@ -35,31 +35,31 @@ EXPR_DOC = {
     "seed": 11,
 }
 
-NORMALS_BLOCK_SHA256 = "d7aff5dd27de5428f0bfda2770d655a7ae4c8c290e55a52328cc74fc92724cf2"
+NORMALS_BLOCK_SHA256 = "76d7a46be52e241c65921ceeca1fc0051f2a37ea1cacbc36f277c3c2b2666b6c"
 SIMULATE_SHA256 = {
-    "trajectory_N0_{tag}.bin": "965134ade0f154dfd378342ef4d6629be0e48c4ba607fcf20def61dd1e26a6f7",
-    "trajectory_N0_{tag}.json": "c770cda062cf46900edecdc8324d0ac7f43da60ae2eeae993600643a6e8dc155",
-    "trajectory_N3_{tag}.bin": "138325793bf2545d9471d425b674e1d987b0c2adb0145b703e6b2950a871187d",
-    "trajectory_N3_{tag}.json": "0d86e30a50db119d37db2ef8ebac8166bb1148ca465004d03583de25332635db",
+    "trajectory_N0_{tag}.bin": "2eca009c6056672e5e8a89c3ce7ec80350dd24b1eb17972917cf92a577f6c575",
+    "trajectory_N0_{tag}.json": "753cdccf169d985c869664c9dbd770445c54fde908724fe4f4c442ad77ff8e72",
+    "trajectory_N3_{tag}.bin": "f10e0c9caf9647919cee1474dc05cb1d85b2804225c11d7eb5918e1cbb3537ea",
+    "trajectory_N3_{tag}.json": "c24cd9c1bed60d89dc1f5abfcd027735493f117f915d0c43e5e02956e65477e5",
 }
-UNIQUENESS_CSV_SHA256 = "316b07dbfe4aee897c0d8304c59f829c8ce495cd7da631090d3a163b1f4d4228"
+UNIQUENESS_CSV_SHA256 = "d3f393d7d35afc2dcbb489c596b0274283a9a61bc8dfddada784a420ecf3b219"
 # levels 0 and 0.5: the clamp bites at the top level as well, so every
 # replication's top-level row against level 1.5 is "recorded", not "identical"
 CLAMPED_TOP_DOC = {**EXPR_DOC, "levels": [0.0, 0.5]}
 CLAMPED_TOP_UNIQUENESS_SHA256 = {
-    "uniqueness_{tag}.csv": "94404310f7b7914015bfc908da383548119f4b8b5da2c7030a317edc59a2d9fb",
-    "uniqueness_{tag}.json": "feff444ae9dec93a198452550d8868eb72ce20bacf24e22463e48782c0dea084",
+    "uniqueness_{tag}.csv": "b06d6449d3536a48d2d274365ab982999983c88df9f303cb7ff50e74e5ab500e",
+    "uniqueness_{tag}.json": "bcf1358785563d5c70cba09d8c83fefbfd2392134efe001c682562ec4183ad44",
 }
 
 PILOT_CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "configs"
 # result CSVs of the three pilot experiments, the same at --threads 1 and 2
 PILOT_CSV_SHA256 = {
     ("verify-moments", "pilot_moments.json"): {
-        "verify-moments_{tag}.csv": "afa6aea4f93560f1b0036a7c6d8766f92f2ae0c89ccddbac7fe4fb2984758d7d",
+        "verify-moments_{tag}.csv": "23ef0360f48b285930270d8e85e359d4fcbe16f63cb86c8919ca2fc32e49a81c",
     },
     ("convergence", "pilot_convergence.json"): {
-        "convergence_{tag}.csv": "56abe5f37189e2f6dcab3608bc6bd4e230198032dd1a531da803202c3f95cf40",
-        "convergence_{tag}_plot.csv": "abdb28e5a4453b49b7ffdd5e686a1a6bcc1681dce2a1ba8456d8b9b2627db80c",
+        "convergence_{tag}.csv": "2218f63ed2129780216a297db67020a111859df876535d1484cc1c683eda03a7",
+        "convergence_{tag}_plot.csv": "0e603200a15be7cb5aa46d7a45624572c1bfdfb06807f8310c5a7f1385b593e0",
     },
     ("verify-tails", "pilot_tails.json"): {
         "verify-tails_{tag}.csv": "b47fe0247c05a33d6294604d932ccb3b74474a7bc1b775a2694434d928478715",
@@ -72,11 +72,11 @@ PILOT_CSV_SHA256 = {
 # slopes come from LAPACK least squares, whose last bits may vary by build
 PILOT_JSON_SHA256 = {
     ("verify-moments", "pilot_moments.json"):
-        "46cc0ee3614b5384d037ac47ef3cb906ab2d6152b6a4bd6a605c83eb2677d4fb",
+        "e37eb6746e100a37eeed37029bd291e29680479c9c99e34af1bccbcbce8fb2f3",
     ("verify-tails", "pilot_tails.json"):
-        "53f6f0c57389e50eb7436a3926cfd6acbc7d84ac01a85cc816e120214aa4ea61",
+        "95994b130e2fba2069d2baa638c18f02270c1d8c62a971d35c61c49284405b7e",
     ("uniqueness", "pilot_convergence.json"):
-        "87e0808d4c1377be8e6e09f51f081b59435b0545cce4fcb87a5ebbb74aca7b87",
+        "5076305878acf82fcdb2fea6568f252fced4cc380ddb41368504890a10120a85",
 }
 
 
@@ -104,8 +104,9 @@ def avx512_dispatch_targets():
 
 
 def test_standard_normals_block_digest_without_avx512_dispatch():
-    # the words are integer arithmetic in C, the uniform map is exact and ndtri
-    # is scalar code, so numpy's SIMD dispatch level must not move a bit
+    # the words are integer arithmetic in C, the uniform map is exact and the
+    # normal map uses only correctly rounded IEEE operations (+ - * /, sqrt,
+    # frexp, copysign), so numpy's SIMD dispatch level must not move a bit
     targets = avx512_dispatch_targets()
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 target on this CPU")

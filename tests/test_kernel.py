@@ -134,11 +134,12 @@ class TestInitialCondition:
         assert np.array_equal(InitialCondition.constant(2.5)(xs), np.full(5, 2.5))
 
 
-def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only the quadrature for expression profiles needs it; it is slow to import
+def test_cli_import_leaves_scipy_unloaded():
+    # only initial_convolution needs scipy (ndtr, and quadrature for expression
+    # profiles), and it is slow to import: no scipy module may load with the CLI
     src = str(pathlib.Path(shelab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, shelab.cli; print('scipy.integrate' in sys.modules)"
+    code = "import sys, shelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -8,8 +8,9 @@ from numpy.random import Philox
 from scipy import stats
 from scipy.special import ndtri
 
+from shelab import noise
 from shelab.grid import GridSpec, GridError
-from shelab.noise import NoiseSpec, _uniforms, generate, standard_normals, stream_for_level_pair
+from shelab.noise import NoiseSpec, _normal_quantiles, _uniforms, generate, standard_normals, stream_for_level_pair
 
 
 def small_grid(**kw):
@@ -46,11 +47,37 @@ def counter_words(c):
     return [(c >> s) & M64 for s in (0, 64, 128, 192)]
 
 
+def reference_horner(coef, r):
+    acc = r * coef[0]
+    for c in coef[1:-1]:
+        acc = (acc + c) * r
+    return acc + coef[-1]
+
+
+def reference_quantile(u):
+    """AS241 on one Python float, in the vectorised map's operation order (``math.frexp``, ``math.sqrt``)."""
+    q = u - 0.5
+    r = noise._SPLIT - q * q
+    if not r < 0.0:
+        return q * (reference_horner(noise._CENTRAL[0], r) / reference_horner(noise._CENTRAL[1], r))
+    m, e = math.frexp(0.5 - abs(q))
+    s = (m - noise._SQRT_HALF) / (m + noise._SQRT_HALF)
+    series = reference_horner(noise._LOG_SERIES, s * s) * s
+    r = math.sqrt((0.5 - e) * noise._LN2 - (series + series))
+    if r > noise._FAR_START:
+        num, den = noise._FAR
+        r = r - noise._FAR_START
+    else:
+        num, den = noise._TAIL
+        r = r - noise._TAIL_MID
+    return math.copysign(reference_horner(num, r) / reference_horner(den, r), q)
+
+
 def reference_normal(seed, rep, m, j, n_points):
     """Draw (m, j): word j % 4 of the block at counter m * ceil(J / 4) + j // 4, key (seed, rep)."""
     c = m * -(-n_points // 4) + j // 4
     word = reference_philox4x64_10(counter_words(c), (seed, rep))[j % 4]
-    return float(ndtri(((word >> 12) + 0.5) * 2.0 ** -52))
+    return reference_quantile(((word >> 12) + 0.5) * 2.0 ** -52)
 
 
 # Random123 philox4x64_10 known-answer vectors (kat_vectors): (counter, key) -> the four output words
@@ -148,8 +175,44 @@ def test_extreme_words_map_strictly_inside_the_unit_interval():
     bits = np.array([0, 2 ** 12 - 1, M64 - (2 ** 12 - 1), M64], dtype=np.uint64)
     u = _uniforms(bits)
     assert u.tolist() == [2.0 ** -53, 2.0 ** -53, 1.0 - 2.0 ** -53, 1.0 - 2.0 ** -53]
-    z = ndtri(u)
+    z = _normal_quantiles(u)
     assert np.all(np.isfinite(z)) and z[0] == -z[-1] and z[-1] < 8.21
+
+
+def grid_uniforms(centre, width):
+    """The stream's uniforms (odd multiples of 2^-53) within ``width`` of ``centre`` on both sides."""
+    k = round(centre * 2.0 ** 52)
+    return [(2 * f + 1) * 2.0 ** -53 for f in range(max(0, k - width), min(2 ** 52, k + width))]
+
+
+def map_inputs():
+    """2^16 uniforms from stream words, both sides of |q| = 0.425 and of sqrt(-log p) = 5, and the extremes."""
+    words = Philox(key=np.array([17, 3], dtype=np.uint64)).random_raw(1 << 16)
+    u = _uniforms(words).tolist()
+    for centre in (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0)):
+        u += grid_uniforms(centre, 64)
+    # one uniform per binade of p down to 2^-53, on each side
+    tails = [(2 * f + 1) * 2.0 ** -53 for f in [0] + [2 ** b + 7 for b in range(50)]]
+    return np.array(u + tails + [1.0 - p for p in tails] + [0.5 - 2.0 ** -53, 0.5 + 2.0 ** -53])
+
+
+def test_map_matches_the_scalar_mirror_bit_for_bit():
+    u = map_inputs()
+    q = np.abs(u - 0.5)
+    p = 0.5 - q
+    # every branch is reached from both sides of its switch
+    assert (q <= 0.425).sum() > 1000 and (q > 0.425).sum() > 1000
+    assert ((p < math.exp(-25.0)) & (p > 1e-12)).any() and ((p > math.exp(-25.0)) & (p < 1e-10)).any()
+    got = _normal_quantiles(u.copy())
+    want = np.array([reference_quantile(v) for v in u.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_map_agrees_with_ndtri():
+    u = map_inputs()
+    want = ndtri(u)
+    got = _normal_quantiles(u.copy())
+    assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want))
 
 
 def test_a_draw_depends_on_the_grid_width_only_past_step_0():
