@@ -134,7 +134,7 @@ class TestInitialCondition:
         assert np.array_equal(InitialCondition.constant(2.5)(xs), np.full(5, 2.5))
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def test_cli_import_leaves_scipy_integrate_unloaded():
     # only initial_convolution needs scipy (ndtr, and quadrature for expression
     # profiles), and it is slow to import: no scipy module may load with the CLI
     src = str(pathlib.Path(shelab.__file__).resolve().parent.parent)
