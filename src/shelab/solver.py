@@ -80,8 +80,11 @@ __all__ = [
 _BLOCK_DRAWS = 1 << 15  # one pass's working set: stacked cells per chunk
 # a standard_normals call draws a block of steps: at most _NOISE_DRAWS in all and
 # _SPAN_DRAWS per replication.  Each replication's span costs one generator seek
-# (a few microseconds), which ~1,000 draws amortise; longer spans only grow the buffer
-_NOISE_DRAWS = 1 << 17
+# (a few microseconds), which ~1,000 draws amortise; longer spans only grow the buffer.
+# The normal map also costs ~45 us per call, and at --threads 2 the per-call work
+# of two chunks contends: 2^18 draws (2 MB) took criterion 2's coarse grid from
+# 5.7 to 4.1 s there against 2^17, for +3 MB peak RSS on moments_dense
+_NOISE_DRAWS = 1 << 18
 _SPAN_DRAWS = 1 << 13
 
 
