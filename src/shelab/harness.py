@@ -98,10 +98,12 @@ _PROBE_KEYS = {"x_stride", "times", "n_times"}
 _MAX_LEVEL = 700.0
 # resource budget: a config that parses runs in bounded memory and time
 # one solver pass stacks every level an experiment reads: at most 2 len(levels)
-# (convergence: {N} and {N+1}); full-lattice passes hold at most
+# rows (convergence: {N} and {N+1}), and |{bottom, bottom + 1, top, top + 1}| + 1
+# in uniqueness's one pass (the re-parse group adds the top level again), which
+# is more at one or two levels; full-lattice passes hold at most
 # max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
 # pass over every level; uniqueness: the top level of its min(replications, 4)
-# checked replications in each of its two passes, one per coefficient pair);
+# checked replications in each of its two coefficient groups);
 # solver.solve_batch advances every pass, these included, in chunks of
 # solver.chunk_replications replications, which exceed 2^15 cells only at one
 # replication, and --threads runs at most one chunk per core at once
@@ -259,7 +261,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         "assumption_levels must list at least 4 clamp levels",
     )
     _check_clamp_levels(assumption_levels, "assumption_levels")
-    _check_budget(grid, reps, len(levels), n_times if times is None else len(times), stride)
+    _check_budget(grid, reps, levels, n_times if times is None else len(times), stride)
 
     # u0 comes last: it is evaluated on the lattice, which the budget has bounded
     u0_doc = doc["u0"]
@@ -331,10 +333,11 @@ def _check_clamp_levels(levels, key):
     )
 
 
-def _check_budget(grid: GridSpec, reps: int, n_levels: int, n_probe_times: int, x_stride: int):
+def _check_budget(grid: GridSpec, reps: int, levels, n_probe_times: int, x_stride: int):
     points, steps = grid.n_points, grid.n_steps
     probe_points = n_probe_times * ((points - 1) // x_stride + 1)
-    stacked = 2 * n_levels
+    n_levels, top, bottom = len(levels), max(levels), min(levels)
+    stacked = max(2 * n_levels, len({bottom, bottom + 1.0, top, top + 1.0}) + 1)
     for what, amount, limit in (
         ("space-time points of full-lattice trajectories held at once",
          points * (steps + 1) * max(n_levels, 2 * min(reps, 4)), _MAX_TRAJECTORY),
@@ -751,19 +754,18 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         # independently constructed coefficient objects: re-parse expression text
         return _coeff.Coefficient.from_source(cfg.raw["b"]), _coeff.Coefficient.from_source(cfg.raw["sigma"])
 
-    def top_lattice(levels, b, s, pairs=()):
-        return _solver.solve_batch(levels, b, s, cfg.u0, g, cfg.seed, reps, np.arange(g.n_steps + 1),
-                                   np.arange(g.n_points), probe_levels=(top,), pairs=pairs, threads=threads)
-
     b1, s1 = fresh_pair()
     b2, s2 = fresh_pair()
-    # two passes over every checked replication: every level the checks read under
-    # the first coefficient pair, keeping the top level's full lattice alone; then the
-    # top level alone under the second pair, the re-solve that lattice is compared with
-    first = top_lattice(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1,
-                        pairs=[(bottom, bottom + 1.0), (top, top + 1.0)])
+    # one pass over every checked replication: every level the checks read under the
+    # first coefficient pair, keeping the top level's full lattice alone, and the top
+    # level under the second pair as its own coefficient group, the re-solve that
+    # lattice is compared with
+    first = _solver.solve_batch(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, cfg.u0, g,
+                                cfg.seed, reps, np.arange(g.n_steps + 1), np.arange(g.n_points),
+                                probe_levels=(top,), pairs=[(bottom, bottom + 1.0), (top, top + 1.0)],
+                                threads=threads, groups=[((top,), b2, s2)])
+    (second,) = first.groups
     top_1, path_max, sup_diff, aborted = first.samples[0], first.path_max_abs, first.sup_abs_diff, first.aborted
-    second = top_lattice((top,), b2, s2)
     top_2, aborted_2 = second.samples[0], second.aborted[(top,)]
     del first, second  # top_1 and top_2 alone hold the two lattices
 
@@ -778,7 +780,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         raise_first_abort(aborted[(top,)], rep)
         raise_first_abort(aborted_2, rep)
         if not np.array_equal(top_1[rep], top_2[rep]):
-            top_1 = top_2 = None  # the re-solve holds no more than the two passes did
+            top_1 = top_2 = None  # the re-solve holds no more than the pass did
             _raise_first_difference(cfg, rep, f"re-parsed coefficients at level {top:g}, replication {rep}",
                                     [((top,), b1, s1), ((top,), b2, s2)])
         records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
@@ -815,14 +817,16 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
 
 def _raise_first_difference(cfg: ExperimentConfig, rep: int, what: str, runs):
-    """Re-solve replication ``rep`` alone for each ``(levels, b, sigma)`` of
-    ``runs`` and raise at the first lattice point where the two trajectories differ."""
+    """Re-solve replication ``rep`` alone for each ``(levels, b, sigma)`` of ``runs``, in one pass with
+    the runs after the first as further coefficient groups, and raise at the first lattice point where
+    the two trajectories differ.  ``runs`` is one coupled pair or two lone levels."""
     spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
+    (levels, b, sigma), *rest = runs
+    sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec,
+                                pairs=[levels] if len(levels) == 2 else (), groups=rest)
     trajs = []
-    for levels, b, sigma in runs:
-        sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec,
-                                    pairs=[levels] if len(levels) == 2 else ())
-        trajs += _solver.field_trajectories(sol, levels, b, sigma, cfg.u0, cfg.grid, spec)
+    for (levels, b, sigma), part in zip(runs, (sol, *sol.groups)):
+        trajs += _solver.field_trajectories(part, levels, b, sigma, cfg.u0, cfg.grid, spec)
     _assert_identical(*trajs, what)
     raise ExperimentError(f"pathwise uniqueness check for {what}: the batched pass and a re-solve "
                           "of the replication alone disagree")

@@ -19,7 +19,9 @@ axis.  Replications are independent by construction (counter-based noise),
 and the truncation argument compares clamp levels driven by the same noise,
 so a chunk of replications at L levels is advanced as one stacked
 (L, B, J) array: each step draws the noise once, clips the state to the L
-clamp bounds once and calls each coefficient once.  A call splits its
+clamp bounds once and calls each coefficient once.  Further coefficient
+groups ride as more rows of that array, each group's coefficients called
+on its own rows alone.  A call splits its
 replications into chunks of :func:`chunk_replications` replications, runs
 them inline or on up to ``threads`` pool threads, and writes each into its
 own columns of outputs allocated once for the whole call.  Noise comes
@@ -105,18 +107,19 @@ def _updated_cells(grid):
     return (0, grid.n_points) if grid.boundary == "periodic" else (1, grid.n_points - 1)
 
 
-def _advance_into(src, dst, t, dw_dx, drift_fn, diffusion_fn, grid, bounds, x_buf, tmp):
+def _advance_into(src, dst, t, dw_dx, coefficients, grid, bounds, x_buf, tmp):
     """One explicit step from ``src`` into ``dst``; fixed operation order, no allocation.
 
-    ``src`` and ``dst`` are padded (..., J + 2) buffers holding the state in
-    ``[..., 1:-1]``; columns 0 and J + 1 are ghost cells that take the
-    periodic wrap, so one stencil serves both boundaries.  Cells the step
-    does not write (the Dirichlet ends) keep whatever ``dst`` holds.
+    ``src`` and ``dst`` are padded (rows, n, J + 2) buffers holding the
+    state in ``[..., 1:-1]``; columns 0 and J + 1 are ghost cells that take
+    the periodic wrap, so one stencil serves both boundaries.  Cells the
+    step does not write (the Dirichlet ends) keep whatever ``dst`` holds.
     ``dw_dx`` holds the noise increments over ``dx`` of the written cells.
-    The state argument of both coefficients is clipped to
-    ``[-bounds, bounds]`` into ``x_buf`` (``bounds`` broadcasts against the
-    state: shape (L, 1, 1) for L stacked clamp levels).  ``tmp`` is scratch
-    of the written cells' shape.
+    The state argument of the coefficients is clipped to ``[-bounds,
+    bounds]`` into ``x_buf`` (``bounds`` has shape (rows, 1, 1), one clamp
+    bound per row).  ``coefficients`` lists ``(rows, drift_fn,
+    diffusion_fn)``: each pair is called, drift first, on its own slice of
+    rows alone.  ``tmp`` is scratch of the written cells' shape.
     """
     lo, hi = _updated_cells(grid)
     if grid.boundary == "periodic":
@@ -131,11 +134,12 @@ def _advance_into(src, dst, t, dw_dx, drift_fn, diffusion_fn, grid, bounds, x_bu
     np.add(tmp, src[..., 2 + lo:2 + hi], out=tmp)
     np.multiply(tmp, grid.dt / (2.0 * grid.dx * grid.dx), out=tmp)
     np.add(center, tmp, out=out)
-    drift = drift_fn(t, x)
-    diffusion = diffusion_fn(t, x)
-    np.multiply(drift, grid.dt, out=tmp)
+    values = [(rows, drift_fn(t, x[rows]), diffusion_fn(t, x[rows])) for rows, drift_fn, diffusion_fn in coefficients]
+    for rows, drift, _ in values:
+        np.multiply(drift, grid.dt, out=tmp[rows])
     np.add(out, tmp, out=out)
-    np.multiply(diffusion, dw_dx, out=tmp)
+    for rows, _, diffusion in values:
+        np.multiply(diffusion, dw_dx, out=tmp[rows])
     np.add(out, tmp, out=out)
 
 
@@ -171,13 +175,14 @@ def solve_pair_coupled(level, b, sigma, u0, grid, noise_spec):
                               levels, b, sigma, u0, grid, noise_spec)
 
 
-def solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=()) -> "BatchSolution":
+def solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=(), groups=()) -> "BatchSolution":
     """One replication at every clamp level of ``levels`` in one pass, every lattice point probed.
 
-    ``pairs`` are the coupled pairs to track, as in :func:`solve_batch`.
+    ``pairs`` and ``groups`` are the coupled pairs to track and the further
+    coefficient groups to advance, as in :func:`solve_batch`.
     """
     return solve_batch(levels, b, sigma, u0, grid, noise_spec.seed, [noise_spec.replication],
-                       np.arange(grid.n_steps + 1), np.arange(grid.n_points), pairs=pairs)
+                       np.arange(grid.n_steps + 1), np.arange(grid.n_points), pairs=pairs, groups=groups)
 
 
 def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
@@ -222,7 +227,8 @@ class BatchSolution:
     level are NaN from the step it aborted at that level onward.  The per-run data
     is keyed by a tuple of levels: ``(N,)`` for the solve at each level and
     ``(N, N + 1)`` for each coupled pair the solve was asked to track, whose
-    run ends at the first abort of either level.
+    run ends at the first abort of either level.  ``groups`` holds the
+    solutions of the further coefficient groups the call advanced, in order.
     """
 
     levels: tuple
@@ -233,10 +239,28 @@ class BatchSolution:
     path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
     sup_abs_diff: dict  # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort
     aborted: dict  # key -> [AbortRecord], by step, then position in the batch
+    groups: tuple = ()  # a BatchSolution per further coefficient group
+
+
+def _group_layout(levels, probe_levels=None, pairs=()):
+    """One coefficient group's levels and probed levels, checked, with its probed rows and coupled pairs
+    as indices into its levels."""
+    levels = tuple(_as_level(v).level for v in levels)
+    if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
+        raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
+    probe_levels = levels if probe_levels is None else tuple(_as_level(v).level for v in probe_levels)
+    if not set(probe_levels) <= set(levels):
+        raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
+    requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
+    for pair in requested:
+        if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
+            raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
+    pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
+    return levels, probe_levels, [levels.index(v) for v in probe_levels], pairs
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
-                probe_step_idx, probe_x_idx, probe_levels=None, pairs=(), threads=1) -> BatchSolution:
+                probe_step_idx, probe_x_idx, probe_levels=None, pairs=(), threads=1, groups=()) -> BatchSolution:
     """Advance a batch of replications at every clamp level of ``levels`` at once.
 
     ``levels`` is a strictly increasing tuple of clamp levels, advanced as
@@ -250,43 +274,50 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     none by default), with the pair's sup difference.  This is the
     package's one stepping loop.
 
+    ``groups`` lists further ``(levels, b, sigma)`` coefficient groups,
+    each advanced as further rows of the same stacked state: the step's
+    noise draw, clip, stencil and bookkeeping serve every row, and each
+    group's ``b`` and ``sigma`` are called once per step on that group's
+    rows alone, so a coefficient sees the shape a call of its group alone
+    would show it.  A group probes all its levels and tracks no pair; its
+    :class:`BatchSolution` is in the result's ``groups``, with the bits a
+    separate call would give.
+
     The outputs are allocated once for all B replications; chunks of
-    :func:`chunk_replications` replications, each with its own state
-    buffers, are advanced into their columns, inline or on ``min(threads,
-    chunks, cores)`` pool threads.  Each chunk draws its noise with one
-    ``standard_normals`` call per block of steps (up to ``_NOISE_DRAWS``
-    draws, ``_SPAN_DRAWS`` per replication), in which each replication's
-    draws are one contiguous range of its Philox stream.  A draw depends
-    only on ``(seed, replication, m, j, J)``, J the grid's cell count, so
-    neither block nor chunk size nor ``threads`` changes a bit.
+    :func:`chunk_replications` replications (sized by every group's rows),
+    each with its own state buffers, are advanced into their columns,
+    inline or on ``min(threads, chunks, cores)`` pool threads.  Each chunk
+    draws its noise with one ``standard_normals`` call per block of steps
+    (up to ``_NOISE_DRAWS`` draws, ``_SPAN_DRAWS`` per replication), in
+    which each replication's draws are one contiguous range of its Philox
+    stream, and only for the cells a step writes.  A draw depends only on
+    ``(seed, replication, m, j, J)``, J the grid's cell count, so neither
+    block nor chunk size nor ``threads`` changes a bit.
     Dead rows restart from ``u0``, where both coefficients were evaluated
     at step 0.  Only the levels of ``probe_levels`` (by default all of
     ``levels``) are sampled: ``samples`` is (len(probe_levels), B,
     len(probe_step_idx), len(probe_x_idx)).
     """
-    levels = tuple(_as_level(v).level for v in levels)
-    if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
-        raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
-    probe_levels = levels if probe_levels is None else tuple(_as_level(v).level for v in probe_levels)
-    if not set(probe_levels) <= set(levels):
-        raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
-    probe_rows = [levels.index(v) for v in probe_levels]
-    requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
-    for pair in requested:
-        if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
-            raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
-    pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
+    layouts = [_group_layout(levels, probe_levels, pairs)] + [_group_layout(g_levels) for g_levels, _, _ in groups]
+    # every group's rows stacked in order; probed rows and pairs index the stack
+    row_levels, probe_rows, pairs, coefficients = [], [], [], []
+    for (g_levels, _, g_probe_rows, g_pairs), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
+        start = len(row_levels)
+        row_levels += g_levels
+        probe_rows += [start + i for i in g_probe_rows]
+        pairs += [(start + i, start + j) for i, j in g_pairs]
+        coefficients.append((slice(start, len(row_levels)), g_b, g_sigma))
     lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
-    L, B, J = len(levels), reps.size, grid.n_points
+    L, B, J = len(row_levels), reps.size, grid.n_points
     probe_step_idx = np.asarray(probe_step_idx, dtype=int)
     probe_x_idx = np.asarray(probe_x_idx, dtype=int)
     slot_of_step = {int(s): i for i, s in enumerate(probe_step_idx)}
 
-    bounds = np.array([TruncationLevel(v).clamp_bound for v in levels])[:, None, None]
+    bounds = np.array([TruncationLevel(v).clamp_bound for v in row_levels])[:, None, None]
     row0 = u0(grid.xs)
     lo, hi = _updated_cells(grid)
-    cells = np.arange(J, dtype=np.uint64)
+    cells = np.arange(lo, hi, dtype=np.uint64)  # a step draws noise only for the cells it writes
     scale = math.sqrt(grid.dt * grid.dx)
 
     # the outputs, once for all B replications; a chunk writes only its own columns
@@ -326,10 +357,10 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         for m in range(grid.n_steps):
             if m % block == 0:
                 steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
-                noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, J)
+                noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, hi - lo)
                 np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
                 np.divide(noise, grid.dx, out=noise)
-            _advance_into(src, dst, m * grid.dt, noise[:, m % block, lo:hi], b, sigma, grid, bounds, x_buf, tmp)
+            _advance_into(src, dst, m * grid.dt, noise[:, m % block], coefficients, grid, bounds, x_buf, tmp)
             state = dst[..., 1:-1]
 
             # |.|.max is NaN or inf exactly on the rows that are no longer finite
@@ -389,29 +420,36 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         return [AbortRecord(int(reps[r]), int(step[r]), int(cell[r]))
                 for r in dead[np.argsort(step[dead], kind="stable")]]
 
-    path_max_abs, aborted = {}, {}
-    for i, level in enumerate(levels):
-        path_max_abs[(level,)] = path_max[i]
-        aborted[(level,)] = records(death_step[i], death_cell[i])
-    for p, (i, j) in enumerate(pairs):
-        # the pair's run ends at the first (step, cell) at which either level blew up
-        hi_first = (death_step[j] < death_step[i]) | (
-            (death_step[j] == death_step[i]) & (death_cell[j] < death_cell[i]))
-        key = (levels[i], levels[j])
-        path_max_abs[key] = pair_max[p]
-        aborted[key] = records(np.where(hi_first, death_step[j], death_step[i]),
-                               np.where(hi_first, death_cell[j], death_cell[i]))
-
-    return BatchSolution(
-        levels=levels,
-        probe_levels=probe_levels,
-        probe_step_idx=probe_step_idx,
-        probe_x_idx=probe_x_idx,
-        samples=samples,
-        path_max_abs=path_max_abs,
-        sup_abs_diff={(levels[i], levels[j]): sup_diff[p] for p, (i, j) in enumerate(pairs)},
-        aborted=aborted,
-    )
+    solutions, probe_start, pair_start = [], 0, 0
+    for (g_levels, g_probe_levels, g_probe_rows, g_pairs), (rows, _, _) in zip(layouts, coefficients):
+        path_max_abs, sup_abs_diff, aborted = {}, {}, {}
+        for r, level in enumerate(g_levels, rows.start):
+            path_max_abs[(level,)] = path_max[r]
+            aborted[(level,)] = records(death_step[r], death_cell[r])
+        for p, (i, j) in enumerate(pairs[pair_start:pair_start + len(g_pairs)], pair_start):
+            # the pair's run ends at the first (step, cell) at which either level blew up
+            hi_first = (death_step[j] < death_step[i]) | (
+                (death_step[j] == death_step[i]) & (death_cell[j] < death_cell[i]))
+            key = (row_levels[i], row_levels[j])
+            path_max_abs[key] = pair_max[p]
+            sup_abs_diff[key] = sup_diff[p]
+            aborted[key] = records(np.where(hi_first, death_step[j], death_step[i]),
+                                   np.where(hi_first, death_cell[j], death_cell[i]))
+        solutions.append(BatchSolution(
+            levels=g_levels,
+            probe_levels=g_probe_levels,
+            probe_step_idx=probe_step_idx,
+            probe_x_idx=probe_x_idx,
+            samples=samples[probe_start:probe_start + len(g_probe_rows)],
+            path_max_abs=path_max_abs,
+            sup_abs_diff=sup_abs_diff,
+            aborted=aborted,
+        ))
+        probe_start += len(g_probe_rows)
+        pair_start += len(g_pairs)
+    main, *extra = solutions
+    main.groups = tuple(extra)
+    return main
 
 
 # -- trajectory persistence ---------------------------------------------------

@@ -131,6 +131,10 @@ class TestConfigRejection:
             # 2 x 2 stacked levels of 4,400,001 cells: one replication alone exceeds 2^24
             (lambda d: d.update(grid={**d["grid"], "R": 2.2e5, "T": 0.005}, probes={"times": [0.005]}),
              "resource budget: .* one solver chunk"),
+            # uniqueness's one pass stacks {1, 2, 3, 4} and the re-parse group's 3: 5 x 3,500,001 cells
+            (lambda d: d.update(levels=[1.0, 3.0], grid={**d["grid"], "R": 1.75e5, "T": 0.005},
+                                probes={"times": [0.005]}),
+             "resource budget: .* one solver chunk"),
             (lambda d: d.update(replications=10 ** 7, probes={"x_stride": 1}), "resource budget: .* probe samples"),
             (lambda d: d["probes"].update(x_stride=1, times=[0.25] * 100000), "resource budget: .* probe samples"),
             (lambda d: d.update(replications=3 * 10 ** 7, probes={"x_stride": 10 ** 6, "n_times": 1}),
@@ -408,21 +412,25 @@ class TestUniquenessExperiment:
             "and a re-solve of the replication alone disagree")
 
     @pytest.mark.parametrize("reps,width", [(6, 4), (2, 2)])
-    def test_two_batched_passes(self, monkeypatch, reps, width):
-        # one pass over every level the checks read, keeping the top level's
-        # full lattice, then the top level alone under the second coefficient pair
+    def test_one_batched_pass(self, monkeypatch, reps, width):
+        # one pass over every level the checks read, keeping the top level's full
+        # lattice, with the top level under the second coefficient pair as its own group
         calls = []
         solve = harness._solver.solve_batch
 
         def counted(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs):
-            calls.append((levels, len(replications), kwargs))
+            calls.append((levels, len(replications), probes, kwargs))
             return solve(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs)
 
         monkeypatch.setattr(harness._solver, "solve_batch", counted)
-        run_uniqueness_coupling(parse_config(base_doc(levels=[0.5, 6.0], replications=reps)))
-        assert calls == [((0.5, 1.5, 6.0, 7.0), width,
-                          {"probe_levels": (6.0,), "pairs": [(0.5, 1.5), (6.0, 7.0)], "threads": 1}),
-                         ((6.0,), width, {"probe_levels": (6.0,), "pairs": (), "threads": 1})]
+        cfg = parse_config(base_doc(levels=[0.5, 6.0], replications=reps))
+        run_uniqueness_coupling(cfg)
+        (levels, n, (steps, cells), kwargs), = calls
+        assert (levels, n) == ((0.5, 1.5, 6.0, 7.0), width)
+        assert np.array_equal(steps, np.arange(cfg.grid.n_steps + 1)) and np.array_equal(cells, np.arange(cfg.grid.n_points))
+        (group_levels, b2, s2), = kwargs.pop("groups")
+        assert kwargs == {"probe_levels": (6.0,), "pairs": [(0.5, 1.5), (6.0, 7.0)], "threads": 1}
+        assert group_levels == (6.0,) and (b2, s2) == (cfg.drift, cfg.diffusion)
 
     def test_passes_are_chunked_by_the_solver(self, monkeypatch):
         # at one replication per chunk every noise draw spans one replication,

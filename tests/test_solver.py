@@ -277,6 +277,20 @@ class TestSolveBatch:
         assert np.array_equal(whole.samples, blocked.samples)
         assert np.array_equal(whole.sup_abs_diff[(0.5, 1.5)], blocked.sup_abs_diff[(0.5, 1.5)])
 
+    @pytest.mark.parametrize("boundary,written", [("dirichlet", slice(1, -1)), ("periodic", slice(None))])
+    def test_noise_is_drawn_for_the_written_cells_alone(self, boundary, written, monkeypatch):
+        g = mkgrid(boundary=boundary)
+        drawn = []
+
+        def recorded(seed, replication, m, j, n_points):
+            drawn.append(j)
+            return standard_normals(seed, replication, m, j, n_points)
+
+        monkeypatch.setattr(solver, "standard_normals", recorded)
+        solve_batch((1.0, 2.0), ZERO, LINEAR, InitialCondition.constant(1.0), g, 3, np.arange(2),
+                    np.array([g.n_steps]), np.array([40]))
+        assert drawn and all(np.array_equal(j, np.arange(g.n_points)[written]) for j in drawn)
+
     def test_blowup_is_recorded_and_isolated(self):
         # a drift that returns inf once the state crosses a threshold kills
         # exactly the replications whose noise pushes them there; survivors
@@ -581,6 +595,73 @@ class TestStackedLevels:
             f"{len(records)} of 32 replications aborted (> 1% budget); first at replication "
             f"{first.replication}, step {first.step}, cell {first.cell}"
         )
+
+
+def assert_same_solution(got, want):
+    """Two BatchSolutions of the same levels agree bit for bit: samples and every per-run record."""
+    assert (got.levels, got.probe_levels) == (want.levels, want.probe_levels)
+    assert np.array_equal(got.samples, want.samples, equal_nan=True)
+    for name in ("path_max_abs", "sup_abs_diff", "aborted"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert list(a) == list(b)
+        for key in a:
+            assert np.array_equal(a[key], b[key])
+
+
+class TestCoefficientGroups:
+    """Further coefficient groups ride as rows of one stacked pass; each equals its own call."""
+
+    ARGS = (InitialCondition.constant(1.0), mkgrid(), 17, np.arange(80), np.array([0, 10, 25, 50]),
+            np.array([0, 20, 40, 60, 80]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunk", [None, 37])
+    def test_groups_equal_separate_calls(self, chunk, threads, monkeypatch):
+        main = ((0.25, 1.25, 1.5), Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x*exp(-abs(x)/8)"))
+        groups = [((1.5,), Coefficient.parse("sin(x)+0.5"), Coefficient.parse("exp(-x*x)+x")),
+                  ((0.5, 1.5, 3.0), Coefficient.parse("-exp(-abs(x))"), Coefficient.parse("sin(2*x)"))]
+        pairs = [(0.25, 1.25)]
+        if chunk is not None:
+            monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: chunk)
+        grouped = solve_batch(*main, *self.ARGS, pairs=pairs, threads=threads, groups=groups)
+        assert len(grouped.groups) == 2 and grouped.groups[0].groups == ()
+        assert_same_solution(grouped, solve_batch(*main, *self.ARGS, pairs=pairs))
+        for (levels, b, sigma), sol in zip(groups, grouped.groups):
+            assert_same_solution(sol, solve_batch(levels, b, sigma, *self.ARGS))
+        # level 1.5 is in every group, and each group's coefficients move it differently
+        assert not np.array_equal(grouped.samples[2], grouped.groups[0].samples[0])
+        assert not np.array_equal(grouped.groups[0].samples[0], grouped.groups[1].samples[1])
+
+    def test_a_dead_row_of_a_group_is_recorded_for_that_group_alone(self):
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0))
+        main = ((1.0, 2.0), ZERO, LINEAR)
+        grouped = solve_batch(*main, *self.ARGS, pairs=[(1.0, 2.0)], groups=[((2.0,), bomb, LINEAR)])
+        (group,) = grouped.groups
+        assert 0 < len(group.aborted[(2.0,)]) < 80
+        assert_same_solution(group, solve_batch((2.0,), bomb, LINEAR, *self.ARGS))
+        alone = solve_batch(*main, *self.ARGS, pairs=[(1.0, 2.0)])
+        assert alone.aborted[(2.0,)] == [] and np.isfinite(alone.samples).all()
+        assert_same_solution(grouped, alone)
+
+    def test_each_coefficient_sees_its_own_rows(self):
+        shapes = []
+
+        def recorder(name):
+            return Coefficient.from_callable(name, lambda t, x: shapes.append((name, x.shape)) or np.zeros_like(x))
+
+        solve_batch((1.0, 2.0, 3.0), recorder("b"), recorder("sigma"), *self.ARGS,
+                    groups=[((2.0,), recorder("b2"), recorder("sigma2")),
+                            ((0.5, 4.0), recorder("b3"), recorder("sigma3"))])
+        rows = {"b": 3, "sigma": 3, "b2": 1, "sigma2": 1, "b3": 2, "sigma3": 2}
+        g = self.ARGS[1]
+        chunks = -(-80 // solver.chunk_replications(6, g.n_points))  # a chunk calls each coefficient once per step
+        assert len(shapes) == 6 * g.n_steps * chunks
+        assert {(name, shape[0], shape[2]) for name, shape in shapes} == {
+            (name, n, g.n_points - 2) for name, n in rows.items()}
+
+    def test_groups_are_checked_like_the_main_levels(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            solve_batch((1.0,), ZERO, LINEAR, *self.ARGS, groups=[((2.0, 1.0), ZERO, LINEAR)])
 
 
 def test_pool_width_is_bounded_by_the_machine(monkeypatch):
