@@ -60,10 +60,6 @@ class ProblemConstants:
         if not self.proof_constant > 1:
             raise ValueError("proof constant must exceed 1")
 
-    @property
-    def bounded_regime(self) -> bool:
-        return self.diffusion_sup is not None
-
     def inflate_diffusion_growth(self) -> "ProblemConstants":
         """Enlarge the diffusion growth constant until sqrt(L_b)/L_s^2 <= 2.
 

@@ -287,19 +287,25 @@ class AssumptionVerdict:
 _SLOPE_TOL = 1e-3
 
 
-def _fit_loglog(levels, ratios):
-    lx = np.log(np.asarray(levels, dtype=float))
-    ly = np.log(np.asarray(ratios, dtype=float))
-    design = np.column_stack([lx, np.ones_like(lx)])
-    coef, res, *_ = np.linalg.lstsq(design, ly, rcond=None)
-    slope = float(coef[0])
-    dof = len(lx) - 2
-    if dof > 0 and res.size:
-        sxx = float(np.sum((lx - lx.mean()) ** 2))
-        stderr = math.sqrt(float(res[0]) / dof / sxx) if sxx > 0 else math.inf
-    else:
-        stderr = 0.0
-    return slope, stderr
+def _fit_line(xs, ys):
+    """Least-squares line through ``(xs, ys)``: its slope and the slope's standard error
+    (0 with two points), in closed form over ``math.fsum`` sums (exact, then correctly
+    rounded), so no BLAS/LAPACK build or CPU dispatch moves a bit."""
+    dx, dy = _centred(xs), _centred(ys)
+    sxx = math.fsum(a * a for a in dx)
+    slope = math.fsum(a * b for a, b in zip(dx, dy)) / sxx
+    if len(dx) == 2:
+        return slope, 0.0
+    rss = math.fsum((b - slope * a) ** 2 for a, b in zip(dx, dy))
+    return slope, math.sqrt(rss / (len(dx) - 2) / sxx)
+
+
+def _centred(values):
+    """``values`` minus their mean.  One fsum correction step makes the mean of
+    equal values exact, which ``fsum(values) / n`` is not for n = 3, 5, 6, 7."""
+    mean = math.fsum(values) / len(values)
+    mean += math.fsum(v - mean for v in values) / len(values)
+    return [v - mean for v in values]
 
 
 def _is_constant(values, rel_tol):
@@ -367,8 +373,9 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
 
     safe_sigma = [max(r, eps) for r in ratio_sigma]
     safe_drift = [max(r, eps) for r in ratio_drift]
-    slope_sigma, err_sigma = _fit_loglog(levels, safe_sigma)
-    slope_drift, err_drift = _fit_loglog(levels, safe_drift)
+    log_levels = [math.log(N) for N in levels]  # math.log: np.log is SIMD-dispatched
+    slope_sigma, err_sigma = _fit_line(log_levels, [math.log(r) for r in safe_sigma])
+    slope_drift, err_drift = _fit_line(log_levels, [math.log(r) for r in safe_drift])
 
     globally_lipschitz = _is_constant(lip_sigma, 1e-3) and _is_constant(lip_b, 1e-3)
 

@@ -708,13 +708,8 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
     slopes = {}
     for k, rows in table.items():
         pts = [(N ** 1.5, math.log(v)) for N, v, active in rows if active and v > 0]
-        if len(pts) >= 2:
-            xs = np.array([p[0] for p in pts])
-            ys = np.array([p[1] for p in pts])
-            slope = float(np.polyfit(xs, ys, 1)[0])
-        else:
-            slope = None  # undefined with fewer than two active levels
-        slopes[repr(float(k))] = slope
+        # undefined with fewer than two active levels
+        slopes[repr(float(k))] = _coeff._fit_line(*zip(*pts))[0] if len(pts) >= 2 else None
 
     lip_samples = None
     try:

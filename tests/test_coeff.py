@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -196,6 +197,69 @@ class TestCheckAssumption:
             check_assumption(LINEAR, LINEAR, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="increasing"):
             check_assumption(LINEAR, LINEAR, [1.0, 2.0, 2.0, 3.0])
+
+
+U = 2.0 ** -53  # unit roundoff
+
+# 2 to 6 points with x in [-10, 10].  An x spread below ~1e-154 squares to
+# underflow (sxx = 0); the fits' x values are log levels and N^1.5
+def points(n):
+    return st.tuples(
+        st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n),
+    ).filter(lambda p: max(p[0]) - min(p[0]) > 1e-100)
+
+
+POINTS = st.integers(2, 6).flatmap(points)
+
+
+def exact_fit(xs, ys):
+    """The exact least-squares slope of the points, and the rounding a float fit may add to it.
+
+    The budget is 2 ulp, plus u per rounded centred value and product (8 u sum|dx dy| / sxx,
+    large when the points are nearly uncorrelated) or the least subnormal where a product
+    underflows, plus an ulp in each mean, which moves the centred sums by
+    n ex (ey + ex |slope|) (large when the x spread is a few ulps).
+    """
+    n = len(xs)
+    fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(fx) / n, sum(fy) / n
+    dx, dy = [x - mx for x in fx], [y - my for y in fy]
+    sxx = sum(d * d for d in dx)
+    slope = sum(a * b for a, b in zip(dx, dy)) / sxx
+    ex, ey = Fraction(math.ulp(float(mx))), Fraction(math.ulp(float(my)))
+    rounding = (8 * Fraction(U) * sum(abs(a * b) for a, b in zip(dx, dy)) + 2 * n * Fraction(2.0 ** -1074)
+                + 2 * n * ex * (ey + ex * abs(slope)))
+    return slope, 2 * Fraction(math.ulp(float(slope))) + rounding / sxx
+
+
+class TestFitLine:
+    @given(POINTS)
+    @settings(max_examples=300, deadline=None)
+    def test_slope_matches_exact_least_squares(self, points):
+        xs, ys = points
+        slope, budget = exact_fit(xs, ys)
+        assert abs(Fraction(coeff._fit_line(xs, ys)[0]) - slope) <= budget
+
+    def test_slope_within_2_ulp_on_a_well_conditioned_line(self):
+        xs = [math.log(N) for N in (1.0, 2.0, 3.0, 4.0, 5.0)]
+        ys = [-0.375 * x + 0.1 * math.sin(x) for x in xs]
+        slope, _ = exact_fit(xs, ys)
+        assert abs(coeff._fit_line(xs, ys)[0] - float(slope)) <= 2 * math.ulp(float(slope))
+
+    @given(points(2))
+    @settings(max_examples=100, deadline=None)
+    def test_two_points_have_no_stderr(self, points):
+        slope, stderr = coeff._fit_line(*points)
+        assert stderr == 0.0
+        assert math.isfinite(slope)
+
+    @given(POINTS, st.floats(-1e3, 1e3))
+    @settings(max_examples=200, deadline=None)
+    def test_constant_ys_give_zero_slope_and_stderr(self, points, c):
+        # fsum(ys) / n is not c for n = 3, 5, 6 and 7; the centring makes it exact
+        xs = points[0]
+        assert coeff._fit_line(xs, [c] * len(xs)) == (0.0, 0.0)
 
 
 def test_declared_constants_dominate_estimates():

@@ -6,12 +6,14 @@ it.  A change that alters output bits on purpose must say why and update
 the digests below in the same change.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -68,15 +70,27 @@ PILOT_CSV_SHA256 = {
 
 # result JSON of the pilots (records, diagnostics and provenance), the same at
 # --threads 1 and 2; uniqueness runs on the convergence pilot, as in
-# scripts/run_pilot.py.  Convergence and assumption JSON are not pinned: their
-# slopes come from LAPACK least squares, whose last bits may vary by build
+# scripts/run_pilot.py
 PILOT_JSON_SHA256 = {
+    ("convergence", "pilot_convergence.json"):
+        "26190c235d6f8d15f4f85d95e34652b15a6f9f000549d1d1ca1bfa00eb7a6788",
     ("verify-moments", "pilot_moments.json"):
         "e37eb6746e100a37eeed37029bd291e29680479c9c99e34af1bccbcbce8fb2f3",
     ("verify-tails", "pilot_tails.json"):
         "95994b130e2fba2069d2baa638c18f02270c1d8c62a971d35c61c49284405b7e",
     ("uniqueness", "pilot_convergence.json"):
         "5076305878acf82fcdb2fea6568f252fced4cc380ddb41368504890a10120a85",
+}
+
+# every pinned result JSON whose numbers come from coeff._fit_line: check-assumptions
+# on three configs and convergence on its pilot.  The fit is closed form over
+# math.fsum sums of math.log values, so neither the BLAS build nor the OpenBLAS
+# core type moves a bit
+FITTED_JSON_SHA256 = {
+    "check-assumptions EXPR_DOC": "bf6a512d6c389330e94f0943a0613956dcb78999ffeeff35e2be59bfb2fe43fc",
+    "check-assumptions pilot_convergence.json": "549b2a432f5ab5fac4ba02a5b677061ad4157fa41ccc8eeb6c05fbca78d0cd37",
+    "check-assumptions pilot_moments.json": "ed32c9b5adef10482585a3da93c47a7b3834d69897287c30e507e85544df919f",
+    "convergence pilot_convergence.json": PILOT_JSON_SHA256[("convergence", "pilot_convergence.json")],
 }
 
 
@@ -103,6 +117,14 @@ def avx512_dispatch_targets():
     return [t for t in __cpu_dispatch__ if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
 
 
+def child_env(**extra) -> dict:
+    """The environment of a child Python that imports shelab and test_golden from this checkout."""
+    here = pathlib.Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(pathlib.Path(solver.__file__).resolve().parents[1]), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **extra)
+
+
 def test_standard_normals_block_digest_without_avx512_dispatch():
     # the words are integer arithmetic in C, the uniform map is exact and the
     # normal map uses only correctly rounded IEEE operations (+ - * /, sqrt,
@@ -110,14 +132,11 @@ def test_standard_normals_block_digest_without_avx512_dispatch():
     targets = avx512_dispatch_targets()
     if not targets:
         pytest.skip("numpy dispatches no AVX-512 target on this CPU")
-    here = pathlib.Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(pathlib.Path(solver.__file__).resolve().parents[1]), str(here),
-                                         os.environ.get("PYTHONPATH")]))
     code = ("from numpy._core._multiarray_umath import __cpu_features__\n"
             f"assert not any(__cpu_features__[t] for t in {targets!r})\n"
             "from test_golden import normals_block_digest\n"
             "print(normals_block_digest())")
-    env = dict(os.environ, PYTHONPATH=path, NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    env = child_env(NPY_DISABLE_CPU_FEATURES=" ".join(targets))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == NORMALS_BLOCK_SHA256
@@ -179,6 +198,54 @@ def test_pilot_json_digests(command, config, threads, tmp_path):
     assert cli.main(["--out", str(out), "--threads", str(threads), command, str(path)]) == 0
     got = sha256((out / f"{command}_{load_config(path).hash16}.json").read_bytes())
     assert got == PILOT_JSON_SHA256[(command, config)]
+
+
+def fitted_config(name, directory) -> pathlib.Path:
+    """The config file a FITTED_JSON_SHA256 key names; EXPR_DOC is written to ``directory``."""
+    if name != "EXPR_DOC":
+        return PILOT_CONFIGS / name
+    path = pathlib.Path(directory) / "expr_doc.json"
+    path.write_text(json.dumps(EXPR_DOC))
+    return path
+
+
+def fitted_json_digests(directory) -> dict:
+    """Run every command and config of FITTED_JSON_SHA256 into ``directory``; return the digests."""
+    directory = pathlib.Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    got = {}
+    for key in FITTED_JSON_SHA256:
+        command, name = key.split(" ")
+        path = fitted_config(name, directory)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--out", str(directory), command, str(path)]) == 0
+        prefix = "assumptions" if command == "check-assumptions" else command
+        got[key] = sha256((directory / f"{prefix}_{load_config(path).hash16}.json").read_bytes())
+    return got
+
+
+def test_fitted_json_digests(tmp_path):
+    assert fitted_json_digests(tmp_path) == FITTED_JSON_SHA256
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott"])
+def test_fitted_json_digests_do_not_depend_on_the_openblas_core(coretype, tmp_path):
+    # OPENBLAS_CORETYPE picks the kernels of numpy's DYNAMIC_ARCH OpenBLAS, in the child alone
+    code = f"import json, test_golden\nprint(json.dumps(test_golden.fitted_json_digests({str(tmp_path)!r})))"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(OPENBLAS_CORETYPE=coretype),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == FITTED_JSON_SHA256
+
+
+def test_shelab_calls_no_library_least_squares():
+    # LAPACK and OpenBLAS results depend on the build and the core type; the
+    # one fit is coeff._fit_line
+    src = pathlib.Path(solver.__file__).resolve().parent
+    hits = [f"{path.name}:{number}" for path in sorted(src.glob("*.py"))
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            if re.search(r"linalg|lstsq|polyfit", line)]
+    assert hits == []
 
 
 # sin in the drift and exp in the diffusion: numpy dispatches both by CPU
