@@ -265,7 +265,10 @@ class AssumptionVerdict:
     compared against: ``sigma-unbounded`` uses N^(3/8), ``sigma-bounded``
     uses e^(N/2).  Each clause gets its own verdict; asymptotic conditions
     are only ever sampled, so ``indeterminate`` is an honest outcome when a
-    fitted slope is within noise of its threshold.
+    fitted slope is within noise of its threshold.  A ``ratio_drift`` entry
+    is ``inf`` where its quotient overflows a float (a diffusion constant at
+    or near 0, as for additive noise); the drift fit then reads the ratio's
+    logarithm, ``log L_{N,b} - 4 log max(L_{N,sigma}, 1e-300)``.
     """
 
     regime: str
@@ -273,7 +276,7 @@ class AssumptionVerdict:
     lip_sigma: list
     lip_b: list
     ratio_sigma: list  # L_{N,sigma} / reference(N)
-    ratio_drift: list  # L_{N,b} / L_{N,sigma}^4
+    ratio_drift: list  # L_{N,b} / max(L_{N,sigma}, 1e-300)^4
     slope_sigma: float
     slope_drift: float
     stderr_sigma: float
@@ -285,6 +288,7 @@ class AssumptionVerdict:
 
 
 _SLOPE_TOL = 1e-3
+_EPS = 1e-300  # floor of the constants and ratios whose logs are fitted
 
 
 def _fit_line(xs, ys):
@@ -328,6 +332,8 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
         raise ValueError("need at least 4 sampled clamp levels")
     if any(b2 <= a2 for a2, b2 in zip(levels, levels[1:])):
         raise ValueError("clamp levels must be strictly increasing")
+    if levels[0] <= 0:
+        raise ValueError("clamp levels must be positive: the fit takes log N")
 
     notes = []
     n_max = math.exp(levels[-1])
@@ -367,15 +373,13 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
         [math.exp(N / 2.0) for N in levels] if bounded else [N ** 0.375 for N in levels]
     )
 
-    eps = 1e-300
     ratio_sigma = [ls / r for ls, r in zip(lip_sigma, reference)]
-    ratio_drift = [lb / max(ls, eps) ** 4 for lb, ls in zip(lip_b, lip_sigma)]
+    ratio_drift, log_drift = zip(*(_drift_ratio(lb, ls) for lb, ls in zip(lip_b, lip_sigma)))
 
-    safe_sigma = [max(r, eps) for r in ratio_sigma]
-    safe_drift = [max(r, eps) for r in ratio_drift]
+    safe_sigma = [max(r, _EPS) for r in ratio_sigma]
     log_levels = [math.log(N) for N in levels]  # math.log: np.log is SIMD-dispatched
     slope_sigma, err_sigma = _fit_line(log_levels, [math.log(r) for r in safe_sigma])
-    slope_drift, err_drift = _fit_line(log_levels, [math.log(r) for r in safe_drift])
+    slope_drift, err_drift = _fit_line(log_levels, log_drift)
 
     globally_lipschitz = _is_constant(lip_sigma, 1e-3) and _is_constant(lip_b, 1e-3)
 
@@ -407,7 +411,7 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
         lip_sigma=lip_sigma,
         lip_b=lip_b,
         ratio_sigma=ratio_sigma,
-        ratio_drift=ratio_drift,
+        ratio_drift=list(ratio_drift),
         slope_sigma=slope_sigma,
         slope_drift=slope_drift,
         stderr_sigma=err_sigma,
@@ -417,6 +421,20 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
         verdict=verdict,
         notes=notes,
     )
+
+
+def _drift_ratio(lb, ls):
+    """``L_{N,b} / max(L_{N,sigma}, 1e-300)^4`` and the log of its floor at 1e-300.
+
+    Where the float quotient overflows to inf, or its denominator underflows
+    to 0 (a diffusion constant of 0, as for additive noise), the ratio is inf
+    and its log is taken as ``log L_{N,b} - 4 log max(L_{N,sigma}, 1e-300)``.
+    """
+    den = max(ls, _EPS) ** 4
+    ratio = lb / den if den else (math.inf if lb else 0.0)
+    if ratio < math.inf:
+        return ratio, math.log(max(ratio, _EPS))
+    return ratio, math.log(lb) - 4.0 * math.log(max(ls, _EPS))
 
 
 def _sup_abs(psi, n):

@@ -260,6 +260,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _is_number_list(assumption_levels) and len(assumption_levels) >= 4,
         "assumption_levels must list at least 4 clamp levels",
     )
+    _require(min(assumption_levels) > 0, "assumption_levels: clamp levels must be positive (the fit takes log N)")
     _check_clamp_levels(assumption_levels, "assumption_levels")
     _check_budget(grid, reps, levels, n_times if times is None else len(times), stride)
 

@@ -1,10 +1,8 @@
-"""Heat kernel, its L^2 identity, and convolution with the initial profile.
+"""Heat kernel, its L^2 identity, and the initial profile.
 
 The kernel is ``p_r(z) = (2 pi r)^(-1/2) exp(-z^2 / (2r))`` for ``r > 0``.
 Its squared L^2 norm has the closed form ``p_{2r}(0) = (1/2) (pi r)^(-1/2)``;
-the test suite cross-checks it by quadrature.  The convolution of an
-indicator profile is a difference of standard normal CDFs (scipy's
-``ndtr``).
+the test suite cross-checks it by quadrature.
 """
 
 from __future__ import annotations
@@ -20,17 +18,7 @@ __all__ = [
     "heat_kernel",
     "kernel_l2_norm_sq",
     "InitialCondition",
-    "initial_convolution",
-    "QuadratureError",
 ]
-
-# 12 standard deviations: Gaussian tail mass < 1e-31, far below every
-# tolerance used here, so finite windows are safe for all quadrature.
-TAIL_WIDTH_SDS = 12.0
-
-
-class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
 
 
 def _check_time(r):
@@ -56,8 +44,7 @@ def kernel_l2_norm_sq(r):
 class InitialCondition:
     """Bounded measurable initial profile: constant, indicator, or expression.
 
-    ``bound`` is a sup-norm bound used by the contraction property of the
-    convolution and by the closed-form bound calculators.
+    ``bound`` is a sup-norm bound, used by the closed-form bound calculators.
     """
 
     kind: str  # constant | indicator | expr
@@ -109,33 +96,3 @@ class InitialCondition:
         if self.kind == "indicator":
             return {"kind": "indicator", "a": self.interval[0], "b": self.interval[1]}
         return {"kind": "expr", "source": self.source, "bound": self.bound}
-
-
-def initial_convolution(u0: InitialCondition, t: float, x: float) -> float:
-    """Heat-semigroup smoothing ``(p_t * u0)(x)`` of the initial profile.
-
-    Closed form (Gaussian CDF differences) for constant and indicator
-    profiles; adaptive quadrature with absolute tolerance 1e-9 otherwise.
-    """
-    _check_time(t)
-    x = float(x)
-    if u0.kind == "constant":
-        return u0.value  # unit mass of the kernel
-    sd = math.sqrt(t)
-    # scipy is imported here, not at module level: it is slow to import and
-    # only these two closed forms need it
-    if u0.kind == "indicator":
-        from scipy.special import ndtr
-
-        a, b = u0.interval
-        return float(ndtr((b - x) / sd) - ndtr((a - x) / sd))
-    from scipy import integrate
-
-    def integrand(y):
-        return heat_kernel(t, y - x) * _expr.evaluate(u0.compiled, 0.0, y)
-
-    lo, hi = x - TAIL_WIDTH_SDS * sd, x + TAIL_WIDTH_SDS * sd
-    val, abserr = integrate.quad(integrand, lo, hi, epsabs=1e-10, epsrel=1e-10, limit=400)
-    if abserr > 1e-9:
-        raise QuadratureError(f"convolution quadrature error {abserr:g} exceeds 1e-9 at (t={t}, x={x})")
-    return float(val)

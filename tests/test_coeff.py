@@ -197,6 +197,23 @@ class TestCheckAssumption:
             check_assumption(LINEAR, LINEAR, [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="increasing"):
             check_assumption(LINEAR, LINEAR, [1.0, 2.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="positive"):
+            check_assumption(LINEAR, LINEAR, [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("drift,ratio", [("x", math.inf), ("0.5*sin(x)", math.inf), ("1", 0.0)])
+    def test_additive_noise_gets_a_verdict(self, drift, ratio):
+        # L_{N,sigma} = 0 floors at 1e-300, whose fourth power underflows to 0: the
+        # drift ratio saturates at inf (0 for a constant drift) and is fitted in logs
+        v = check_assumption(Coefficient.parse(drift), Coefficient.parse("1"), [1.0, 2.0, 3.0, 4.0])
+        assert v.verdict == "pass" and v.clause_drift == "pass"
+        assert v.slope_drift == pytest.approx(0.0, abs=1e-6)
+        assert v.ratio_drift == [ratio] * 4
+
+    def test_drift_ratio_takes_logs_only_where_the_quotient_saturates(self):
+        assert coeff._drift_ratio(3.0, 0.5) == (48.0, math.log(48.0))
+        assert coeff._drift_ratio(1e-300, 1e30) == (0.0, math.log(1e-300))
+        assert coeff._drift_ratio(1.0, 1e-100) == (math.inf, -4.0 * math.log(1e-100))
+        assert coeff._drift_ratio(1e300, 1e-3) == (math.inf, math.log(1e300) - 4.0 * math.log(1e-3))
 
 
 U = 2.0 ** -53  # unit roundoff

@@ -2,11 +2,15 @@
 
 Documents are drawn close to the shipped pilot configs (one key replaced,
 retyped, scaled, deleted or added, or a whole ``u0`` object), so the type,
-range and budget clauses are reached, not just the key check.  Every
+range and budget clauses are reached, not just the key check.  A second
+kind of variant sets one element of a number list to an edge value, or
+draws ``b`` and ``sigma`` together, or both: a list scaled as a whole stays
+ordered, and one key at a time never pairs two coefficients.  Every
 rejected document also goes through the CLI, which must exit 1 without a
 traceback.  Near-valid variants of a tiny document (9 cells, 4 steps, 30
 replications) that parse are run through every CLI command, which must
-return an exit code and raise nothing.
+return an exit code and raise nothing; check-assumptions must give a
+verdict unless a coefficient fails on its estimation grid.
 """
 
 import contextlib
@@ -15,6 +19,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import tempfile
 import warnings
 
@@ -43,6 +48,7 @@ json_values = st.recursive(
     max_leaves=8,
 )
 SCALES = [-1, 0, 2, 10 ** 6, 10 ** 30, 1e-9, 1e-3, 0.5, 1.5, 1e3, 1e12, 1e300]
+EDGE_NUMBERS = [0, -1, 1e-300, 1e300]
 
 
 def _paths(doc):
@@ -91,6 +97,23 @@ def one_key_mutated(draw, bases=PILOTS):
     return doc
 
 
+@st.composite
+def element_or_coefficients_mutated(draw, bases=PILOTS):
+    """One element of a number list set to an edge value (``assumption_levels`` at its
+    default where unset), or ``b`` and ``sigma`` drawn together from ``EXPRESSIONS``, or both."""
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
+    how = draw(st.sampled_from(["element", "coefficients", "both"]))
+    if how != "coefficients":
+        doc.setdefault("assumption_levels", [1.0, 2.0, 3.0, 4.0])
+        lists = [value for value in [*doc.values(), *doc.get("probes", {}).values()]
+                 if isinstance(value, list) and value and all(isinstance(v, (int, float)) for v in value)]
+        values = draw(st.sampled_from(lists))
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(EDGE_NUMBERS))
+    if how != "element":
+        doc["b"], doc["sigma"] = draw(st.sampled_from(EXPRESSIONS)), draw(st.sampled_from(EXPRESSIONS))
+    return doc
+
+
 numbers = st.floats(allow_nan=False) | st.integers(-10, 10)
 u0_objects = st.fixed_dictionaries({}, optional={
     "kind": st.sampled_from(["constant", "indicator", "expr", "bogus"]),
@@ -135,6 +158,12 @@ def test_u0_objects_parse_or_exit_1(pilot, u0):
     _parses_or_exits_1({**pilot, "u0": u0})
 
 
+@settings(max_examples=60, deadline=None)
+@given(element_or_coefficients_mutated())
+def test_edited_lists_and_coefficient_pairs_parse_or_exit_1(doc):
+    _parses_or_exits_1(doc)
+
+
 TINY = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
         "grid": {"R": 0.4, "dx": 0.1, "dt": 0.005, "T": 0.02, "boundary": "dirichlet"},
         "replications": 30, "levels": [1.0, 2.0], "orders": [2.0], "seed": 7, "bounded_sigma": False,
@@ -143,10 +172,12 @@ CONFIG_COMMANDS = ["check-assumptions", "simulate", "verify-moments", "verify-ta
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ASSERTION, cli.EXIT_IO}
 
 
-@settings(max_examples=40, deadline=None)
-@given(one_key_mutated([TINY]))
-@example(TINY)
-def test_accepted_documents_run_to_an_exit_code(doc):
+# check-assumptions exits 2 only for a coefficient that fails on part of its
+# estimation grid (coeff._eval_checked's two messages); any other failure is the checker's
+GRID_FAILURE = re.compile(r"somewhere on the estimation grid|is non-finite at \(t=")
+
+
+def _runs_to_an_exit_code(doc):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # small-window warnings of the tiny grid
         try:
@@ -166,6 +197,21 @@ def test_accepted_documents_run_to_an_exit_code(doc):
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     code = cli.main(["--out", out, *argv])
                 assert code in EXIT_CODES, err.getvalue()
+                if argv[0] == "check-assumptions":
+                    assert code == cli.EXIT_OK or GRID_FAILURE.search(err.getvalue()), err.getvalue()
                 if argv[0] == "verify-moments" and code == cli.EXIT_OK:
                     # the written result set reads back through report
                     runs += [["report", str(p)] for p in pathlib.Path(out).glob("verify-moments_*.json")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(one_key_mutated([TINY]))
+@example(TINY)
+def test_accepted_documents_run_to_an_exit_code(doc):
+    _runs_to_an_exit_code(doc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(element_or_coefficients_mutated([TINY]))
+def test_accepted_lists_and_coefficient_pairs_run_to_an_exit_code(doc):
+    _runs_to_an_exit_code(doc)

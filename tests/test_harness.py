@@ -101,6 +101,9 @@ class TestConfigRejection:
             (lambda d: d.update(assumption_levels=["a", "b", "c", "d"]), "assumption_levels must list"),
             (lambda d: d.update(assumption_levels=[4.0, 3.0, 2.0, 1.0]), "assumption_levels must be strictly"),
             (lambda d: d.update(assumption_levels=[1.0, 2.0, 3.0, 1e6]), "assumption_levels: .* overflow"),
+            # every assumption level goes through log N; levels keeps N = 0 (clamp bound 1)
+            (lambda d: d.update(assumption_levels=[0, 1, 2, 3]), "assumption_levels: clamp levels must be positive"),
+            (lambda d: d.update(assumption_levels=[-1, 1, 2, 3]), "assumption_levels: clamp levels must be positive"),
             (lambda d: d.update(levels=[1e6]), "levels: clamp levels above 700 make e\\^N overflow"),
             (lambda d: d.update(levels=[True]), "levels must be a non-empty list of numbers"),
             (lambda d: d["constants"].update(L_b=float("inf")), "constants.L_b"),
@@ -713,8 +716,14 @@ class TestCli:
         assert "cannot read results" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["r.json"]
 
-    def test_check_assumptions_runs(self, tmp_path, capsys):
-        cfgp = self.write_config(tmp_path, base_doc(b="linear"))
+    # additive noise has L_{N,sigma} = 0, whose floor 1e-300 underflows in the drift ratio
+    @pytest.mark.parametrize("over", [
+        {"b": "linear"},
+        {"b": "x", "sigma": "1"},
+        {"b": "x", "sigma": "1", "assumption_levels": [1e-300, 1.0, 2.0, 3.0]},
+    ], ids=["linear", "additive", "additive-tiny-level"])
+    def test_check_assumptions_runs(self, tmp_path, capsys, over):
+        cfgp = self.write_config(tmp_path, base_doc(**over))
         out = tmp_path / "asm"
         assert cli.main(["--out", str(out), "check-assumptions", cfgp]) == 0
         printed = capsys.readouterr().out

@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 import shelab
+from heat_reference import initial_convolution
 from shelab.kernel import (
     InitialCondition,
     heat_kernel,
-    initial_convolution,
     kernel_l2_norm_sq,
 )
 
@@ -135,8 +135,8 @@ class TestInitialCondition:
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
-    # only initial_convolution needs scipy (ndtr, and quadrature for expression
-    # profiles), and it is slow to import: no scipy module may load with the CLI
+    # scipy serves the tests alone (heat_reference), and it is slow to import:
+    # no scipy module may load with the CLI
     src = str(pathlib.Path(shelab.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, shelab.cli; print(sorted(m for m in sys.modules if m.split('.')[0].startswith('scipy')))"

@@ -8,7 +8,8 @@ import pytest
 from shelab import harness
 from shelab.coeff import Coefficient, truncated_fn
 from shelab.grid import GridSpec
-from shelab.kernel import InitialCondition, initial_convolution
+from heat_reference import initial_convolution
+from shelab.kernel import InitialCondition
 from shelab import solver
 from shelab.noise import NoiseSpec, standard_normals
 from shelab.solver import (
