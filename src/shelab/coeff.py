@@ -51,6 +51,9 @@ DEFAULT_TIME_GRID = (0.01, 0.1, 0.5, 1.0)
 DEFAULT_RESOLUTION = 2.0 ** -11
 
 _MAX_GRID_POINTS = 20_000_000
+# an estimator generates and evaluates its grid this many points at a time, so
+# its working set does not grow with the window
+_CHUNK_POINTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -155,27 +158,60 @@ def truncated_fn(psi: Coefficient, level):
     return clamped
 
 
+class _StepGrid:
+    """An estimation grid, generated on demand: ``lo`` when ``head``, the
+    integer multiples ``k * resolution`` for k in ``k_lo .. k_lo + n_inner - 1``,
+    then ``hi`` when ``tail``.  The multiples lie inside [lo, hi] and increase with k."""
+
+    __slots__ = ("lo", "hi", "resolution", "k_lo", "n_inner", "head", "tail")
+
+    def __init__(self, lo: float, hi: float, resolution: float, include_ends: bool):
+        """Integer multiples of ``resolution`` inside [lo, hi], optionally with the ends."""
+        if resolution <= 0:
+            raise ValueError("resolution must be positive")
+        n_est = (hi - lo) / resolution
+        if n_est > _MAX_GRID_POINTS:
+            # keep the work bounded on very wide windows; still a valid lower bound
+            resolution = (hi - lo) / _MAX_GRID_POINTS
+            warnings.warn(f"estimation grid coarsened to step {resolution:g} on [{lo:g}, {hi:g}]")
+        k_lo = math.ceil(lo / resolution - 1e-12)
+        k_hi = math.floor(hi / resolution + 1e-12)
+        # k * resolution increases with k: drop the multiples the tolerances let outside [lo, hi]
+        while k_lo <= k_hi and k_lo * resolution < lo:
+            k_lo += 1
+        while k_hi >= k_lo and k_hi * resolution > hi:
+            k_hi -= 1
+        self.lo, self.hi, self.resolution, self.k_lo, self.n_inner = lo, hi, resolution, k_lo, k_hi - k_lo + 1
+        # add each end unless it is already a multiple on the grid
+        self.head = include_ends and (self.n_inner == 0 or k_lo * resolution != lo)
+        self.tail = include_ends and hi != (k_hi * resolution if self.n_inner else lo)
+        if self.size < 2:
+            raise ValueError(f"window [{lo}, {hi}] has fewer than two grid points at step {resolution}")
+
+    @property
+    def size(self) -> int:
+        return self.head + self.n_inner + self.tail
+
+    def points(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Grid points ``start`` to ``stop - 1`` (by default all of them), increasing."""
+        stop = self.size if stop is None else stop
+        k0 = self.k_lo + max(start - self.head, 0)
+        k1 = self.k_lo + min(stop - self.head, self.n_inner)
+        pts = np.arange(k0, k1, dtype=float) * self.resolution
+        head = [self.lo] if self.head and start == 0 else []
+        tail = [self.hi] if self.tail and stop == self.size else []
+        return np.concatenate([head, pts, tail]) if head or tail else pts
+
+    def chunks(self, overlap: int = 0):
+        """The grid in consecutive runs of at most ``_CHUNK_POINTS + overlap`` points; each run
+        after the first repeats the last ``overlap`` points of the one before."""
+        for start in range(0, self.size - overlap, _CHUNK_POINTS):
+            yield self.points(start, min(start + _CHUNK_POINTS + overlap, self.size))
+
+
 def _step_grid(lo: float, hi: float, resolution: float, include_ends: bool) -> np.ndarray:
-    """Integer multiples of ``resolution`` inside [lo, hi], optionally with the ends."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
-    n_est = (hi - lo) / resolution
-    if n_est > _MAX_GRID_POINTS:
-        # keep memory bounded on very wide windows; still a valid lower bound
-        resolution = (hi - lo) / _MAX_GRID_POINTS
-        warnings.warn(f"estimation grid coarsened to step {resolution:g} on [{lo:g}, {hi:g}]")
-    k_lo = math.ceil(lo / resolution - 1e-12)
-    k_hi = math.floor(hi / resolution + 1e-12)
-    pts = np.arange(k_lo, k_hi + 1, dtype=float) * resolution
-    pts = pts[(pts >= lo) & (pts <= hi)]
-    if include_ends:
-        # pts is strictly increasing inside [lo, hi]: add each end unless it is already there
-        head = [lo] if not pts.size or pts[0] != lo else []
-        tail = [hi] if hi != (pts[-1] if pts.size else lo) else []
-        pts = np.concatenate([head, pts, tail])
-    if pts.size < 2:
-        raise ValueError(f"window [{lo}, {hi}] has fewer than two grid points at step {resolution}")
-    return pts
+    """The whole grid of :class:`_StepGrid` as one array."""
+    return _StepGrid(lo, hi, resolution, include_ends).points()
 
 
 def _times(psi) -> tuple:
@@ -199,6 +235,24 @@ def _eval_checked(psi, t, xs):
     return vals
 
 
+def _grid_values(psi, grid: _StepGrid, overlap: int = 0):
+    """``(xs, psi(t, xs))`` for each time of ``_times(psi)`` and each run of ``grid.chunks(overlap)``.
+
+    A failing run is re-evaluated with its time's whole grid, so that the
+    error names the first failure a whole-grid evaluation meets: two runs can
+    fail at different expression nodes, and a domain error precedes the
+    finiteness check.
+    """
+    for t in _times(psi):
+        for xs in grid.chunks(overlap):
+            try:
+                vals = _eval_checked(psi, t, xs)
+            except ArithmeticError:
+                _eval_checked(psi, t, grid.points())
+                raise
+            yield xs, vals
+
+
 def linear_growth_constant(
     psi: Coefficient,
     domain=(-1000.0, 1000.0),
@@ -211,12 +265,8 @@ def linear_growth_constant(
         raise ValueError(f"domain must be a finite interval, got {domain}")
     if resolution is None:
         resolution = max(DEFAULT_RESOLUTION, (hi - lo) / 2.0 ** 16)
-    xs = _step_grid(lo, hi, resolution, include_ends=True)
-    best = 0.0
-    for t in _times(psi):
-        vals = _eval_checked(psi, t, xs)
-        best = max(best, float(np.max(np.abs(vals) / (1.0 + np.abs(xs)))))
-    return best
+    grid = _StepGrid(lo, hi, resolution, include_ends=True)
+    return max(float(np.max(np.abs(vals) / (1.0 + np.abs(xs)))) for xs, vals in _grid_values(psi, grid))
 
 
 def local_lipschitz_constant(
@@ -233,13 +283,10 @@ def local_lipschitz_constant(
     """
     if not (n > 0 and math.isfinite(n)):
         raise ValueError(f"window half-width must be positive and finite, got {n}")
-    xs = _step_grid(-n, n, resolution, include_ends=False)
-    gaps = np.diff(xs)
-    best = 0.0
-    for t in _times(psi):
-        vals = _eval_checked(psi, t, xs)
-        best = max(best, float(np.max(np.abs(np.diff(vals)) / gaps)))
-    return best
+    grid = _StepGrid(-n, n, resolution, include_ends=False)
+    # runs overlap by one point, so every adjacent pair lies in one run
+    return max(float(np.max(np.abs(np.diff(vals)) / np.diff(xs)))
+               for xs, vals in _grid_values(psi, grid, overlap=1))
 
 
 def level_constants(b: Coefficient, sigma: Coefficient, level):
@@ -438,8 +485,8 @@ def _drift_ratio(lb, ls):
 
 
 def _sup_abs(psi, n):
-    xs = _step_grid(-n, n, max(DEFAULT_RESOLUTION, n / 2.0 ** 15), include_ends=True)
-    return max(float(np.max(np.abs(_eval_checked(psi, t, xs)))) for t in _times(psi))
+    grid = _StepGrid(-n, n, max(DEFAULT_RESOLUTION, n / 2.0 ** 15), include_ends=True)
+    return max(float(np.max(np.abs(vals))) for _, vals in _grid_values(psi, grid))
 
 
 def _failed_verdict(levels, notes, lip_b=None, lip_sigma=None):

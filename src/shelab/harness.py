@@ -100,10 +100,13 @@ _MAX_LEVEL = 700.0
 # one solver pass stacks every level an experiment reads: at most 2 len(levels)
 # rows (convergence: {N} and {N+1}), and |{bottom, bottom + 1, top, top + 1}| + 1
 # in uniqueness's one pass (the re-parse group adds the top level again), which
-# is more at one or two levels; full-lattice passes hold at most
-# max(len(levels), 2 min(replications, 4)) trajectories at once (simulate: one
-# pass over every level; uniqueness: the top level of its min(replications, 4)
-# checked replications in each of its two coefficient groups);
+# is more at one or two levels; full-lattice passes hold at most len(levels)
+# trajectories at once (simulate: one pass over every level), and uniqueness two
+# (its pass keeps no lattice; a failed check re-solves one replication at two
+# runs).  The limit still counts max(len(levels), 2 min(replications, 4)), the
+# top-level lattices uniqueness kept for each checked replication under each of
+# its two coefficient pairs before it tracked their sup difference instead: the
+# term is conservative for uniqueness;
 # solver.solve_batch advances every pass, these included, in chunks of
 # solver.chunk_replications replications, which exceed 2^15 cells only at one
 # replication, and --threads runs at most one chunk per core at once
@@ -752,18 +755,17 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
     b1, s1 = fresh_pair()
     b2, s2 = fresh_pair()
-    # one pass over every checked replication: every level the checks read under the
-    # first coefficient pair, keeping the top level's full lattice alone, and the top
-    # level under the second pair as its own coefficient group, the re-solve that
-    # lattice is compared with
+    # one pass over every checked replication, keeping no lattice: every level the checks
+    # read under the first coefficient pair, and the top level under the second pair as
+    # its own coefficient group, the re-solve compared with the first pair's top level
+    # through the same-level pair (top, top)
     first = _solver.solve_batch(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, cfg.u0, g,
-                                cfg.seed, reps, np.arange(g.n_steps + 1), np.arange(g.n_points),
-                                probe_levels=(top,), pairs=[(bottom, bottom + 1.0), (top, top + 1.0)],
+                                cfg.seed, reps, (), (), probe_levels=(),
+                                pairs=[(bottom, bottom + 1.0), (top, top + 1.0), (top, top)],
                                 threads=threads, groups=[((top,), b2, s2)])
     (second,) = first.groups
-    top_1, path_max, sup_diff, aborted = first.samples[0], first.path_max_abs, first.sup_abs_diff, first.aborted
-    top_2, aborted_2 = second.samples[0], second.aborted[(top,)]
-    del first, second  # top_1 and top_2 alone hold the two lattices
+    path_max, sup_diff, aborted = first.path_max_abs, first.sup_abs_diff, first.aborted
+    reparse_diff, aborted_2 = second.sup_abs_diff[(top, top)], second.aborted[(top,)]
 
     def raise_first_abort(aborted, rep):
         for a in aborted:
@@ -775,8 +777,8 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         # each coefficient pair, then the pair at top, then the pair at bottom
         raise_first_abort(aborted[(top,)], rep)
         raise_first_abort(aborted_2, rep)
-        if not np.array_equal(top_1[rep], top_2[rep]):
-            top_1 = top_2 = None  # the re-solve holds no more than the pass did
+        # two finite runs (an abort was raised above) are identical exactly when their sup difference is 0
+        if float(reparse_diff[rep]) != 0.0:
             _raise_first_difference(cfg, rep, f"re-parsed coefficients at level {top:g}, replication {rep}",
                                     [((top,), b1, s1), ((top,), b2, s2)])
         records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))
@@ -784,9 +786,8 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
         raise_first_abort(aborted[(top, top + 1.0)], rep)
         diff = float(sup_diff[(top, top + 1.0)][rep])
         if float(path_max[(top,)][rep]) < math.exp(top):
-            # a finite pair run (an abort was raised above) is identical exactly when its sup difference is 0
+            # as above, for the finite pair run
             if diff != 0.0:
-                top_1 = top_2 = None  # as above
                 _raise_first_difference(cfg, rep, f"levels {top:g} vs {top + 1:g}, replication {rep}",
                                         [((top, top + 1.0), b1, s1)])
             records.append(_record(cfg, "uniqueness", top, "identical", estimate=0.0))

@@ -237,14 +237,16 @@ class BatchSolution:
     probe_x_idx: np.ndarray
     samples: np.ndarray  # (len(probe_levels), B, nt, nx)
     path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
-    sup_abs_diff: dict  # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort
+    # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort; in a group,
+    # (N, N) -> (B,) sup |u_N - u_N of the main group|, until either row's abort
+    sup_abs_diff: dict
     aborted: dict  # key -> [AbortRecord], by step, then position in the batch
     groups: tuple = ()  # a BatchSolution per further coefficient group
 
 
 def _group_layout(levels, probe_levels=None, pairs=()):
     """One coefficient group's levels and probed levels, checked, with its probed rows and coupled pairs
-    as indices into its levels."""
+    as indices into its levels, and the levels of its same-level pairs ``(N, N)``."""
     levels = tuple(_as_level(v).level for v in levels)
     if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
         raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
@@ -252,11 +254,13 @@ def _group_layout(levels, probe_levels=None, pairs=()):
     if not set(probe_levels) <= set(levels):
         raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
     requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
+    across = sorted(pair[0] for pair in requested if len(pair) == 2 and pair[0] == pair[1] and pair[0] in levels)
+    requested -= {(v, v) for v in across}
     for pair in requested:
         if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
             raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
     pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
-    return levels, probe_levels, [levels.index(v) for v in probe_levels], pairs
+    return levels, probe_levels, [levels.index(v) for v in probe_levels], pairs, across
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
@@ -279,9 +283,13 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     noise draw, clip, stencil and bookkeeping serve every row, and each
     group's ``b`` and ``sigma`` are called once per step on that group's
     rows alone, so a coefficient sees the shape a call of its group alone
-    would show it.  A group probes all its levels and tracks no pair; its
-    :class:`BatchSolution` is in the result's ``groups``, with the bits a
-    separate call would give.
+    would show it.  A group probes all its levels and tracks no pair of its
+    own; its :class:`BatchSolution` is in the result's ``groups``, with the
+    bits a separate call would give.  A same-level pair ``(N, N)`` in
+    ``pairs`` (N one of ``levels``) couples level N across the groups
+    instead: each group that also solves N tracks the sup difference of its
+    row there from the main row at N, as its ``sup_abs_diff[(N, N)]``, until
+    either row aborts.
 
     The outputs are allocated once for all B replications; chunks of
     :func:`chunk_replications` replications (sized by every group's rows),
@@ -301,12 +309,19 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     layouts = [_group_layout(levels, probe_levels, pairs)] + [_group_layout(g_levels) for g_levels, _, _ in groups]
     # every group's rows stacked in order; probed rows and pairs index the stack
     row_levels, probe_rows, pairs, coefficients = [], [], [], []
-    for (g_levels, _, g_probe_rows, g_pairs), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
+    for (g_levels, _, g_probe_rows, g_pairs, _), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
         start = len(row_levels)
         row_levels += g_levels
         probe_rows += [start + i for i in g_probe_rows]
         pairs += [(start + i, start + j) for i, j in g_pairs]
         coefficients.append((slice(start, len(row_levels)), g_b, g_sigma))
+    # same-level pairs (N, N), after every coupled pair: each further group's row at N against
+    # the main row; across[g] lists group g's as (N, index into pairs)
+    (main_levels, *_, main_across), across = layouts[0], [[] for _ in layouts]
+    for (g_levels, *_), (rows, _, _), g_across in zip(layouts[1:], coefficients[1:], across[1:]):
+        for level in (v for v in main_across if v in g_levels):
+            g_across.append((level, len(pairs)))
+            pairs.append((main_levels.index(level), rows.start + g_levels.index(level)))
     lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
     L, B, J = len(row_levels), reps.size, grid.n_points
@@ -421,7 +436,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                 for r in dead[np.argsort(step[dead], kind="stable")]]
 
     solutions, probe_start, pair_start = [], 0, 0
-    for (g_levels, g_probe_levels, g_probe_rows, g_pairs), (rows, _, _) in zip(layouts, coefficients):
+    for layout, (rows, _, _), g_across in zip(layouts, coefficients, across):
+        g_levels, g_probe_levels, g_probe_rows, g_pairs, _ = layout
         path_max_abs, sup_abs_diff, aborted = {}, {}, {}
         for r, level in enumerate(g_levels, rows.start):
             path_max_abs[(level,)] = path_max[r]
@@ -435,6 +451,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             sup_abs_diff[key] = sup_diff[p]
             aborted[key] = records(np.where(hi_first, death_step[j], death_step[i]),
                                    np.where(hi_first, death_cell[j], death_cell[i]))
+        for level, p in g_across:
+            sup_abs_diff[(level, level)] = sup_diff[p]
         solutions.append(BatchSolution(
             levels=g_levels,
             probe_levels=g_probe_levels,
@@ -483,7 +501,7 @@ def save_trajectory(traj: FieldTrajectory, bin_path, sidecar_path):
     )
     with open(bin_path, "wb") as fh:
         fh.write(header)
-        fh.write(np.ascontiguousarray(traj.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(traj.values, dtype="<f8"))  # the buffer itself, not a bytes copy
     with open(sidecar_path, "w", encoding="utf-8") as fh:
         json.dump(traj.provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -314,3 +315,147 @@ def test_time_free_expressions_are_evaluated_at_one_time(monkeypatch):
 def test_unknown_name_is_rejected_by_the_parser():
     with pytest.raises(expr.ParseError, match="unknown identifier 'nope'"):
         Coefficient.from_source("nope")
+
+
+def whole_grid(lo, hi, resolution, include_ends):
+    """The estimation grid built as one array, as the estimators built it before they ran in chunks."""
+    if (hi - lo) / resolution > coeff._MAX_GRID_POINTS:
+        resolution = (hi - lo) / coeff._MAX_GRID_POINTS
+    k_lo = math.ceil(lo / resolution - 1e-12)
+    k_hi = math.floor(hi / resolution + 1e-12)
+    pts = np.arange(k_lo, k_hi + 1, dtype=float) * resolution
+    pts = pts[(pts >= lo) & (pts <= hi)]
+    if include_ends:
+        pts = np.unique(np.concatenate([[lo], pts, [hi]]))
+    if pts.size < 2:
+        raise ValueError("fewer than two grid points")
+    return pts
+
+
+def whole_grid_constant(psi, xs, reduce):
+    """Maximum of ``reduce(xs, psi(t, xs))`` over the estimator's times, ``xs`` evaluated whole."""
+    return max(float(np.max(reduce(xs, np.asarray(psi(t, xs), dtype=float)))) for t in coeff._times(psi))
+
+
+def growth(xs, vals):
+    return np.abs(vals) / (1.0 + np.abs(xs))
+
+
+def lipschitz(xs, vals):
+    return np.abs(np.diff(vals)) / np.diff(xs)
+
+
+def sup(xs, vals):
+    return np.abs(vals)
+
+
+class TestChunkedGrids:
+    """The estimators evaluate their grids in runs of ``_CHUNK_POINTS`` points; every constant keeps
+    the bits of the same grid evaluated whole, wherever the runs end."""
+
+    C = coeff._CHUNK_POINTS
+    RES = 2.0 ** -11
+    COEFFICIENTS = [Coefficient.parse("0.5*sin(x) + x*x/(1+abs(x))"), Coefficient.from_source("clipped_poly"),
+                    Coefficient.from_source("oscillator"), Coefficient.parse("t*x + cos(3*x)")]
+
+    @pytest.mark.parametrize("points", [0, 1, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("include_ends", [False, True])
+    def test_runs_cover_the_grid_once(self, points, include_ends):
+        # the multiples 1..points of the step, plus the ends when asked for
+        lo, hi = 0.5 * self.RES, (points + 0.75) * self.RES
+        try:
+            want = whole_grid(lo, hi, self.RES, include_ends)
+        except ValueError:
+            with pytest.raises(ValueError, match="fewer than two grid points"):
+                coeff._StepGrid(lo, hi, self.RES, include_ends)
+            return
+        grid = coeff._StepGrid(lo, hi, self.RES, include_ends)
+        assert grid.size == want.size and np.array_equal(grid.points(), want)
+        for overlap in (0, 1):
+            runs = list(grid.chunks(overlap))
+            assert max(run.size for run in runs) <= self.C + overlap
+            assert np.array_equal(np.concatenate([runs[0]] + [run[overlap:] for run in runs[1:]]), want)
+            for a, b in zip(runs, runs[1:]):
+                assert np.array_equal(a[a.size - overlap:], b[:overlap])
+
+    @pytest.mark.parametrize("points", [2, C - 1, C, C + 1, 2 * C + 1])
+    @pytest.mark.parametrize("psi", COEFFICIENTS, ids=lambda psi: psi.name)
+    def test_linear_growth_at_chunk_boundaries(self, points, psi):
+        domain = (-3.0, -3.0 + (points - 1) * self.RES)  # both ends on the grid: exactly `points` points
+        xs = whole_grid(*domain, self.RES, include_ends=True)
+        assert xs.size == points
+        assert linear_growth_constant(psi, domain, self.RES) == whole_grid_constant(psi, xs, growth)
+
+    @pytest.mark.parametrize("chunk_to_points", ["chunk - 1", "chunk", "chunk + 1", "2 chunk + 1"])
+    @pytest.mark.parametrize("psi", COEFFICIENTS, ids=lambda psi: psi.name)
+    def test_lipschitz_and_sup_at_chunk_boundaries(self, chunk_to_points, psi, monkeypatch):
+        # both grids on [-2, 2] hold the 8193 multiples of the step (the ends are among them);
+        # the run length makes 8193 one of chunk - 1, chunk, chunk + 1 and 2 chunk + 1
+        n, points = 2.0, 8193
+        chunk = {"chunk - 1": points + 1, "chunk": points, "chunk + 1": points - 1,
+                 "2 chunk + 1": (points - 1) // 2}[chunk_to_points]
+        monkeypatch.setattr(coeff, "_CHUNK_POINTS", chunk)
+        for estimate, xs, reduce in (
+            (lambda: local_lipschitz_constant(psi, n), whole_grid(-n, n, self.RES, False), lipschitz),
+            (lambda: coeff._sup_abs(psi, n), whole_grid(-n, n, self.RES, True), sup),
+        ):
+            assert xs.size == points
+            assert estimate() == whole_grid_constant(psi, xs, reduce)
+
+    def test_a_jump_across_a_run_boundary(self, monkeypatch):
+        # the one nonzero quotient is between the last point of the first run and the next point
+        monkeypatch.setattr(coeff, "_CHUNK_POINTS", 64)
+        xs = whole_grid(-1.0, 1.0, self.RES, include_ends=False)
+        step = Coefficient.from_callable("step", lambda t, x: (x >= xs[64]).astype(float))
+        assert local_lipschitz_constant(step, 1.0) == 1.0 / self.RES
+
+    @pytest.mark.parametrize("points", [1, C - 1, C + 1, 2 * C + 1])
+    def test_lipschitz_at_the_module_chunk(self, points):
+        psi = self.COEFFICIENTS[0]
+        n = (points // 2) * self.RES  # the multiples -points//2 .. points//2
+        if points == 1:
+            with pytest.raises(ValueError, match="fewer than two grid points"):
+                local_lipschitz_constant(psi, self.RES / 2)
+            return
+        xs = whole_grid(-n, n, self.RES, include_ends=False)
+        assert xs.size == points
+        assert local_lipschitz_constant(psi, n) == whole_grid_constant(psi, xs, lipschitz)
+
+    @pytest.mark.parametrize("psi", COEFFICIENTS, ids=lambda psi: psi.name)
+    def test_coarsened_grid(self, psi, monkeypatch):
+        # a window of 12,288 steps coarsened to 1,000 points of step 0.006, in runs of 64
+        monkeypatch.setattr(coeff, "_MAX_GRID_POINTS", 1000)
+        monkeypatch.setattr(coeff, "_CHUNK_POINTS", 64)
+        xs = whole_grid(-3.0, 3.0, self.RES, include_ends=False)
+        with pytest.warns(UserWarning, match="coarsened to step 0.006"):
+            got = local_lipschitz_constant(psi, 3.0)
+        assert got == whole_grid_constant(psi, xs, lipschitz)
+
+    def test_a_failure_names_what_the_whole_grid_names(self, monkeypatch):
+        # the log fails right of 1.5 and the square root left of -3: in runs of 16 points the
+        # first run meets the square root alone, but the whole grid fails at the log, the first node
+        psi = Coefficient.parse("log(1.5 - x) + sqrt(x + 3)")
+        messages = []
+        for chunk in (16, 10 ** 6):
+            monkeypatch.setattr(coeff, "_CHUNK_POINTS", chunk)
+            with pytest.raises(ArithmeticError) as exc:
+                local_lipschitz_constant(psi, 4.0, resolution=0.25)
+            messages.append(str(exc.value))
+        assert messages == 2 * ["log(1.5 - x) + sqrt(x + 3): log of a non-positive value somewhere on the "
+                                "estimation grid at t=0.01"]
+        with pytest.raises(ArithmeticError, match="sqrt of a negative value"):
+            coeff._eval_checked(psi, 0.01, coeff._StepGrid(-4.0, 4.0, 0.25, False).points(0, 16))
+
+
+def test_check_assumption_holds_no_whole_grid():
+    # at [1, 2, 3, 12] the top window's grid is coarsened to 20 M points: built whole, it
+    # traced an 800 MB peak; in runs of _CHUNK_POINTS points the traced peak (tracemalloc
+    # sees numpy's data) is 0.66 MB, and the bound leaves six times that
+    b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+    tracemalloc.start()
+    try:
+        check_assumption(b, sigma, [1.0, 2.0, 3.0, 12.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

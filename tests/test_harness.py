@@ -7,6 +7,7 @@ import os
 import pathlib
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -416,8 +417,9 @@ class TestUniquenessExperiment:
 
     @pytest.mark.parametrize("reps,width", [(6, 4), (2, 2)])
     def test_one_batched_pass(self, monkeypatch, reps, width):
-        # one pass over every level the checks read, keeping the top level's full
-        # lattice, with the top level under the second coefficient pair as its own group
+        # one pass over every level the checks read, keeping no lattice, with the top
+        # level under the second coefficient pair as its own group, compared with the
+        # first pair's top level through the same-level pair (top, top)
         calls = []
         solve = harness._solver.solve_batch
 
@@ -430,10 +432,27 @@ class TestUniquenessExperiment:
         run_uniqueness_coupling(cfg)
         (levels, n, (steps, cells), kwargs), = calls
         assert (levels, n) == ((0.5, 1.5, 6.0, 7.0), width)
-        assert np.array_equal(steps, np.arange(cfg.grid.n_steps + 1)) and np.array_equal(cells, np.arange(cfg.grid.n_points))
+        assert len(steps) == len(cells) == 0
         (group_levels, b2, s2), = kwargs.pop("groups")
-        assert kwargs == {"probe_levels": (6.0,), "pairs": [(0.5, 1.5), (6.0, 7.0)], "threads": 1}
+        assert kwargs == {"probe_levels": (), "pairs": [(0.5, 1.5), (6.0, 7.0), (6.0, 6.0)], "threads": 1}
         assert group_levels == (6.0,) and (b2, s2) == (cfg.drift, cfg.diffusion)
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # the pass keeps no lattice, so its traced peak (tracemalloc sees numpy's data) at
+        # T = 2 is within 10% of the one at T = 1; two full lattices per checked replication
+        # took it from 10.2 to 18.5 MB.  The first run warms what a run keeps afterwards
+        doc = base_doc(b="0.5*sin(x)", sigma="x/(1+abs(x)/8)", replications=4, levels=[1.0, 2.0, 3.0], seed=1,
+                       grid={"R": 8.0, "dx": 0.05, "dt": 0.0025, "T": 1.0, "boundary": "dirichlet"})
+        peaks = {}
+        for T in (1.0, 1.0, 2.0):
+            cfg = parse_config({**doc, "grid": {**doc["grid"], "T": T}})
+            tracemalloc.start()
+            try:
+                run_uniqueness_coupling(cfg)
+                peaks[T] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2.0] <= 1.1 * peaks[1.0]
 
     def test_passes_are_chunked_by_the_solver(self, monkeypatch):
         # at one replication per chunk every noise draw spans one replication,
@@ -484,6 +503,32 @@ class TestUniquenessExperiment:
             "pathwise uniqueness violated for re-parsed coefficients at level 3, replication 0: "
             "first differing lattice point (m=29, j=28): np.float64(2.349312081351156) vs "
             "np.float64(2.349595599179111)")
+
+    def test_one_ulp_at_the_last_step_fails_the_re_parse_check(self, monkeypatch):
+        # the second parse's diffusion is one ulp above the first's at the last step alone,
+        # so the two top-level lattices differ only in their final row
+        cfg = parse_config(base_doc(b="0.5*sin(x)", sigma="x/(1+abs(x)/8)", replications=4,
+                                    levels=[0.0, 3.0], seed=11))
+        last = (cfg.grid.n_steps - 1) * cfg.grid.dt
+        parse = Coefficient.from_source
+        calls = []
+
+        def nudged(source):
+            psi = parse(source)
+            return Coefficient.from_callable(
+                source, lambda t, x: np.nextafter(psi(t, x), np.inf) if t == last else psi(t, x))
+
+        def from_source(source):
+            calls.append(source)
+            return nudged(source) if len(calls) % 4 == 0 else parse(source)
+
+        monkeypatch.setattr(Coefficient, "from_source", staticmethod(from_source))
+        with pytest.raises(ExperimentError) as exc:
+            run_uniqueness_coupling(cfg)
+        assert str(exc.value) == (
+            "pathwise uniqueness violated for re-parsed coefficients at level 3, replication 0: "
+            f"first differing lattice point (m={cfg.grid.n_steps}, j=3): np.float64(0.823290516449586) vs "
+            "np.float64(0.8232905164495858)")
 
 
 _json_scalars = st.one_of(

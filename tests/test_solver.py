@@ -644,6 +644,30 @@ class TestCoefficientGroups:
         assert alone.aborted[(2.0,)] == [] and np.isfinite(alone.samples).all()
         assert_same_solution(grouped, alone)
 
+    def test_a_same_level_pair_tracks_each_group_against_the_main_row(self):
+        u0, g, seed, reps = self.ARGS[:4]
+        lattice = (np.arange(g.n_steps + 1), np.arange(g.n_points))
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+        nudged = Coefficient.parse("0.5*sin(x) + 1e-9")
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.5 * np.sin(x)))
+        groups = [((1.5,), b, sigma), ((0.5, 1.5), nudged, sigma), ((1.5,), bomb, sigma), ((3.0,), nudged, sigma)]
+        sol = solve_batch((1.0, 1.5), b, sigma, u0, g, seed, reps, *lattice, pairs=[(1.5, 1.5)], groups=groups)
+        assert sol.sup_abs_diff == {} and sol.aborted[(1.5,)] == []
+        main = sol.samples[1]
+        same, shifted, bombed, apart = sol.groups
+        assert list(same.sup_abs_diff) == [(1.5, 1.5)] and not same.sup_abs_diff[(1.5, 1.5)].any()
+        want = np.abs(shifted.samples[1] - main).max(axis=(1, 2))
+        assert want.all() and np.array_equal(shifted.sup_abs_diff[(1.5, 1.5)], want)
+        # a dead row adds nothing from the step it died at; its later samples are NaN
+        assert 0 < len(bombed.aborted[(1.5,)]) < len(reps)
+        assert np.array_equal(bombed.sup_abs_diff[(1.5, 1.5)], np.nanmax(np.abs(bombed.samples[0] - main), axis=(1, 2)))
+        assert apart.sup_abs_diff == {}
+        # without groups the pair tracks nothing; a level it does not solve is rejected
+        assert_same_solution(solve_batch((1.0, 1.5), b, sigma, *self.ARGS, pairs=[(1.5, 1.5)]),
+                             solve_batch((1.0, 1.5), b, sigma, *self.ARGS))
+        with pytest.raises(ValueError, match="coupled pair"):
+            solve_batch((1.0, 1.5), b, sigma, *self.ARGS, pairs=[(2.0, 2.0)], groups=groups)
+
     def test_each_coefficient_sees_its_own_rows(self):
         shapes = []
 
