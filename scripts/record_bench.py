@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -73,10 +74,17 @@ TRACE_SEED = 11  # seed of the one traced run per side and workload
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
-    """One ``benchmark/run.py`` run: its metrics, result digests and machine facts, or its failure."""
-    proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-                           "--seconds", str(seconds), "--trace", str(trace)],
-                          cwd=root, capture_output=True, text=True)
+    """One ``benchmark/run.py`` run: its metrics, result digests and machine facts, or its failure.
+
+    Both sides run in the same bytecode state: no ``.pyc`` is written, and
+    Python looks for cached bytecode only under a fresh, empty prefix
+    directory, so a stale ``__pycache__`` in either tree is never read.
+    """
+    with tempfile.TemporaryDirectory(prefix="shelab-bench-pycache-") as pycache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
+        proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+                               "--seconds", str(seconds), "--trace", str(trace)],
+                              cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
     try:

@@ -264,11 +264,15 @@ class Ensemble:
 
     @classmethod
     def from_batch(cls, batch, grid, level=None) -> "Ensemble":
-        """The batch's solve at clamp level ``level`` (default: its lowest level)."""
+        """The batch's solve at clamp level ``level`` (default: its lowest level).
+
+        When no replication aborted, ``samples`` is the batch's own array at
+        that level, not a copy.
+        """
         level = batch.levels[0] if level is None else float(level)
         vals = batch.samples[batch.probe_levels.index(level)]
         ok = np.isfinite(vals).all(axis=(1, 2))
-        return cls(*_probe_coords(batch, grid), samples=vals[ok], horizon=grid.T)
+        return cls(*_probe_coords(batch, grid), samples=vals if ok.all() else vals[ok], horizon=grid.T)
 
     @property
     def count(self) -> int:

@@ -103,10 +103,7 @@ _MAX_LEVEL = 700.0
 # is more at one or two levels; full-lattice passes hold at most len(levels)
 # trajectories at once (simulate: one pass over every level), and uniqueness two
 # (its pass keeps no lattice; a failed check re-solves one replication at two
-# runs).  The limit still counts max(len(levels), 2 min(replications, 4)), the
-# top-level lattices uniqueness kept for each checked replication under each of
-# its two coefficient pairs before it tracked their sup difference instead: the
-# term is conservative for uniqueness;
+# runs), so the limit counts max(len(levels), 2) of them;
 # solver.solve_batch advances every pass, these included, in chunks of
 # solver.chunk_replications replications, which exceed 2^15 cells only at one
 # replication, and --threads runs at most one chunk per core at once
@@ -344,7 +341,7 @@ def _check_budget(grid: GridSpec, reps: int, levels, n_probe_times: int, x_strid
     stacked = max(2 * n_levels, len({bottom, bottom + 1.0, top, top + 1.0}) + 1)
     for what, amount, limit in (
         ("space-time points of full-lattice trajectories held at once",
-         points * (steps + 1) * max(n_levels, 2 * min(reps, 4)), _MAX_TRAJECTORY),
+         points * (steps + 1) * max(n_levels, 2), _MAX_TRAJECTORY),
         ("levels x cells x replications in one solver chunk",
          stacked * points * min(reps, _solver.chunk_replications(stacked, points)), _MAX_CHUNK_CELLS),
         ("probe samples in one solver pass", stacked * reps * probe_points, _MAX_PROBE_SAMPLES),

@@ -174,7 +174,8 @@ def _tail_quantiles(q):
     ``s = (m - c)/(m + c)``, c = sqrt(1/2), so ``|s| <= 0.1716`` and the
     series' ten terms leave a truncation error below 3e-17 relative.
     """
-    m, e = np.frexp(0.5 - np.abs(q))
+    p = np.abs(q)
+    m, e = np.frexp(np.subtract(0.5, p, out=p), out=(p, None))
     s = m - _SQRT_HALF  # exact
     np.divide(s, np.add(m, _SQRT_HALF, out=m), out=s)
     s2 = np.multiply(s, s, out=m)
@@ -197,8 +198,10 @@ def _normal_quantiles(u):
     """AS241 in place: the uniforms ``u`` (C-contiguous, on the stream's
     2^-53 grid) become standard normal quantiles; returns ``u``.
 
-    The central rational runs over every draw in chunks of ``_CHUNK``; the
-    tail draws (about 15%) are gathered once per call and overwritten.
+    The central rational runs over every draw in chunks of ``_CHUNK``, on
+    three scratch rows of one chunk that are freed before the tail pass;
+    the tail draws (about 15%) are then gathered into one array and
+    overwritten, so no large buffer is held twice.
     """
     flat = u.reshape(-1)
     np.subtract(flat, 0.5, out=flat)  # q, exact
@@ -214,8 +217,11 @@ def _normal_quantiles(u):
         where.append(t + start)
         tails.append(q.take(t))
         np.multiply(q, _rational(_CENTRAL, r[:k], num[:k], den[:k]), out=q)
+    del r, num, den
     if where:
-        flat[np.concatenate(where)] = _tail_quantiles(np.concatenate(tails))
+        where = np.concatenate(where)
+        tails = np.concatenate(tails)
+        flat[where] = _tail_quantiles(tails)
     return u
 
 

@@ -39,7 +39,9 @@ two ghost columns (they take the periodic wrap, so one stencil serves both
 boundaries), the clipped state and one step scratch.  A step writes the
 next state with ``out=`` ufuncs in the fixed order
 ``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results and the
-gathered probe cells are the only arrays allocated per step.  The
+gathered probe cells are the only arrays allocated per step, and one noise
+block is alive per chunk: a block depends only on its counters, so the
+previous one is released before the next is drawn.  The
 bookkeeping reads finiteness off the per-row max of ``|u|``, which is NaN
 or inf exactly when a row is not finite.
 """
@@ -50,7 +52,6 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +89,15 @@ _BLOCK_DRAWS = 1 << 15  # one pass's working set: stacked cells per chunk
 # 5.7 to 4.1 s there against 2^17, for +3 MB peak RSS on moments_dense
 _NOISE_DRAWS = 1 << 18
 _SPAN_DRAWS = 1 << 13
+
+
+def ThreadPoolExecutor(max_workers):  # noqa: N802 (tests substitute a pool under this name)
+    """``concurrent.futures``' thread pool, imported on first use: it loads
+    ``logging`` too, which a process that never runs chunks in parallel does
+    not need."""
+    from concurrent.futures import ThreadPoolExecutor as pool
+
+    return pool(max_workers=max_workers)
 
 
 def chunk_replications(n_levels: int, n_points: int) -> int:
@@ -371,6 +381,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
         for m in range(grid.n_steps):
             if m % block == 0:
+                noise = None  # the previous block is never read again: free it before drawing
                 steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
                 noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, hi - lo)
                 np.multiply(noise, scale, out=noise)  # dW, of variance dt dx

@@ -349,6 +349,37 @@ def synthetic_pair(diffs, sups=None, times=(0.5, 1.0), xs=(0.0,)):
     )
 
 
+class TestEnsembleFromBatch:
+    @staticmethod
+    def batch():
+        import warnings
+
+        from shelab.coeff import Coefficient
+        from shelab.grid import GridSpec
+        from shelab.kernel import InitialCondition
+        from shelab.solver import solve_batch
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
+        zero, lin = Coefficient.from_source("zero"), Coefficient.from_source("linear")
+        return g, solve_batch((1.0, 2.0), zero, lin, InitialCondition.constant(1.0), g, 1, np.arange(6),
+                              [10, g.n_steps], [5, g.x_index(0.0)])
+
+    def test_no_abort_keeps_the_batch_samples_without_a_copy(self):
+        g, batch = self.batch()
+        ens = Ensemble.from_batch(batch, g, 2.0)
+        assert np.shares_memory(ens.samples, batch.samples)
+        np.testing.assert_array_equal(ens.samples, batch.samples[1])
+
+    def test_aborted_replications_are_dropped(self):
+        g, batch = self.batch()
+        batch.samples[1, 4, -1, 0] = np.nan  # replication 4 aborted before the last probe time
+        ens = Ensemble.from_batch(batch, g, 2.0)
+        assert not np.shares_memory(ens.samples, batch.samples)
+        np.testing.assert_array_equal(ens.samples, batch.samples[1, [0, 1, 2, 3, 5]])
+
+
 class TestCoupledSupDifference:
     def test_inactive_clamps_give_exact_zero(self):
         pair = synthetic_pair(np.zeros((20, 2, 1)))

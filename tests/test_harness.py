@@ -130,8 +130,8 @@ class TestConfigRejection:
             (lambda d: d["grid"].update(R=1e308, dx=1.0, dt=1.0), "grid: .*too many lattice points"),
             (lambda d: d["grid"].update(R=1e7, dx=0.1), "resource budget: .* space-time points"),
             (lambda d: d["grid"].update(T=1e9, dt=0.005), "resource budget: .* space-time points"),
-            # 81 x 246,801 lattice points: uniqueness holds 2 x 4 top-level trajectories of them
-            (lambda d: d["grid"].update(T=1234.0), "resource budget: .* space-time points"),
+            # 81 x 1,000,001 lattice points: simulate holds a trajectory at each of the 2 levels at once
+            (lambda d: d["grid"].update(T=5000.0), "resource budget: .* space-time points"),
             # 2 x 2 stacked levels of 4,400,001 cells: one replication alone exceeds 2^24
             (lambda d: d.update(grid={**d["grid"], "R": 2.2e5, "T": 0.005}, probes={"times": [0.005]}),
              "resource budget: .* one solver chunk"),
@@ -173,6 +173,12 @@ class TestConfigRejection:
         assert cfg.levels == (1.0, 2.0)
         assert cfg.grid.n_points == 81
         assert len(cfg.config_hash) == 64
+
+    def test_budget_counts_the_lattices_a_run_holds(self):
+        # 81 x 246,801 points at 2 levels: simulate holds two such trajectories (4.0e7 points), and
+        # uniqueness at most two (a failed check), both under the 2^27 limit
+        cfg = parse_config(base_doc(grid={**base_doc()["grid"], "T": 1234.0}))
+        assert cfg.grid.n_steps == 246800
 
     def test_hash_tracks_document(self):
         a = parse_config(base_doc())

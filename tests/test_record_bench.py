@@ -1,7 +1,9 @@
 """Verdicts of scripts/record_bench.py: wins, failures and spread against the bound."""
 
 import importlib.util
+import json
 import pathlib
+import subprocess
 
 import pytest
 
@@ -77,3 +79,22 @@ def test_nothing_completed():
     assert s["completed"] == 0 and s["gain"] is False and s["vs_bound"] == "unresolved"
     s = summarize(BASE, [None] * 10, "lower", 0.25)
     assert s["gain"] is False and s["vs_bound"] == "worse"
+
+
+def test_both_sides_run_in_the_same_empty_bytecode_state(monkeypatch, tmp_path):
+    # a stale __pycache__ in one tree must not be read: no .pyc is written, and bytecode
+    # is looked up only under a fresh, empty prefix directory per run
+    seen = []
+
+    def fake_run(argv, cwd, env, **kw):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        summary = {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
+        return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(summary) + "\n", stderr="")
+
+    monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
+    for side in ("base", "change"):
+        assert record_bench.run_once(tmp_path / side, "moments_dense", 1, 1)["ok"]
+    assert [(cwd.name, flag, empty) for cwd, flag, _, empty in seen] == [("base", "1", True), ("change", "1", True)]
+    prefixes = [prefix for *_, prefix, _ in seen]
+    assert prefixes[0] != prefixes[1] and not any(p.exists() for p in prefixes)

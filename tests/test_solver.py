@@ -1,5 +1,9 @@
 import dataclasses
+import json
 import math
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -726,6 +730,46 @@ def test_pool_width_is_bounded_by_the_machine(monkeypatch):
             np.testing.assert_array_equal(batch.path_max_abs[key], expected.path_max_abs[key])
         for key in expected.sup_abs_diff:
             np.testing.assert_array_equal(batch.sup_abs_diff[key], expected.sup_abs_diff[key])
+
+
+def test_a_single_threaded_run_never_loads_the_thread_pool(tmp_path):
+    # concurrent.futures (and the logging it loads) is imported only when chunks run in parallel
+    from test_golden import child_env
+
+    doc = {"b": "zero", "sigma": "linear", "u0": {"kind": "constant", "value": 1.0},
+           "grid": {"R": 2.0, "dx": 0.1, "dt": 0.005, "T": 0.05, "boundary": "dirichlet"},
+           "replications": 32, "levels": [1.0], "orders": [2.0], "seed": 5,
+           "probes": {"times": [0.05], "x_stride": 10}}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    code = ("import sys\n"
+            "from shelab import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "print(rc, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, "--out", str(tmp_path / "out"), "--threads", "1",
+                           "verify-moments", str(cfg)], env=child_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+
+
+def test_one_noise_block_is_alive_per_chunk():
+    # 404 replications of one 81-cell level are one chunk, drawn in blocks of 8 steps x 79
+    # written cells (1.95 MiB); with no probes the traced peak is the chunk's buffers, the
+    # live noise block and the normal map's scratch, and a second live block would add one more
+    g = mkgrid(T=0.1)
+    n, J = solver.chunk_replications(1, g.n_points), g.n_points
+    assert (n, solver._NOISE_DRAWS // (n * J)) == (404, 8)
+    args = ((1.0,), ZERO, LINEAR, InitialCondition.constant(1.0), g, 5, np.arange(n), [], [])
+    solve_batch(*args)
+    tracemalloc.start()
+    try:
+        solve_batch(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * n * 8 * (J - 2)
+    chunk = 8 * n * (2 * (J + 2) + 2 * (J - 2) + J)  # padded state twice, clipped state, step scratch, |state|
+    assert (peak - chunk) / block < 2.5
 
 
 def test_trajectory_dump_roundtrip(tmp_path):
