@@ -30,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -76,15 +77,20 @@ TRACE_SEED = 11  # seed of the one traced run per side and workload
 def run_once(root: Path, workload: str, seed: int, seconds: int, trace: int = 0) -> dict:
     """One ``benchmark/run.py`` run: its metrics, result digests and machine facts, or its failure.
 
-    Both sides run in the same bytecode state: no ``.pyc`` is written, and
-    Python looks for cached bytecode only under a fresh, empty prefix
-    directory, so a stale ``__pycache__`` in either tree is never read.
+    Both sides run in the same bytecode state: every ``__pycache__`` under
+    the tree's ``src/`` and ``benchmark/`` is deleted before the run and no
+    ``.pyc`` is written, so neither tree's own code is ever read from
+    bytecode, stale or fresh, while numpy's and the standard library's
+    installed bytecode is read as in any other run.
     """
-    with tempfile.TemporaryDirectory(prefix="shelab-bench-pycache-") as pycache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=pycache)
-        proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
-                               "--seconds", str(seconds), "--trace", str(trace)],
-                              cwd=root, env=env, capture_output=True, text=True)
+    for tree in ("src", "benchmark"):
+        for cache in sorted((root / tree).rglob("__pycache__")):
+            shutil.rmtree(cache)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run([sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed),
+                           "--seconds", str(seconds), "--trace", str(trace)],
+                          cwd=root, env=env, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     info = next((json.loads(line[5:]) for line in lines if line.startswith("info ")), {})
     try:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,8 +161,7 @@ def _column_estimates(x: np.ndarray, k: float) -> list:
     return estimates
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     """Point estimate and 95% CLT interval for E|u(t,x)|^k and its k-th root."""
 
     order: float

@@ -42,8 +42,9 @@ import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _json_string
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, asdict, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -105,7 +106,7 @@ _MAX_LEVEL = 700.0
 # (its pass keeps no lattice; a failed check re-solves one replication at two
 # runs), so the limit counts max(len(levels), 2) of them;
 # solver.solve_batch advances every pass, these included, in chunks of
-# solver.chunk_replications replications, which exceed 2^15 cells only at one
+# solver.chunk_replications replications, which exceed 2^14 cells only at one
 # replication, and --threads runs at most one chunk per core at once
 _MAX_TRAJECTORY = 1 << 27  # space-time points of the full-lattice trajectories held at once (1 GiB stored)
 _MAX_CHUNK_CELLS = 1 << 24  # levels x replications x cells of one solver chunk (128 MiB per array)
@@ -429,8 +430,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class Record:
+class Record(NamedTuple):
     experiment: str
     N: float | None
     k: float | None
@@ -445,7 +445,7 @@ class Record:
     config_hash: str
 
 
-_RECORD_FIELDS = tuple(f.name for f in fields(Record))
+_RECORD_FIELDS = Record._fields
 # one record of the "records" array as json.dumps(indent=2, sort_keys=True) lays it out
 _JSON_KEYS = tuple(sorted(_RECORD_FIELDS))
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(k)}: %s" for k in _JSON_KEYS) + "\n    }"

@@ -36,14 +36,20 @@ step and cell probed.
 
 Each chunk allocates its buffers once: a double-buffered state padded with
 two ghost columns (they take the periodic wrap, so one stencil serves both
-boundaries), the clipped state and one step scratch.  A step writes the
-next state with ``out=`` ufuncs in the fixed order
-``((u + lam lap) + dt b) + sigma dW/dx``; the coefficients' results and the
-gathered probe cells are the only arrays allocated per step, and one noise
-block is alive per chunk: a block depends only on its counters, so the
-previous one is released before the next is drawn.  The
-bookkeeping reads finiteness off the per-row max of ``|u|``, which is NaN
-or inf exactly when a row is not finite.
+boundaries), an increment buffer of the same padded shape, one scratch of
+that shape (the Laplacian, then ``|u|``) and the clipped written cells.  A
+step writes the next state with ``out=`` ufuncs in the fixed order
+``((u + lam lap) + dt b) + sigma dW/dx``.  The stencil, the two increment
+adds and the bookkeeping's ``|u|`` each run as one flat pass over the
+contiguous chunk buffer rather than as one short loop per row; the values
+this leaves in the pads between two rows are never read, and the Dirichlet
+ends and ghosts are copied back after the step.  The clip writes the
+written cells into their own buffer, so the coefficients run on contiguous
+arrays.  The coefficients' results and the gathered probe cells are the
+only arrays allocated per step, and one noise block is alive per chunk: a
+block depends only on its counters, so the previous one is released before
+the next is drawn.  The bookkeeping reads finiteness off the per-row max
+of ``|u|``, which is NaN or inf exactly when a row is not finite.
 """
 
 from __future__ import annotations
@@ -80,7 +86,11 @@ __all__ = [
 ]
 
 
-_BLOCK_DRAWS = 1 << 15  # one pass's working set: stacked cells per chunk
+# one pass's working set: stacked cells per chunk.  Picked by timing the moments_dense
+# solve (2 levels x 81 cells, 400 replications; in-process, median of 9, three rounds,
+# 2-core Xeon with 2 MiB L2 per core): 51 ms at 2^13, 46 at 2^14, 48 at 2^15, 50 at 2^16.
+# At 2^14 a chunk's five padded buffers take 0.6 MiB next to its 2 MiB noise block
+_BLOCK_DRAWS = 1 << 14
 # a standard_normals call draws a block of steps: at most _NOISE_DRAWS in all and
 # _SPAN_DRAWS per replication.  Each replication's span costs one generator seek
 # (a few microseconds), which ~1,000 draws amortise; longer spans only grow the buffer.
@@ -117,40 +127,56 @@ def _updated_cells(grid):
     return (0, grid.n_points) if grid.boundary == "periodic" else (1, grid.n_points - 1)
 
 
-def _advance_into(src, dst, t, dw_dx, coefficients, grid, bounds, x_buf, tmp):
+def _advance_into(src, dst, t, dw_dx, coefficients, grid, clamp, x_buf, lap, inc):
     """One explicit step from ``src`` into ``dst``; fixed operation order, no allocation.
 
-    ``src`` and ``dst`` are padded (rows, n, J + 2) buffers holding the
-    state in ``[..., 1:-1]``; columns 0 and J + 1 are ghost cells that take
-    the periodic wrap, so one stencil serves both boundaries.  Cells the
-    step does not write (the Dirichlet ends) keep whatever ``dst`` holds.
-    ``dw_dx`` holds the noise increments over ``dx`` of the written cells.
-    The state argument of the coefficients is clipped to ``[-bounds,
-    bounds]`` into ``x_buf`` (``bounds`` has shape (rows, 1, 1), one clamp
-    bound per row).  ``coefficients`` lists ``(rows, drift_fn,
-    diffusion_fn)``: each pair is called, drift first, on its own slice of
-    rows alone.  ``tmp`` is scratch of the written cells' shape.
+    ``src``, ``dst``, ``lap`` and ``inc`` are padded (rows, n, J + 2)
+    buffers holding the state in ``[..., 1:-1]``; columns 0 and J + 1 are
+    ghost cells that take the periodic wrap, so one stencil serves both
+    boundaries.  The five stencil ops and the two increment adds each run
+    as one flat pass over the contiguous range from the first written cell
+    to the last.  That range also holds the pads between two rows (one
+    row's right end and ghost, the next row's left ghost and end), which
+    get values mixed from both rows; no written cell reads a pad, and on a
+    Dirichlet grid the pads of ``dst`` are copied back from ``src`` after
+    the step, so its frozen ends and ghosts keep their values.  On a
+    periodic grid the next step sets the ghosts again.  ``dw_dx`` holds the
+    noise increments over ``dx`` of the written cells.  The written cells
+    are clipped to ``clamp = (-bounds, bounds)`` (each of shape (rows, 1,
+    1), one clamp bound per row) into ``x_buf``, of shape (rows, n, written
+    cells).  ``coefficients`` lists ``(rows, drift_fn, diffusion_fn)``:
+    each pair is called, drift first, on its own rows of ``x_buf`` alone.
+    ``inc`` takes drift dt, then diffusion dw/dx, in the written cells; its
+    other cells stay 0.  ``lap`` is scratch.
     """
     lo, hi = _updated_cells(grid)
+    L, n, width = src.shape
+    start, stop = 1 + lo, (L * n - 1) * width + 1 + hi  # the first written cell and one past the last
     if grid.boundary == "periodic":
         src[..., 0] = src[..., -2]
         src[..., -1] = src[..., 1]
-    center = src[..., 1 + lo:1 + hi]
-    x = center.clip(-bounds, bounds, out=x_buf)
-    out = dst[..., 1 + lo:1 + hi]
+    src[..., start:1 + hi].clip(*clamp, out=x_buf)
+    flat, tmp, out = src.reshape(-1), lap.reshape(-1)[start:stop], dst.reshape(-1)[start:stop]
+    center = flat[start:stop]
     # lap = (left - 2 center) + right; out = ((center + lam lap) + dt drift) + diffusion dw/dx
     np.multiply(center, 2.0, out=tmp)
-    np.subtract(src[..., lo:hi], tmp, out=tmp)
-    np.add(tmp, src[..., 2 + lo:2 + hi], out=tmp)
+    np.subtract(flat[start - 1:stop - 1], tmp, out=tmp)
+    np.add(tmp, flat[start + 1:stop + 1], out=tmp)
     np.multiply(tmp, grid.dt / (2.0 * grid.dx * grid.dx), out=tmp)
     np.add(center, tmp, out=out)
-    values = [(rows, drift_fn(t, x[rows]), diffusion_fn(t, x[rows])) for rows, drift_fn, diffusion_fn in coefficients]
+    values = [(rows, drift_fn(t, x_buf[rows]), diffusion_fn(t, x_buf[rows]))
+              for rows, drift_fn, diffusion_fn in coefficients]
+    written, increment = inc[..., start:1 + hi], inc.reshape(-1)[start:stop]
     for rows, drift, _ in values:
-        np.multiply(drift, grid.dt, out=tmp[rows])
-    np.add(out, tmp, out=out)
+        np.multiply(drift, grid.dt, out=written[rows])
+    np.add(out, increment, out=out)
     for rows, _, diffusion in values:
-        np.multiply(diffusion, dw_dx, out=tmp[rows])
-    np.add(out, tmp, out=out)
+        np.multiply(diffusion, dw_dx, out=written[rows])
+    np.add(out, increment, out=out)
+    if grid.boundary == "dirichlet":
+        # the four pads after each row but the last, which the step did not write in src
+        seams = slice(width - 2, stop)
+        dst.reshape(-1)[seams].reshape(-1, width)[:, :4] = flat[seams].reshape(-1, width)[:, :4]
 
 
 @dataclass(frozen=True)
@@ -340,6 +366,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     slot_of_step = {int(s): i for i, s in enumerate(probe_step_idx)}
 
     bounds = np.array([TruncationLevel(v).clamp_bound for v in row_levels])[:, None, None]
+    clamp = (-bounds, bounds)
     row0 = u0(grid.xs)
     lo, hi = _updated_cells(grid)
     cells = np.arange(lo, hi, dtype=np.uint64)  # a step draws noise only for the cells it writes
@@ -359,16 +386,17 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         # the chunk's columns of the outputs
         samples, path_max, pair_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
         n = span.stop - span.start
-        # per-chunk buffers: the padded state (double-buffered), the clipped state,
-        # step scratch and |state| (also |pair differences|); --threads jobs never share them
+        # per-chunk buffers: the padded state (double-buffered), the increments, one padded
+        # scratch (the Laplacian, then |state| and |pair differences|) and the clipped
+        # written cells; --threads jobs never share them
         buffers = np.zeros((2, L, n, J + 2))
         buffers[..., 1:-1] = row0
         src, dst = buffers
+        inc = np.zeros((L, n, J + 2))
+        scratch = np.empty((L, n, J + 2))
         x_buf = np.empty((L, n, hi - lo))
-        tmp = np.empty((L, n, hi - lo))
-        abs_buf = np.empty((L, n, J))
         row_max = np.empty((L, n))
-        diff_buf = abs_buf[:len(pairs)]
+        diff_buf = scratch[:len(pairs)]
         diff = np.empty((len(pairs), n))
         probed = np.ix_(probe_rows, range(n), probe_x_idx)  # the probed cells of a (L, n, J) state
         alive = np.ones((L, n), dtype=bool)
@@ -386,12 +414,13 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                 noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, hi - lo)
                 np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
                 np.divide(noise, grid.dx, out=noise)
-            _advance_into(src, dst, m * grid.dt, noise[:, m % block], coefficients, grid, bounds, x_buf, tmp)
+            _advance_into(src, dst, m * grid.dt, noise[:, m % block], coefficients, grid, clamp, x_buf, scratch, inc)
             state = dst[..., 1:-1]
 
-            # |.|.max is NaN or inf exactly on the rows that are no longer finite
-            np.abs(state, out=abs_buf)
-            abs_buf.max(axis=-1, out=row_max)
+            # |.|.max is NaN or inf exactly on the rows that are no longer finite; the pads
+            # of the flat |.| pass are left out
+            np.abs(dst, out=scratch)
+            scratch[..., 1:-1].max(axis=-1, out=row_max)
             finite = np.isfinite(row_max)
             if not finite.all():
                 newly_dead = alive & ~finite
@@ -411,9 +440,9 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             np.maximum(path_max, row_max, out=path_max)
             if pairs:
                 for p, (i, j) in enumerate(pairs):
-                    np.subtract(state[j], state[i], out=diff_buf[p])
+                    np.subtract(dst[j], dst[i], out=diff_buf[p])
                 np.abs(diff_buf, out=diff_buf)
-                diff_buf.max(axis=-1, out=diff)
+                diff_buf[..., 1:-1].max(axis=-1, out=diff)
                 both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
                 if any_dead:
                     pair_dead = ~(alive[lo_idx] & alive[hi_idx])

@@ -553,7 +553,7 @@ _json_values = st.recursive(
     lambda inner: st.one_of(st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=5), inner, max_size=3)),
     max_leaves=10,
 )
-_records = st.builds(Record, **{f.name: _json_scalars for f in dataclasses.fields(Record)})
+_records = st.builds(Record, **{f: _json_scalars for f in Record._fields})
 
 # one strategy per column: a column of one type, as the experiments write, or of mixed types
 _column_kinds = st.sampled_from([
@@ -572,7 +572,7 @@ _column_kinds = st.sampled_from([
 @st.composite
 def _record_tables(draw):
     n = draw(st.integers(min_value=0, max_value=6))
-    columns = [draw(st.lists(draw(_column_kinds), min_size=n, max_size=n)) for _ in dataclasses.fields(Record)]
+    columns = [draw(st.lists(draw(_column_kinds), min_size=n, max_size=n)) for _ in Record._fields]
     return [Record(*row) for row in zip(*columns)]
 
 

@@ -82,19 +82,23 @@ def test_nothing_completed():
 
 
 def test_both_sides_run_in_the_same_empty_bytecode_state(monkeypatch, tmp_path):
-    # a stale __pycache__ in one tree must not be read: no .pyc is written, and bytecode
-    # is looked up only under a fresh, empty prefix directory per run
+    # neither tree holds a __pycache__ under src/ or benchmark/ when its run starts, stale or
+    # not, and no .pyc is written; installed packages keep their bytecode (no cache prefix)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    for side, tree in (("base", "src/shelab"), ("base", "benchmark"), ("change", "src/shelab")):
+        cache = tmp_path / side / tree / "__pycache__"
+        cache.mkdir(parents=True)
+        (cache / "stale.cpython-311.pyc").write_bytes(b"stale")
     seen = []
 
     def fake_run(argv, cwd, env, **kw):
-        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        caches = [p for tree in ("src", "benchmark") for p in (cwd / tree).rglob("__pycache__")]
+        seen.append((cwd.name, env["PYTHONDONTWRITEBYTECODE"], "PYTHONPYCACHEPREFIX" in env, caches))
         summary = {"correct": True, "metrics": {"wall_s": {"value": 1.0}}}
         return subprocess.CompletedProcess(argv, 0, stdout=json.dumps(summary) + "\n", stderr="")
 
     monkeypatch.setattr(record_bench.subprocess, "run", fake_run)
     for side in ("base", "change"):
         assert record_bench.run_once(tmp_path / side, "moments_dense", 1, 1)["ok"]
-    assert [(cwd.name, flag, empty) for cwd, flag, _, empty in seen] == [("base", "1", True), ("change", "1", True)]
-    prefixes = [prefix for *_, prefix, _ in seen]
-    assert prefixes[0] != prefixes[1] and not any(p.exists() for p in prefixes)
+    assert seen == [("base", "1", False, []), ("change", "1", False, [])]
+    assert (tmp_path / "base" / "src" / "shelab").is_dir()  # only the caches went

@@ -693,6 +693,142 @@ class TestCoefficientGroups:
             solve_batch((1.0,), ZERO, LINEAR, *self.ARGS, groups=[((2.0, 1.0), ZERO, LINEAR)])
 
 
+def reference_lattice(g, b, sigma, u0, level, seed, rep):
+    """One replication's lattice at clamp ``level`` from :func:`reference_advance`, up to the first
+    non-finite row, which ends it."""
+    rows = [u0(g.xs)]
+    for m in range(g.n_steps):
+        if not np.isfinite(rows[-1]).all():
+            break
+        rows.append(reference_advance(rows[-1], m * g.dt, cell_increments(g, seed, rep, m),
+                                      truncated_fn(b, level), truncated_fn(sigma, level), g))
+    return np.array(rows)
+
+
+class TestFlatStep:
+    """The step runs its stencil and increment adds flat over a chunk's padded buffer, pads between
+    rows included; no value computed at a pad may reach a written cell, a record or a coefficient."""
+
+    def assert_rows_match_reference(self, sol, b, sigma, u0, g, seed, reps):
+        """Every level of ``sol`` (probing the whole lattice) against the reference loop, bit for bit:
+        samples, path max, aborts and pair sup differences; returns the reference lattices, each
+        cut at its row's abort, by level and replication."""
+        refs = {}
+        for i, level in enumerate(sol.levels):
+            aborts = []
+            for r, rep in enumerate(reps):
+                ref = reference_lattice(g, b, sigma, u0, level, seed, rep)
+                if not np.isfinite(ref[-1]).all():  # died in step len(ref) - 2
+                    aborts.append((rep, len(ref) - 2, int(np.flatnonzero(~np.isfinite(ref[-1]))[0])))
+                    ref = ref[:-1]
+                refs[level, r] = ref
+                assert np.array_equal(sol.samples[i, r, :len(ref)], ref)
+                assert np.isnan(sol.samples[i, r, len(ref):]).all()
+                assert sol.path_max_abs[(level,)][r] == np.abs(ref).max()
+            assert sorted((a.replication, a.step, a.cell) for a in sol.aborted[(level,)]) == sorted(aborts)
+        for lo, hi in (key for key in sol.sup_abs_diff if key[0] != key[1]):
+            for r in range(len(reps)):
+                k = min(len(refs[lo, r]), len(refs[hi, r]))  # the pair's run ends at either row's abort
+                assert sol.sup_abs_diff[(lo, hi)][r] == np.abs(refs[hi, r][:k] - refs[lo, r][:k]).max()
+                assert sol.path_max_abs[(lo, hi)][r] == max(np.abs(refs[lo, r][:k]).max(),
+                                                            np.abs(refs[hi, r][:k]).max())
+        return refs
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_chunks_of_37_on_an_odd_lattice(self, threads, monkeypatch):
+        g = mkgrid(R=1.6, T=0.1)
+        assert g.n_points == 33
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+        u0 = InitialCondition.from_expression("1 + x/8")
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 37)
+        reps = np.arange(80)  # chunks of 37, 37 and 6
+        sol = solve_batch((0.25, 1.25), b, sigma, u0, g, 29, reps, np.arange(g.n_steps + 1),
+                          np.arange(g.n_points), pairs=[(0.25, 1.25)], threads=threads)
+        self.assert_rows_match_reference(sol, b, sigma, u0, g, 29, reps)
+
+    def test_expression_groups_and_pairs(self, monkeypatch):
+        g = mkgrid(T=0.1)
+        u0 = InitialCondition.constant(1.0)
+        main = ((0.25, 1.25, 1.5), Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x*exp(-abs(x)/8)"))
+        group = ((1.5,), Coefficient.parse("sin(x)+0.5"), Coefficient.parse("exp(-x*x)+x"))
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 37)
+        reps = np.arange(40)
+        sol = solve_batch(*main, u0, g, 3, reps, np.arange(g.n_steps + 1), np.arange(g.n_points),
+                          pairs=[(0.25, 1.25), (1.5, 1.5)], groups=[group])
+        refs = self.assert_rows_match_reference(sol, *main[1:], u0, g, 3, reps)
+        (other,) = sol.groups
+        other_refs = self.assert_rows_match_reference(other, *group[1:], u0, g, 3, reps)
+        for r in range(len(reps)):
+            assert other.sup_abs_diff[(1.5, 1.5)][r] == np.abs(other_refs[1.5, r] - refs[1.5, r]).max() > 0
+
+    def test_dirichlet_ends_keep_their_own_values(self):
+        # two different end values: a restore that swaps them, leaks one into the next row,
+        # or leaves the flat pass's value at a pad changes the frozen columns
+        g = mkgrid(T=0.1)
+        u0 = InitialCondition.from_expression("1 + x/8")
+        b, sigma = Coefficient.parse("0.5*sin(x)"), LINEAR
+        reps = np.arange(6)
+        sol = solve_batch((0.5, 2.0), b, sigma, u0, g, 8, reps, np.arange(g.n_steps + 1), np.arange(g.n_points))
+        assert (sol.samples[..., 0] == 0.5).all() and (sol.samples[..., -1] == 1.5).all()
+        self.assert_rows_match_reference(sol, b, sigma, u0, g, 8, reps)
+
+    def test_periodic(self, monkeypatch):
+        # the group's drift lifts its rows far above the main rows: a ghost's value from the
+        # flat pass, which mixes two rows, must reach no path max and no sup difference
+        g = mkgrid(boundary="periodic", T=0.1)
+        b, sigma = Coefficient.parse("0.5*sin(x)+1"), Coefficient.parse("x*exp(-abs(x)/8)")
+        group = ((3.0,), Coefficient.parse("100"), sigma)
+        u0 = InitialCondition.indicator(2.5, 4.0)
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 37)
+        reps = np.arange(40)
+        sol = solve_batch((0.5, 1.5, 3.0), b, sigma, u0, g, 4, reps, np.arange(g.n_steps + 1),
+                          np.arange(g.n_points), pairs=[(0.5, 1.5), (3.0, 3.0)], groups=[group])
+        refs = self.assert_rows_match_reference(sol, b, sigma, u0, g, 4, reps)
+        (lifted,) = sol.groups
+        lifted_refs = self.assert_rows_match_reference(lifted, *group[1:], u0, g, 4, reps)
+        for r in range(len(reps)):
+            assert lifted.sup_abs_diff[(3.0, 3.0)][r] == np.abs(lifted_refs[3.0, r] - refs[3.0, r]).max()
+            assert np.abs(lifted_refs[3.0, r][-1]).min() > 2 * np.abs(refs[3.0, r]).max()
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_a_row_that_dies_next_to_a_live_row(self, boundary):
+        g = mkgrid(boundary=boundary, T=0.1)
+        u0 = InitialCondition.from_expression("1 + x/8")
+        reps = np.arange(8)
+        lattice = (np.arange(g.n_steps + 1), np.arange(g.n_points))
+        clean = solve_batch((2.0,), ZERO, LINEAR, u0, g, 5, reps, *lattice)
+        tau = float(np.median(clean.path_max_abs[(2.0,)]))  # about half the rows cross it
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > tau, np.inf, 0.0))
+        sol = solve_batch((2.0, 3.0), bomb, LINEAR, u0, g, 5, reps, *lattice, pairs=[(2.0, 3.0)])
+        self.assert_rows_match_reference(sol, bomb, LINEAR, u0, g, 5, reps)
+        dead = {a.replication for a in sol.aborted[(2.0,)]}
+        steps = {a.step for a in sol.aborted[(2.0,)]}
+        # some row dies before the last step, with a live row beside it in the chunk's buffer
+        assert min(steps) < g.n_steps - 1 and any(r + 1 not in dead for r in dead if r + 1 < len(reps))
+
+    @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
+    def test_coefficients_see_the_clipped_written_cells_alone(self, boundary):
+        g = mkgrid(boundary=boundary, T=0.1)
+        u0 = InitialCondition.from_expression("1 + x/8")  # ends 0.5 and 1.5; ghosts hold 0
+        seen = []
+
+        def recorder(name, fn):
+            return Coefficient.from_callable(name, lambda t, x: seen.append((name, t, x.copy(), x.flags.c_contiguous))
+                                             or fn(x))
+
+        b, sigma = recorder("b", lambda x: 0.5 * np.sin(x)), recorder("sigma", lambda x: x + 0.0)
+        levels, reps = (0.5, 2.0), np.arange(5)
+        sol = solve_batch(levels, b, sigma, u0, g, 6, reps, np.arange(g.n_steps + 1), np.arange(g.n_points))
+        bounds = np.array([math.exp(v) for v in levels])[:, None, None]
+        written = slice(None) if boundary == "periodic" else slice(1, -1)
+        assert [name for name, *_ in seen] == ["b", "sigma"] * g.n_steps
+        for m in range(g.n_steps):
+            want = np.clip(sol.samples[:, :, m, written], -bounds, bounds)
+            for name, t, x, contiguous in seen[2 * m:2 * m + 2]:
+                assert t == m * g.dt and contiguous
+                assert x.shape == (2, 5, len(g.xs[written])) and np.array_equal(x, want)
+
+
 def test_pool_width_is_bounded_by_the_machine(monkeypatch):
     # --threads far above the chunk count and the core count starts no more
     # workers than cores; a stub pool records the width and runs inline
@@ -753,12 +889,12 @@ def test_a_single_threaded_run_never_loads_the_thread_pool(tmp_path):
 
 
 def test_one_noise_block_is_alive_per_chunk():
-    # 404 replications of one 81-cell level are one chunk, drawn in blocks of 8 steps x 79
+    # 202 replications of one 81-cell level are one chunk, drawn in blocks of 16 steps x 79
     # written cells (1.95 MiB); with no probes the traced peak is the chunk's buffers, the
     # live noise block and the normal map's scratch, and a second live block would add one more
     g = mkgrid(T=0.1)
     n, J = solver.chunk_replications(1, g.n_points), g.n_points
-    assert (n, solver._NOISE_DRAWS // (n * J)) == (404, 8)
+    assert (n, solver._NOISE_DRAWS // (n * J)) == (202, 16)
     args = ((1.0,), ZERO, LINEAR, InitialCondition.constant(1.0), g, 5, np.arange(n), [], [])
     solve_batch(*args)
     tracemalloc.start()
@@ -767,8 +903,8 @@ def test_one_noise_block_is_alive_per_chunk():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    block = 8 * n * 8 * (J - 2)
-    chunk = 8 * n * (2 * (J + 2) + 2 * (J - 2) + J)  # padded state twice, clipped state, step scratch, |state|
+    block = 16 * n * 8 * (J - 2)
+    chunk = 8 * n * (4 * (J + 2) + (J - 2))  # padded: state twice, increments, scratch; clipped written cells
     assert (peak - chunk) / block < 2.5
 
 
