@@ -209,11 +209,6 @@ class _StepGrid:
             yield self.points(start, min(start + _CHUNK_POINTS + overlap, self.size))
 
 
-def _step_grid(lo: float, hi: float, resolution: float, include_ends: bool) -> np.ndarray:
-    """The whole grid of :class:`_StepGrid` as one array."""
-    return _StepGrid(lo, hi, resolution, include_ends).points()
-
-
 def _times(psi) -> tuple:
     """The times of ``DEFAULT_TIME_GRID`` a constant is maximised over: only
     the first for an expression that never reads ``t`` (its values are the

@@ -6,7 +6,7 @@ replications are excluded from estimates (the solver's batch keeps the
 abort list).  The estimators are
 
 * ``lk_norm``: sample moment E|u(t,x)|^k with a CLT confidence interval,
-  reported both as the raw power mean and as its k-th root, for orders
+  reported as the raw power mean with its k-th root, for orders
   1 <= k <= ``DEFAULT_ORDER_CAP`` (higher orders are variance-fragile),
 * ``moment_estimates``: ``lk_norm`` at every probe of an ensemble in one
   pass (what the moment experiment uses),
@@ -162,7 +162,7 @@ def _column_estimates(x: np.ndarray, k: float) -> list:
 
 
 class MomentEstimate(NamedTuple):
-    """Point estimate and 95% CLT interval for E|u(t,x)|^k and its k-th root."""
+    """Point estimate and 95% CLT interval for E|u(t,x)|^k, with the mean's k-th root."""
 
     order: float
     count: int
@@ -170,45 +170,22 @@ class MomentEstimate(NamedTuple):
     power_lo: float | None
     power_hi: float | None
     root_mean: float
-    root_lo: float | None
-    root_hi: float | None
-    rel_half_width: float | None
-    flags: tuple = ()
 
     @classmethod
     def from_power_mean(cls, order, count, mean, variance):
-        flags = []
         if count < 30:
             # too few replications for a trustworthy CLT interval
-            flags.append("no-interval")
             lo = hi = None
-            rhw = None
         else:
             hw = Z_95 * math.sqrt(variance / count)
             lo, hi = max(0.0, mean - hw), mean + hw
-            rhw = hw / mean if mean > 0 else math.inf
-            if rhw > 0.5:
-                flags.append("high-variance")
-        root = mean ** (1.0 / order)
-        return cls(
-            order=order,
-            count=count,
-            power_mean=mean,
-            power_lo=lo,
-            power_hi=hi,
-            root_mean=root,
-            root_lo=None if lo is None else lo ** (1.0 / order),
-            root_hi=None if hi is None else hi ** (1.0 / order),
-            rel_half_width=rhw,
-            flags=tuple(flags),
-        )
+        return cls(order=order, count=count, power_mean=mean, power_lo=lo, power_hi=hi,
+                   root_mean=mean ** (1.0 / order))
 
 
 @dataclass(frozen=True)
 class TailEstimate:
-    threshold: float
     count: int
-    exceedances: int
     p_hat: float
     lo: float
     hi: float
@@ -270,7 +247,7 @@ class Ensemble:
         that level, not a copy.
         """
         level = batch.levels[0] if level is None else float(level)
-        vals = batch.samples[batch.probe_levels.index(level)]
+        vals = batch.samples[batch.levels.index(level)]
         ok = np.isfinite(vals).all(axis=(1, 2))
         return cls(*_probe_coords(batch, grid), samples=vals if ok.all() else vals[ok], horizon=grid.T)
 
@@ -340,7 +317,7 @@ def tail_probability(ensemble: Ensemble, threshold: float, t: float, x: float) -
     n = vals.size
     hits = int(np.count_nonzero(np.abs(vals) >= threshold))
     lo, hi = wilson_interval(hits, n)
-    return TailEstimate(threshold=threshold, count=n, exceedances=hits, p_hat=hits / n, lo=lo, hi=hi)
+    return TailEstimate(count=n, p_hat=hits / n, lo=lo, hi=hi)
 
 
 @dataclass
@@ -360,7 +337,7 @@ class PairEnsemble:
         key = (key, key + 1.0)
         if key not in batch.sup_abs_diff:
             raise CouplingError(f"batch has no coupled pair of levels {key}")
-        diff = batch.samples[batch.probe_levels.index(key[1])] - batch.samples[batch.probe_levels.index(key[0])]
+        diff = batch.samples[batch.levels.index(key[1])] - batch.samples[batch.levels.index(key[0])]
         ok = np.isfinite(diff).all(axis=(1, 2))
         return cls(
             *_probe_coords(batch, grid),

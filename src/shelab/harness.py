@@ -757,7 +757,7 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     # its own coefficient group, the re-solve compared with the first pair's top level
     # through the same-level pair (top, top)
     first = _solver.solve_batch(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, cfg.u0, g,
-                                cfg.seed, reps, (), (), probe_levels=(),
+                                cfg.seed, reps, (), (),
                                 pairs=[(bottom, bottom + 1.0), (top, top + 1.0), (top, top)],
                                 threads=threads, groups=[((top,), b2, s2)])
     (second,) = first.groups
@@ -811,16 +811,15 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
 
 def _raise_first_difference(cfg: ExperimentConfig, rep: int, what: str, runs):
-    """Re-solve replication ``rep`` alone for each ``(levels, b, sigma)`` of ``runs``, in one pass with
-    the runs after the first as further coefficient groups, and raise at the first lattice point where
-    the two trajectories differ.  ``runs`` is one coupled pair or two lone levels."""
+    """Re-solve replication ``rep`` alone for each ``(levels, b, sigma)`` of ``runs``, one
+    :func:`solver.solve_lattice` call per run, and raise at the first lattice point where the two
+    trajectories differ.  ``runs`` is one coupled pair or two lone levels."""
     spec = NoiseSpec(seed=cfg.seed, replication=rep, grid=cfg.grid)
-    (levels, b, sigma), *rest = runs
-    sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec,
-                                pairs=[levels] if len(levels) == 2 else (), groups=rest)
     trajs = []
-    for (levels, b, sigma), part in zip(runs, (sol, *sol.groups)):
-        trajs += _solver.field_trajectories(part, levels, b, sigma, cfg.u0, cfg.grid, spec)
+    for levels, b, sigma in runs:
+        pairs = [levels] if len(levels) == 2 else ()
+        sol = _solver.solve_lattice(levels, b, sigma, cfg.u0, cfg.grid, spec, pairs=pairs)
+        trajs += _solver.field_trajectories(sol, levels, b, sigma, cfg.u0, cfg.grid, spec)
     _assert_identical(*trajs, what)
     raise ExperimentError(f"pathwise uniqueness check for {what}: the batched pass and a re-solve "
                           "of the replication alone disagree")

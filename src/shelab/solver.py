@@ -211,14 +211,13 @@ def solve_pair_coupled(level, b, sigma, u0, grid, noise_spec):
                               levels, b, sigma, u0, grid, noise_spec)
 
 
-def solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=(), groups=()) -> "BatchSolution":
+def solve_lattice(levels, b, sigma, u0, grid, noise_spec, pairs=()) -> "BatchSolution":
     """One replication at every clamp level of ``levels`` in one pass, every lattice point probed.
 
-    ``pairs`` and ``groups`` are the coupled pairs to track and the further
-    coefficient groups to advance, as in :func:`solve_batch`.
+    ``pairs`` are the coupled pairs to track, as in :func:`solve_batch`.
     """
     return solve_batch(levels, b, sigma, u0, grid, noise_spec.seed, [noise_spec.replication],
-                       np.arange(grid.n_steps + 1), np.arange(grid.n_points), pairs=pairs, groups=groups)
+                       np.arange(grid.n_steps + 1), np.arange(grid.n_points), pairs=pairs)
 
 
 def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
@@ -234,7 +233,7 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
         raise SolverBlowupError(first.step, first.cell)
     trajs = []
     for level, other in zip(levels, levels[::-1]):
-        vals = sol.samples[sol.probe_levels.index(level), 0]
+        vals = sol.samples[sol.levels.index(level), 0]
         vals.setflags(write=False)
         prov = {"level": float(level), "drift": b.name, "diffusion": sigma.name,
                 "u0": u0.describe(), "grid": grid.describe(),
@@ -258,8 +257,7 @@ class BatchSolution:
     """Probe-restricted output of one :func:`solve_batch` call: all its replications, however chunked.
 
     ``samples[i]`` has shape (B, n_probe_times, n_probe_cells) and holds the
-    solution at clamp level ``probe_levels[i]``, one of ``levels`` (all of
-    them unless the solve asked for fewer); a replication's samples at a
+    solution at clamp level ``levels[i]``; a replication's samples at a
     level are NaN from the step it aborted at that level onward.  The per-run data
     is keyed by a tuple of levels: ``(N,)`` for the solve at each level and
     ``(N, N + 1)`` for each coupled pair the solve was asked to track, whose
@@ -268,10 +266,9 @@ class BatchSolution:
     """
 
     levels: tuple
-    probe_levels: tuple  # the levels ``samples`` holds, in order
     probe_step_idx: np.ndarray
     probe_x_idx: np.ndarray
-    samples: np.ndarray  # (len(probe_levels), B, nt, nx)
+    samples: np.ndarray  # (len(levels), B, nt, nx)
     path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
     # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort; in a group,
     # (N, N) -> (B,) sup |u_N - u_N of the main group|, until either row's abort
@@ -280,15 +277,12 @@ class BatchSolution:
     groups: tuple = ()  # a BatchSolution per further coefficient group
 
 
-def _group_layout(levels, probe_levels=None, pairs=()):
-    """One coefficient group's levels and probed levels, checked, with its probed rows and coupled pairs
-    as indices into its levels, and the levels of its same-level pairs ``(N, N)``."""
+def _group_layout(levels, pairs=()):
+    """One coefficient group's levels, checked, with its coupled pairs as indices into its levels,
+    and the levels of its same-level pairs ``(N, N)``."""
     levels = tuple(_as_level(v).level for v in levels)
     if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
         raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
-    probe_levels = levels if probe_levels is None else tuple(_as_level(v).level for v in probe_levels)
-    if not set(probe_levels) <= set(levels):
-        raise ValueError(f"probe levels {probe_levels} are not all among the solved levels {levels}")
     requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
     across = sorted(pair[0] for pair in requested if len(pair) == 2 and pair[0] == pair[1] and pair[0] in levels)
     requested -= {(v, v) for v in across}
@@ -296,11 +290,11 @@ def _group_layout(levels, probe_levels=None, pairs=()):
         if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
             raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
     pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
-    return levels, probe_levels, [levels.index(v) for v in probe_levels], pairs, across
+    return levels, pairs, across
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
-                probe_step_idx, probe_x_idx, probe_levels=None, pairs=(), threads=1, groups=()) -> BatchSolution:
+                probe_step_idx, probe_x_idx, pairs=(), threads=1, groups=()) -> BatchSolution:
     """Advance a batch of replications at every clamp level of ``levels`` at once.
 
     ``levels`` is a strictly increasing tuple of clamp levels, advanced as
@@ -319,8 +313,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     noise draw, clip, stencil and bookkeeping serve every row, and each
     group's ``b`` and ``sigma`` are called once per step on that group's
     rows alone, so a coefficient sees the shape a call of its group alone
-    would show it.  A group probes all its levels and tracks no pair of its
-    own; its :class:`BatchSolution` is in the result's ``groups``, with the
+    would show it.  A group samples all its levels and tracks no pair of
+    its own; its :class:`BatchSolution` is in the result's ``groups``, with the
     bits a separate call would give.  A same-level pair ``(N, N)`` in
     ``pairs`` (N one of ``levels``) couples level N across the groups
     instead: each group that also solves N tracks the sup difference of its
@@ -338,23 +332,21 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     ``(seed, replication, m, j, J)``, J the grid's cell count, so neither
     block nor chunk size nor ``threads`` changes a bit.
     Dead rows restart from ``u0``, where both coefficients were evaluated
-    at step 0.  Only the levels of ``probe_levels`` (by default all of
-    ``levels``) are sampled: ``samples`` is (len(probe_levels), B,
-    len(probe_step_idx), len(probe_x_idx)).
+    at step 0.  Every level is sampled, in ``levels`` order: ``samples``
+    is (len(levels), B, len(probe_step_idx), len(probe_x_idx)).
     """
-    layouts = [_group_layout(levels, probe_levels, pairs)] + [_group_layout(g_levels) for g_levels, _, _ in groups]
-    # every group's rows stacked in order; probed rows and pairs index the stack
-    row_levels, probe_rows, pairs, coefficients = [], [], [], []
-    for (g_levels, _, g_probe_rows, g_pairs, _), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
+    layouts = [_group_layout(levels, pairs)] + [_group_layout(g_levels) for g_levels, _, _ in groups]
+    # every group's rows stacked in order; pairs index the stack
+    row_levels, pairs, coefficients = [], [], []
+    for (g_levels, g_pairs, _), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
         start = len(row_levels)
         row_levels += g_levels
-        probe_rows += [start + i for i in g_probe_rows]
         pairs += [(start + i, start + j) for i, j in g_pairs]
         coefficients.append((slice(start, len(row_levels)), g_b, g_sigma))
     # same-level pairs (N, N), after every coupled pair: each further group's row at N against
     # the main row; across[g] lists group g's as (N, index into pairs)
-    (main_levels, *_, main_across), across = layouts[0], [[] for _ in layouts]
-    for (g_levels, *_), (rows, _, _), g_across in zip(layouts[1:], coefficients[1:], across[1:]):
+    (main_levels, _, main_across), across = layouts[0], [[] for _ in layouts]
+    for (g_levels, _, _), (rows, _, _), g_across in zip(layouts[1:], coefficients[1:], across[1:]):
         for level in (v for v in main_across if v in g_levels):
             g_across.append((level, len(pairs)))
             pairs.append((main_levels.index(level), rows.start + g_levels.index(level)))
@@ -374,7 +366,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     # the outputs, once for all B replications; a chunk writes only its own columns
     outputs = (
-        np.full((len(probe_rows), B, probe_step_idx.size, probe_x_idx.size), np.nan),  # samples
+        np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan),  # samples
         np.full((L, B), float(np.max(np.abs(row0)))),  # path max per level
         np.full((len(pairs), B), float(np.max(np.abs(row0)))),  # path max per pair
         np.zeros((len(pairs), B)),  # sup difference per pair
@@ -398,14 +390,13 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         row_max = np.empty((L, n))
         diff_buf = scratch[:len(pairs)]
         diff = np.empty((len(pairs), n))
-        probed = np.ix_(probe_rows, range(n), probe_x_idx)  # the probed cells of a (L, n, J) state
         alive = np.ones((L, n), dtype=bool)
         any_dead = False
         reps_col = reps[span, None, None]
         block = max(1, min(_NOISE_DRAWS // (n * J), _SPAN_DRAWS // J))
 
         if 0 in slot_of_step:
-            samples[:, :, slot_of_step[0], :] = src[..., 1:-1][probed]
+            samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., probe_x_idx]
 
         for m in range(grid.n_steps):
             if m % block == 0:
@@ -453,7 +444,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
             slot = slot_of_step.get(m + 1)
             if slot is not None:
-                samples[:, :, slot, :] = state[probed]
+                samples[:, :, slot, :] = state[..., probe_x_idx]
             src, dst = dst, src
 
     chunk = chunk_replications(L, J)
@@ -468,16 +459,15 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     samples, path_max, pair_max, sup_diff, death_step, death_cell = outputs
 
     # a replication's probes after the step it died at are NaN
-    samples[probe_step_idx > death_step[probe_rows, :, None]] = np.nan
+    samples[probe_step_idx > death_step[:, :, None]] = np.nan
 
     def records(step, cell):
         dead = np.flatnonzero(step < grid.n_steps)
         return [AbortRecord(int(reps[r]), int(step[r]), int(cell[r]))
                 for r in dead[np.argsort(step[dead], kind="stable")]]
 
-    solutions, probe_start, pair_start = [], 0, 0
-    for layout, (rows, _, _), g_across in zip(layouts, coefficients, across):
-        g_levels, g_probe_levels, g_probe_rows, g_pairs, _ = layout
+    solutions, pair_start = [], 0
+    for (g_levels, g_pairs, _), (rows, _, _), g_across in zip(layouts, coefficients, across):
         path_max_abs, sup_abs_diff, aborted = {}, {}, {}
         for r, level in enumerate(g_levels, rows.start):
             path_max_abs[(level,)] = path_max[r]
@@ -495,15 +485,13 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             sup_abs_diff[(level, level)] = sup_diff[p]
         solutions.append(BatchSolution(
             levels=g_levels,
-            probe_levels=g_probe_levels,
             probe_step_idx=probe_step_idx,
             probe_x_idx=probe_x_idx,
-            samples=samples[probe_start:probe_start + len(g_probe_rows)],
+            samples=samples[rows],
             path_max_abs=path_max_abs,
             sup_abs_diff=sup_abs_diff,
             aborted=aborted,
         ))
-        probe_start += len(g_probe_rows)
         pair_start += len(g_pairs)
     main, *extra = solutions
     main.groups = tuple(extra)

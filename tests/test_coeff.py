@@ -142,9 +142,9 @@ def test_step_grid_adds_the_ends_as_unique_does(window):
     want = step_grid_by_unique(lo, hi, res)
     if want.size < 2:
         with pytest.raises(ValueError, match="fewer than two grid points"):
-            coeff._step_grid(lo, hi, res, include_ends=True)
+            coeff._StepGrid(lo, hi, res, include_ends=True).points()
     else:
-        assert coeff._step_grid(lo, hi, res, include_ends=True).tolist() == want.tolist()
+        assert coeff._StepGrid(lo, hi, res, include_ends=True).points().tolist() == want.tolist()
 
 
 class TestLevelConstants:

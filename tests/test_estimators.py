@@ -52,7 +52,6 @@ class TestLkNorm:
         est = lk_norm(one_probe_ensemble(z), 4, 1.0, 0.0)
         assert est.power_lo <= 3.0 <= est.power_hi
         assert est.root_mean == pytest.approx(ROOT4_OF_3, rel=0.01)
-        assert est.root_lo <= ROOT4_OF_3 <= est.root_hi
 
     def test_interval_ordering_and_nonnegativity(self):
         z = standard_normals(7, 1, np.zeros(500, dtype=np.uint64), np.arange(500))
@@ -61,7 +60,6 @@ class TestLkNorm:
 
     def test_too_few_replications_flagged(self):
         est = lk_norm(one_probe_ensemble(np.arange(10.0)), 2, 1.0, 0.0)
-        assert "no-interval" in est.flags
         assert est.power_lo is None and est.power_hi is None
 
     def test_order_cap(self):

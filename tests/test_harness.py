@@ -426,12 +426,13 @@ class TestUniquenessExperiment:
         # one pass over every level the checks read, keeping no lattice, with the top
         # level under the second coefficient pair as its own group, compared with the
         # first pair's top level through the same-level pair (top, top)
-        calls = []
+        calls, results = [], []
         solve = harness._solver.solve_batch
 
         def counted(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs):
             calls.append((levels, len(replications), probes, kwargs))
-            return solve(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs)
+            results.append(solve(levels, b, sigma, u0, grid, seed, replications, *probes, **kwargs))
+            return results[-1]
 
         monkeypatch.setattr(harness._solver, "solve_batch", counted)
         cfg = parse_config(base_doc(levels=[0.5, 6.0], replications=reps))
@@ -439,8 +440,10 @@ class TestUniquenessExperiment:
         (levels, n, (steps, cells), kwargs), = calls
         assert (levels, n) == ((0.5, 1.5, 6.0, 7.0), width)
         assert len(steps) == len(cells) == 0
+        (sol,) = results
+        assert sol.samples.size == 0  # no probes, so no sample is kept at any level
         (group_levels, b2, s2), = kwargs.pop("groups")
-        assert kwargs == {"probe_levels": (), "pairs": [(0.5, 1.5), (6.0, 7.0), (6.0, 6.0)], "threads": 1}
+        assert kwargs == {"pairs": [(0.5, 1.5), (6.0, 7.0), (6.0, 6.0)], "threads": 1}
         assert group_levels == (6.0,) and (b2, s2) == (cfg.drift, cfg.diffusion)
 
     def test_memory_does_not_grow_with_the_horizon(self):

@@ -340,22 +340,12 @@ class TestStackedLevels:
     def assert_matches_separate(self, levels, b, sigma, u0, g, seed, reps, steps, cells):
         pairs = [(lo, hi) for lo in levels for hi in levels if hi == lo + 1.0]
         stacked = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, pairs=pairs)
-        assert stacked.levels == stacked.probe_levels == levels  # every level is probed by default
+        assert stacked.levels == levels
         for i, level in enumerate(levels):
             alone = solve_batch((level,), b, sigma, u0, g, seed, reps, steps, cells)
             assert np.array_equal(stacked.samples[i], alone.samples[0], equal_nan=True)
             assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)])
             assert stacked.aborted[(level,)] == alone.aborted[(level,)]
-            # the same stacked pass probing this level alone: its row and every record unchanged
-            probed = solve_batch(levels, b, sigma, u0, g, seed, reps, steps, cells, probe_levels=(level,),
-                                 pairs=pairs)
-            assert probed.probe_levels == (level,) and probed.samples.shape == (1,) + stacked.samples.shape[1:]
-            assert np.array_equal(probed.samples[0], stacked.samples[i], equal_nan=True)
-            for key in stacked.aborted:
-                assert probed.aborted[key] == stacked.aborted[key]
-                assert np.array_equal(probed.path_max_abs[key], stacked.path_max_abs[key])
-            for key in stacked.sup_abs_diff:
-                assert np.array_equal(probed.sup_abs_diff[key], stacked.sup_abs_diff[key])
         assert sorted(stacked.sup_abs_diff) == pairs
         for lo, hi in pairs:
             assert stacked.aborted[(lo, hi)] == first_abort(stacked.aborted[(lo,)], stacked.aborted[(hi,)])
@@ -406,16 +396,18 @@ class TestStackedLevels:
         bites = [bool((stacked.path_max_abs[(v,)] > math.exp(v)).any()) for v in levels]
         assert bites[0] and bites[-1] == top_bites
 
-    def test_probe_levels_pick_rows_in_their_own_order(self):
+    def test_every_level_is_sampled_in_level_order(self):
         g = mkgrid()
         args = (ONE, LINEAR, InitialCondition.constant(1.0), g, 3, np.arange(2), np.array([0, 10, 50]),
                 np.array([5, 40]))
-        full = solve_batch((1.0, 2.0, 3.0), *args)
-        some = solve_batch((1.0, 2.0, 3.0), *args, probe_levels=(3.0, 1.0))
-        assert some.probe_levels == (3.0, 1.0)
-        assert np.array_equal(some.samples, full.samples[[2, 0]])
-        with pytest.raises(ValueError, match="probe levels"):
-            solve_batch((1.0, 2.0), *args, probe_levels=(2.5,))
+        levels = (1.0, 2.0, 3.0)
+        full = solve_batch(levels, *args)
+        assert full.samples.shape == (3, 2, 3, 2)
+        for i, level in enumerate(levels):
+            assert np.array_equal(full.samples[i], solve_batch((level,), *args).samples[0])
+        # there is no option to sample a subset of the levels
+        with pytest.raises(TypeError, match="probe_levels"):
+            solve_batch(levels, *args, probe_levels=(3.0, 1.0))
 
     def test_non_adjacent_pairs_and_periodic_boundary(self):
         g = mkgrid(boundary="periodic")
@@ -443,11 +435,8 @@ class TestStackedLevels:
         for level in levels[:3]:
             assert stacked.aborted[(level,)] == [] and np.isfinite(stacked.samples[levels.index(level)]).all()
         assert stacked.aborted[(0.5, 1.5)] == []
-        probed = solve_batch(levels, bomb, LINEAR, u0, g, 5, reps, np.array([5, g.n_steps]), np.array([20, 40]),
-                             probe_levels=(2.0,))
         for r in reps:
             assert np.isnan(stacked.samples[3, r, -1]).all() == (int(r) in dead)
-            assert np.isnan(probed.samples[0, r, -1]).all() == (int(r) in dead)
 
     def test_pairs_are_tracked_only_on_request(self):
         # the bomb kills some level-2 runs, so the pair (1, 2) has abort records
@@ -604,7 +593,7 @@ class TestStackedLevels:
 
 def assert_same_solution(got, want):
     """Two BatchSolutions of the same levels agree bit for bit: samples and every per-run record."""
-    assert (got.levels, got.probe_levels) == (want.levels, want.probe_levels)
+    assert got.levels == want.levels
     assert np.array_equal(got.samples, want.samples, equal_nan=True)
     for name in ("path_max_abs", "sup_abs_diff", "aborted"):
         a, b = getattr(got, name), getattr(want, name)
