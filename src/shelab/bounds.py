@@ -65,9 +65,16 @@ class ProblemConstants:
 
         Always admissible (growth constants are sup bounds, so any larger
         value is one too); widens the usable moment-order range to all k >= 2
-        at the price of a weaker bound.
+        at the price of a weaker bound.  The value is (L_b/4)^(1/4), stepped
+        up until the float inequality holds; with L_b = 0 any positive value
+        works, and a zero one becomes 1.
         """
-        needed = (self.drift_growth / 4.0) ** 0.25
+        lb = self.drift_growth
+        if lb == 0:
+            return self if self.diffusion_growth > 0 else replace(self, diffusion_growth=1.0)
+        needed = math.sqrt(math.sqrt(lb) / 2.0)  # (L_b/4)^(1/4) without underflow at subnormal L_b
+        while math.sqrt(lb) / needed ** 2 > 2.0:
+            needed = math.nextafter(needed, math.inf)
         if self.diffusion_growth >= needed:
             return self
         return replace(self, diffusion_growth=needed)
@@ -108,18 +115,16 @@ class BoundReport:
     @classmethod
     def compare(cls, outcome: BoundOutcome, estimate: float | None) -> "BoundReport":
         bound_log = None if outcome.bound is None else outcome.bound.log_value
-        return cls(bound_log=bound_log, verdict=cls.judge(outcome, estimate)[0])
+        return cls(bound_log=bound_log, verdict=cls.judge(outcome, estimate))
 
     @staticmethod
-    def judge(outcome: BoundOutcome, estimate: float | None) -> tuple:
-        """The verdict on ``estimate`` and the log it was judged by, None for no estimate or one of
-        at most zero, which is below any positive bound."""
-        log_estimate = None if estimate is None or estimate <= 0 else math.log(estimate)
+    def judge(outcome: BoundOutcome, estimate: float | None) -> str:
+        """The verdict on ``estimate``; no estimate, or one of at most zero, is below any positive bound."""
         if not outcome.valid:
-            return "not-applicable", log_estimate
-        if log_estimate is None or log_estimate <= outcome.bound.log_value:
-            return "dominates", log_estimate
-        return "violated", log_estimate
+            return "not-applicable"
+        if estimate is None or estimate <= 0 or math.log(estimate) <= outcome.bound.log_value:
+            return "dominates"
+        return "violated"
 
 
 def moment_bound_unbounded_sigma(k: float, t: float, constants: ProblemConstants) -> BoundOutcome:

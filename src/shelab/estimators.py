@@ -13,6 +13,8 @@ abort list).  The estimators are
 * ``weighted_norm``: max over probes of exp(-beta t) * ||u(t,x)||_k,
 * ``tail_probability``: empirical exceedance frequency with a Wilson score
   interval (valid at zero counts),
+* ``tail_estimates``: ``tail_probability`` at every probe of an ensemble in
+  one pass (what the tail experiment uses),
 * ``coupled_sup_difference``: max over probes of the k-norm of the pathwise
   difference between two clamp levels driven by common noise.
 
@@ -52,6 +54,7 @@ __all__ = [
     "moment_estimates",
     "lk_norm",
     "weighted_norm",
+    "tail_estimates",
     "tail_probability",
     "coupled_sup_difference",
     "wilson_interval",
@@ -309,15 +312,29 @@ def weighted_norm(ensemble: Ensemble, k: float, beta: float, T: float) -> float:
     )
 
 
+def _column_tails(x: np.ndarray, threshold: float) -> list:
+    """Tail estimates of P{|u| >= threshold} down each column of a (replications, columns) array."""
+    n = x.shape[0]
+    estimates = []
+    for hits in np.count_nonzero(np.abs(x) >= threshold, axis=0).tolist():
+        lo, hi = wilson_interval(hits, n)
+        estimates.append(TailEstimate(count=n, p_hat=hits / n, lo=lo, hi=hi))
+    return estimates
+
+
+def tail_estimates(ensemble: Ensemble, threshold: float) -> list:
+    """``tail_probability`` at every probe of the ensemble, in (t, x) order, in one pass."""
+    if threshold <= 0:
+        raise ValueError("threshold must be positive")
+    return _column_tails(_columns(ensemble.samples), threshold)
+
+
 def tail_probability(ensemble: Ensemble, threshold: float, t: float, x: float) -> TailEstimate:
     """Empirical P{|u(t,x)| >= threshold} with a Wilson 95% interval."""
     if threshold <= 0:
         raise ValueError("threshold must be positive")
-    vals = ensemble.samples_at(t, x)
-    n = vals.size
-    hits = int(np.count_nonzero(np.abs(vals) >= threshold))
-    lo, hi = wilson_interval(hits, n)
-    return TailEstimate(count=n, p_hat=hits / n, lo=lo, hi=hi)
+    (estimate,) = _column_tails(ensemble.samples_at(t, x)[:, None], threshold)
+    return estimate
 
 
 @dataclass

@@ -70,13 +70,6 @@ class GridSpec:
     def xs(self) -> np.ndarray:
         return np.linspace(-self.R, self.R, self.n_points)
 
-    def x_index(self, x: float) -> int:
-        """Nearest lattice site to ``x``."""
-        j = int(round((float(x) + self.R) / self.dx))
-        if not 0 <= j < self.n_points:
-            raise GridError(f"x={x} is outside the window [-{self.R}, {self.R}]")
-        return j
-
     def t_index(self, t: float) -> int:
         """Nearest lattice time to ``t``."""
         m = int(round(float(t) / self.dt))

@@ -42,7 +42,7 @@ import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _json_string
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -412,8 +412,6 @@ def resolve_constants(cfg: ExperimentConfig):
     )
     if cfg.inflate_diffusion:
         inflated = constants.inflate_diffusion_growth()
-        if inflated.diffusion_growth == 0.0:
-            inflated = replace(constants, diffusion_growth=1.0)
         if inflated.diffusion_growth != constants.diffusion_growth:
             notes["L_sigma"] = (
                 f"inflated from {constants.diffusion_growth!r} to {inflated.diffusion_growth!r}"
@@ -575,56 +573,56 @@ def _abort_budget(aborted, cfg):
 # -- experiments ----------------------------------------------------------------
 
 
+_ESTIMATE_FIELDS = {
+    "verify-moments": attrgetter("power_mean", "power_lo", "power_hi"),
+    "verify-tails": attrgetter("p_hat", "lo", "hi"),
+}
+
+
+def _judged_rows(records, cfg, experiment, bound_fn, constants, N, k, ens, estimates):
+    """Append one row per probe of ``ens`` to ``records``, judging its estimate's upper end.
+
+    ``estimates`` holds the probe estimates in (t, x) order.  The bound is
+    asked once per probe time: of order k for verify-moments, of level N
+    for verify-tails (k is None).
+    """
+    fields, judge, seed, tag = _ESTIMATE_FIELDS[experiment], _bounds.BoundReport.judge, cfg.seed, cfg.hash16
+    estimates, xs = iter(estimates), ens.probe_xs.tolist()
+    for t in ens.probe_times.tolist():
+        outcome = bound_fn(N if k is None else k, t, constants)
+        bound_log = None if outcome.bound is None else outcome.bound.log_value
+        for x, est in zip(xs, estimates):
+            estimate, lo, hi = fields(est)
+            records.append(Record(experiment, N, k, t, x, estimate, lo, hi, bound_log,
+                                  judge(outcome, hi), seed, tag))
+
+
 def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
     constants, notes = resolve_constants(cfg)
     _require(cfg.replications >= 30, "verify-moments needs at least 30 replications for CLT intervals")
-    if cfg.bounded_sigma:
-        bound_fn = lambda k, t: _bounds.moment_bound_bounded_sigma(k, t, constants)
-        for k in cfg.orders:
-            _require(k >= 2, f"order k={k:g} below the bounded-regime minimum 2")
-    else:
-        _require(
-            constants.diffusion_growth > 0,
-            "moment bounds need a positive diffusion growth constant "
-            "(set constants.L_sigma, enable inflate_L_sigma, or use bounded_sigma)",
-        )
-        k_min = max(2.0, math.sqrt(constants.drift_growth) / constants.diffusion_growth ** 2)
-        for k in cfg.orders:
-            _require(
-                k >= k_min,
-                f"order k={k:g} below the admissible minimum {k_min:g} "
-                "(enable constants.inflate_L_sigma to widen the range)",
-            )
-        bound_fn = lambda k, t: _bounds.moment_bound_unbounded_sigma(k, t, constants)
+    bound_fn = _bounds.moment_bound_bounded_sigma if cfg.bounded_sigma else _bounds.moment_bound_unbounded_sigma
+    for k in cfg.orders:
+        outcome = bound_fn(k, 0.0, constants)
+        _require(outcome.valid, f"{outcome.failed_clause} (set constants.L_sigma, enable "
+                                "constants.inflate_L_sigma, or use bounded_sigma)")
 
     probe_steps, probe_x_idx = _probe_indices(cfg)
     records = []
-    min_margin = math.inf
     aborted_all = []
     batch = _collect(cfg, cfg.levels, probe_steps, probe_x_idx, threads)
-    judge, seed, tag = _bounds.BoundReport.judge, cfg.seed, cfg.hash16
     for level in cfg.levels:
         aborted_all += _abort_budget(batch.aborted[(level,)], cfg)
         ens = _est.Ensemble.from_batch(batch, cfg.grid, level)
-        N, xs = float(level), ens.probe_xs.tolist()
-        for k in map(float, cfg.orders):
-            estimates = iter(_est.moment_estimates(ens, k))
-            for t in ens.probe_times.tolist():
-                outcome = bound_fn(k, t)
-                bound_log = None if outcome.bound is None else outcome.bound.log_value
-                for x, est in zip(xs, estimates):
-                    hi = est.power_hi
-                    verdict, log_hi = judge(outcome, hi)
-                    if verdict == "dominates" and log_hi is not None:
-                        min_margin = min(min_margin, bound_log - log_hi)
-                    records.append(Record("verify-moments", N, k, t, x, est.power_mean, est.power_lo, hi,
-                                          bound_log, verdict, seed, tag))
-    violations = sum(r.verdict == "violated" for r in records)
+        for k in cfg.orders:
+            _judged_rows(records, cfg, "verify-moments", bound_fn, constants, level, k, ens,
+                         _est.moment_estimates(ens, k))
+    min_margin = min((r.bound_log - math.log(r.ci_hi) for r in records
+                      if r.verdict == "dominates" and r.ci_hi is not None and r.ci_hi > 0), default=math.inf)
     return ResultSet(
         experiment="verify-moments",
         records=records,
         diagnostics={
-            "violations": violations,
+            "violations": sum(r.verdict == "violated" for r in records),
             "min_log_margin": None if math.isinf(min_margin) else min_margin,
             "bounded_regime": cfg.bounded_sigma,
         },
@@ -635,21 +633,11 @@ def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
 
 def run_tail_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
     constants, notes = resolve_constants(cfg)
-    if cfg.bounded_sigma:
-        bound_fn = lambda N, t: _bounds.tail_bound_bounded_sigma(N, t, constants)
-    else:
-        _require(
-            constants.diffusion_growth > 0,
-            "tail bounds need a positive diffusion growth constant in the unbounded regime",
-        )
-        bound_fn = lambda N, t: _bounds.tail_bound_unbounded_sigma(N, t, constants)
-
+    bound_fn = _bounds.tail_bound_bounded_sigma if cfg.bounded_sigma else _bounds.tail_bound_unbounded_sigma
     probe_steps, probe_x_idx = _probe_indices(cfg)
-    probe_times = [s * cfg.grid.dt for s in probe_steps]
-    _require(
-        any(bound_fn(N, t).valid for N in cfg.levels for t in probe_times),
-        "no (N, t) combination passes the tail validity predicate",
-    )
+    outcomes = [bound_fn(N, s * cfg.grid.dt, constants) for N in cfg.levels for s in probe_steps]
+    _require(any(o.valid for o in outcomes),
+             f"no (N, t) combination passes the tail validity predicate: {outcomes[0].failed_clause}")
 
     records = []
     aborted_all = []
@@ -658,23 +646,14 @@ def run_tail_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
     for level in cfg.levels:
         aborted_all += _abort_budget(batch.aborted[(level + 1.0,)], cfg)
         ens = _est.Ensemble.from_batch(batch, cfg.grid, level + 1.0)
-        threshold = math.exp(level)
-        for pt in ens.probe_times:
-            outcome = bound_fn(level, float(pt))
-            for px in ens.probe_xs:
-                tail = _est.tail_probability(ens, threshold, float(pt), float(px))
-                report = _bounds.BoundReport.compare(outcome, tail.hi)
-                records.append(_record(
-                    cfg, "verify-tails", level, report.verdict, t=pt, x=px,
-                    estimate=tail.p_hat, ci_lo=tail.lo, ci_hi=tail.hi, bound_log=report.bound_log,
-                ))
+        _judged_rows(records, cfg, "verify-tails", bound_fn, constants, level, None, ens,
+                     _est.tail_estimates(ens, math.exp(level)))
     applicable = [r for r in records if r.verdict != "not-applicable"]
-    violations = sum(r.verdict == "violated" for r in applicable)
     return ResultSet(
         experiment="verify-tails",
         records=records,
         diagnostics={
-            "violations": violations,
+            "violations": sum(r.verdict == "violated" for r in applicable),
             "applicable_rows": len(applicable),
             "bounded_regime": cfg.bounded_sigma,
         },

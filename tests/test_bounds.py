@@ -208,6 +208,23 @@ class TestParameterChoices:
         big = consts(Lb=1.0, Ls=3.0)
         assert big.inflate_diffusion_growth() == big  # already wide enough
 
+    @pytest.mark.parametrize("Lb", [0.0, 0.5, 2.0, 5.0, 8.0, 16.0])
+    def test_inflation_admits_order_two(self, Lb):
+        # the promise holds in floats: sqrt(L_b)/L_s^2 <= 2, so k = 2 is admissible,
+        # and one float less would break it
+        ls = consts(Lb=Lb, Ls=0.0).inflate_diffusion_growth().diffusion_growth
+        assert math.sqrt(Lb) / ls ** 2 <= 2.0
+        assert moment_bound_unbounded_sigma(2, 0.0, consts(Lb=Lb, Ls=ls)).valid
+        if Lb > 0:
+            assert math.sqrt(Lb) / math.nextafter(ls, 0.0) ** 2 > 2.0
+        else:
+            assert ls == 1.0
+            assert consts(Lb=0.0, Ls=0.5).inflate_diffusion_growth().diffusion_growth == 0.5
+
+    def test_inflation_at_a_subnormal_drift_constant(self):
+        ls = consts(Lb=5e-324, Ls=0.0).inflate_diffusion_growth().diffusion_growth
+        assert 0.0 < ls and math.sqrt(5e-324) / ls ** 2 <= 2.0
+
     def test_proof_constant_must_exceed_one(self):
         with pytest.raises(ValueError):
             consts(c=1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -15,11 +16,13 @@ from shelab.estimators import (
     coupled_sup_difference,
     lk_norm,
     moment_estimates,
+    tail_estimates,
     tail_probability,
     weighted_norm,
     wilson_interval,
 )
 from shelab.noise import standard_normals
+from test_solver import x_index
 
 ROOT4_OF_3 = 1.3160740129524924  # (E|Z|^4)^(1/4) for a standard normal
 
@@ -328,6 +331,33 @@ class TestTailProbability:
         ens = one_probe_ensemble(vals)
         assert tail_probability(ens, hi, 1.0, 0.0).p_hat <= tail_probability(ens, lo, 1.0, 0.0).p_hat
 
+    def test_tail_estimates_match_tail_probability_at_every_probe(self):
+        # samples tied at +-threshold count as exceedances in both paths
+        times, xs = [0.5, 1.0], [-1.0, 0.0, 1.0]
+        vals = standard_normals(5, 5, np.zeros(240, dtype=np.uint64), np.arange(240)).reshape(40, 2, 3) * 2.0
+        vals[:7, 0, 1] = 1.5
+        vals[7:10, 1, 2] = -1.5
+        ens = grid_ensemble(vals, times, xs)
+        got = tail_estimates(ens, 1.5)
+        want = [tail_probability(ens, 1.5, t, x) for t in times for x in xs]
+        assert [dataclasses.astuple(e) for e in got] == [dataclasses.astuple(e) for e in want]
+        hits = [int(np.sum(np.abs(vals[:, it, ix]) >= 1.5)) for it in range(2) for ix in range(3)]
+        assert [dataclasses.astuple(e) for e in got] == [(40, h / 40, *wilson_interval(h, 40)) for h in hits]
+        assert hits[1] >= 7 and hits[5] >= 3
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_tail_estimates_reject_a_non_positive_threshold(self, threshold):
+        ens = one_probe_ensemble(np.ones(10))
+        for call in (lambda: tail_estimates(ens, threshold), lambda: tail_probability(ens, threshold, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="threshold must be positive"):
+                call()
+
+    def test_tail_estimates_reject_an_empty_ensemble(self):
+        ens = one_probe_ensemble(np.ones(0))
+        for call in (lambda: tail_estimates(ens, 1.0), lambda: tail_probability(ens, 1.0, 1.0, 0.0)):
+            with pytest.raises(ValueError, match="at least one trial"):
+                call()
+
     def test_wilson_interval_basics(self):
         lo, hi = wilson_interval(0, 50)
         assert lo == 0.0 and 0 < hi < 1
@@ -362,7 +392,7 @@ class TestEnsembleFromBatch:
             g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
         zero, lin = Coefficient.from_source("zero"), Coefficient.from_source("linear")
         return g, solve_batch((1.0, 2.0), zero, lin, InitialCondition.constant(1.0), g, 1, np.arange(6),
-                              [10, g.n_steps], [5, g.x_index(0.0)])
+                              [10, g.n_steps], [5, x_index(g, 0.0)])
 
     def test_no_abort_keeps_the_batch_samples_without_a_copy(self):
         g, batch = self.batch()
@@ -408,7 +438,7 @@ class TestCoupledSupDifference:
             g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
         zero, lin = Coefficient.from_source("zero"), Coefficient.from_source("linear")
         batch = solve_batch((1.0, 2.0, 3.5), zero, lin, InitialCondition.constant(1.0), g, 1, [0, 1],
-                            [g.n_steps], [g.x_index(0.0)], pairs=[(1.0, 2.0)])
+                            [g.n_steps], [x_index(g, 0.0)], pairs=[(1.0, 2.0)])
         assert PairEnsemble.from_batch(batch, g, 1.0).count == 2
         # no level of the batch lies one above 3.5
         with pytest.raises(CouplingError, match="no coupled pair"):

@@ -213,6 +213,11 @@ class TestConfigRejection:
         res = run_moment_verification(parse_config(doc))
         assert res.diagnostics["violations"] == 0
 
+    def test_bounded_regime_rejects_order_one(self):
+        doc = base_doc(sigma="oscillator", bounded_sigma=True, orders=[1.0, 2.0])
+        with pytest.raises(ConfigError, match="k=1 below the admissible minimum 2"):
+            run_moment_verification(parse_config(doc))
+
     def test_zero_diffusion_growth_needs_inflate_or_bound(self):
         doc = base_doc(sigma="zero")
         with pytest.raises(ConfigError, match="positive diffusion growth"):
@@ -242,8 +247,8 @@ class TestResolveConstants:
             (dict(constants={"inflate_L_sigma": True}),
              (0.0, 1.0, None), {"L_b": DECLARED, "L_sigma": DECLARED}),
             (dict(b="clipped_poly", constants={"inflate_L_sigma": True}),
-             (8.0, 1.189207115002721, None),
-             {"L_b": DECLARED, "L_sigma": "inflated from 1.0 to 1.189207115002721"}),
+             (8.0, 1.1892071150027212, None),
+             {"L_b": DECLARED, "L_sigma": "inflated from 1.0 to 1.1892071150027212"}),
             (dict(sigma="zero", constants={"inflate_L_sigma": True}),
              (0.0, 1.0, None), {"L_b": DECLARED, "L_sigma": "inflated from 0.0 to 1.0"}),
             (dict(sigma="one", bounded_sigma=True),
@@ -322,8 +327,12 @@ class TestTailExperiment:
         assert all(r.estimate == 0.0 and r.ci_hi == pytest.approx(expect, rel=1e-12) for r in res.records)
 
     def test_rejects_when_nothing_is_applicable(self):
-        with pytest.raises(ConfigError, match="validity predicate"):
+        with pytest.raises(ConfigError, match="validity predicate: N=3 below the validity threshold"):
             run_tail_verification(parse_config(self.tail_doc([3.0])))
+
+    def test_unbounded_regime_needs_a_diffusion_growth_constant(self):
+        with pytest.raises(ConfigError, match="validity predicate: requires a positive diffusion growth constant"):
+            run_tail_verification(parse_config(self.tail_doc([11.0]) | {"sigma": "zero"}))
 
     def test_rows_read_their_own_probe_time(self):
         # at dt = 1e-10 every probe time is within the probe-matching tolerance
@@ -692,6 +701,19 @@ class TestCli:
         p = tmp_path / "config.json"
         p.write_text(json.dumps(doc))
         return str(p)
+
+    def test_inflation_admits_order_two_on_the_moment_pilot(self, tmp_path, capsys):
+        # clipped_poly declares L_b = 8 against L_sigma = 1: without inflation k = 2 is below
+        # the admissible minimum 2.83, and inflation must widen the range to every k >= 2
+        doc = json.loads((ROOT / "scripts" / "configs" / "pilot_moments.json").read_text())
+        doc["b"] = "clipped_poly"
+        cfgp = self.write_config(tmp_path, doc)
+        assert cli.main(["--out", str(tmp_path / "plain"), "verify-moments", cfgp]) == 1
+        assert "admissible minimum" in capsys.readouterr().err
+        doc["constants"]["inflate_L_sigma"] = True
+        cfgp = self.write_config(tmp_path, doc)
+        assert cli.main(["--out", str(tmp_path / "inflated"), "verify-moments", cfgp]) == 0
+        assert "violations': 0" in capsys.readouterr().out
 
     def test_verify_moments_roundtrip_and_exit_codes(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, base_doc())

@@ -32,6 +32,11 @@ ONE = Coefficient.from_source("one")
 LINEAR = Coefficient.from_source("linear")
 
 
+def x_index(g, x):
+    """Nearest lattice site of grid ``g`` to ``x``."""
+    return int(round((x + g.R) / g.dx))
+
+
 def mkgrid(**kw):
     args = dict(R=4.0, dx=0.1, dt=0.005, T=0.25, boundary="dirichlet")
     args.update(kw)
@@ -134,7 +139,7 @@ class TestSolveTruncated:
         g = mkgrid(R=8.0, dx=0.05, dt=0.001, T=0.25)
         u0 = InitialCondition.indicator(-1.0, 1.0)
         traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-        got = traj.values[g.t_index(0.25), g.x_index(0.0)]
+        got = traj.values[g.t_index(0.25), x_index(g, 0.0)]
         ref = initial_convolution(u0, 0.25, 0.0)
         assert abs(got - ref) <= 2.0 * g.dx
 
@@ -173,7 +178,7 @@ class TestSolveTruncated:
         vals = []
         for rep in range(400):
             traj = solve_truncated(3.0, ZERO, LINEAR, u0, g, NoiseSpec(seed=314, replication=rep, grid=g))
-            vals.append(traj.values[g.t_index(0.25), g.x_index(0.0)])
+            vals.append(traj.values[g.t_index(0.25), x_index(g, 0.0)])
         vals = np.asarray(vals)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         assert abs(vals.mean() - 1.0) <= 3.0 * se
@@ -194,7 +199,7 @@ class TestSolveTruncated:
         for dx in (0.2, 0.1, 0.05):
             g = mkgrid(R=8.0, dx=dx, dt=0.05 * dx * dx, T=0.25)
             traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-            vals.append([traj.values[g.t_index(t), g.x_index(x)] for t, x in probes])
+            vals.append([traj.values[g.t_index(t), x_index(g, x)] for t, x in probes])
         err_coarse = abs(vals[0][0] - vals[1][0]) + abs(vals[0][1] - vals[1][1])
         err_fine = abs(vals[1][0] - vals[2][0]) + abs(vals[1][1] - vals[2][1])
         assert 3.0 <= err_coarse / err_fine <= 5.0
@@ -205,7 +210,7 @@ class TestSolveTruncated:
         for R in (8.0, 12.0):
             g = mkgrid(R=R, dx=0.05, dt=0.001, T=0.25)
             traj = solve_truncated(5.0, ZERO, ZERO, u0, g, NoiseSpec(seed=1, replication=0, grid=g))
-            outs.append([traj.values[g.t_index(0.25), g.x_index(x)] for x in (-1.0, 0.0, 1.0)])
+            outs.append([traj.values[g.t_index(0.25), x_index(g, x)] for x in (-1.0, 0.0, 1.0)])
         assert np.max(np.abs(np.array(outs[0]) - np.array(outs[1]))) < 1e-8
 
 
