@@ -117,6 +117,15 @@ class Coefficient:
     def from_callable(cls, name: str, fn, **declared) -> "Coefficient":
         return cls(name=name, fn=fn, **declared)
 
+    def on_box(self, t_max: float, bound: float):
+        """This coefficient for calls with ``t`` in [0, t_max] and every ``x`` in
+        [-bound, bound] alone: an expression's :meth:`~shelab.expr.Compiled.on_box`
+        form, still called through ``expr.evaluate``; a builtin as it is."""
+        if self.ast is None:
+            return self
+        boxed = self.compiled.on_box(t_max, bound)
+        return lambda t, x: _expr.evaluate(boxed, t, x)
+
     def __call__(self, t, x):
         if self.ast is not None:
             return _expr.evaluate(self.compiled, t, x)

@@ -600,11 +600,15 @@ def _judged_rows(records, cfg, experiment, bound_fn, constants, N, k, ens, estim
 def run_moment_verification(cfg: ExperimentConfig, threads: int = 1) -> ResultSet:
     constants, notes = resolve_constants(cfg)
     _require(cfg.replications >= 30, "verify-moments needs at least 30 replications for CLT intervals")
-    bound_fn = _bounds.moment_bound_bounded_sigma if cfg.bounded_sigma else _bounds.moment_bound_unbounded_sigma
+    bound_fn, hint = (
+        (_bounds.moment_bound_bounded_sigma, "use orders >= 2, and set constants.sigma_sup if the diffusion "
+                                             "declares no sup-norm bound")
+        if cfg.bounded_sigma else
+        (_bounds.moment_bound_unbounded_sigma, "set constants.L_sigma, enable constants.inflate_L_sigma, "
+                                               "or use bounded_sigma"))
     for k in cfg.orders:
         outcome = bound_fn(k, 0.0, constants)
-        _require(outcome.valid, f"{outcome.failed_clause} (set constants.L_sigma, enable "
-                                "constants.inflate_L_sigma, or use bounded_sigma)")
+        _require(outcome.valid, f"{outcome.failed_clause} ({hint})")
 
     probe_steps, probe_x_idx = _probe_indices(cfg)
     records = []

@@ -26,7 +26,14 @@ replications into chunks of :func:`chunk_replications` replications, runs
 them inline or on up to ``threads`` pool threads, and writes each into its
 own columns of outputs allocated once for the whole call.  Noise comes
 from one place, ``standard_normals``, looked up on this module at every
-call, for a block of steps at a time.  The arithmetic
+call, for a block of steps at a time.  Every coefficient call sees ``t``
+in [0, (n_steps - 1) dt] and a state clipped to its group's clamp bounds,
+and never a non-finite state, because a dead row restarts from the finite
+``u0`` in the step it dies.  So each call compiles each expression
+coefficient for that box (``Coefficient.on_box``), without the domain
+checks that the box proves dead; still called through ``expr.evaluate``,
+it gives the same bits.  Builtins, and every coefficient when ``u0`` is not
+finite, keep the checked call.  The arithmetic
 is elementwise, hence bit-identical however the replications are chunked
 and whichever levels share a pass; coefficients must therefore act
 elementwise on arrays of any shape.  The single-replication full-lattice
@@ -360,6 +367,12 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     bounds = np.array([TruncationLevel(v).clamp_bound for v in row_levels])[:, None, None]
     clamp = (-bounds, bounds)
     row0 = u0(grid.xs)
+    if np.isfinite(row0).all():
+        # every call sees t in [0, t_max] and x clipped to its group's bounds: dead rows
+        # restart from the finite row0 in the step they die, so no x is ever NaN
+        t_max = max(grid.n_steps - 1, 0) * grid.dt
+        coefficients = [(rows, g_b.on_box(t_max, bounds[rows].max()), g_sigma.on_box(t_max, bounds[rows].max()))
+                        for rows, g_b, g_sigma in coefficients]
     lo, hi = _updated_cells(grid)
     cells = np.arange(lo, hi, dtype=np.uint64)  # a step draws noise only for the cells it writes
     scale = math.sqrt(grid.dt * grid.dx)

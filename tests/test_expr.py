@@ -1,11 +1,14 @@
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from shelab import expr
-from shelab.coeff import Coefficient
+from shelab.coeff import BUILTINS, Coefficient
+from test_config_fuzz import EXPRESSIONS as FUZZ_SOURCES
 
 # sin(1000 rad) via independent high-precision range reduction (mpmath, 40 digits)
 SIN_1000 = 0.82687954053200256026
@@ -303,3 +306,88 @@ def test_coefficient_equality_and_hash_ignore_the_compiled_form(node):
     assert "compiled" not in repr(a)
     xs = XS[:4]
     assert outcome(lambda n, t, x: a(t, x), node, 0.7, xs) == outcome(reference_evaluate, node, 0.7, xs)
+
+
+# ---- check-free forms on the clamp box -----------------------------------------
+
+
+def _parsed(sources):
+    nodes = []
+    for source in sources:
+        try:
+            nodes.append(expr.parse(source))
+        except expr.ParseError:
+            pass
+    return nodes
+
+
+def _box(t_max, bound):
+    return {"t": (0.0, t_max), "x": (-bound, bound)}
+
+
+@given(st.one_of(st.sampled_from(_parsed(FUZZ_SOURCES)), partial_ast_strategy),
+       st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 4.0, 7.0]), st.floats(0.0, 2.0), st.data())
+@settings(max_examples=300, deadline=None)
+def test_box_form_stays_in_its_enclosure_and_matches_checked_evaluate(node, level, t_max, data):
+    bound = math.exp(level)
+    checked = expr.Compiled(node)
+    boxed = checked.on_box(t_max, bound)
+    enclosure = expr._enclose(node, _box(t_max, bound))
+    assert boxed.checked == (enclosure is None)
+    inside = st.floats(-bound, bound)
+    xs = np.array([-bound, -0.0, 0.0, bound] + data.draw(st.lists(inside, min_size=1, max_size=16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a proved form raises no float flag either
+        for t in (0.0, t_max, data.draw(st.floats(0.0, t_max))):
+            # the same bits, or the same error, as the checked form
+            assert outcome(expr.evaluate, boxed, t, xs) == outcome(expr.evaluate, checked, t, xs)
+            x = data.draw(inside)
+            assert outcome(expr.evaluate, boxed, t, x) == outcome(expr.evaluate, checked, t, x)
+            if enclosure is not None:
+                values = expr.evaluate(boxed, t, xs)
+                assert enclosure[0] <= values.min() and values.max() <= enclosure[1]
+
+
+@pytest.mark.parametrize("source", ["x/3", "0.1*x", "x + 0.1", "x - 0.1", "sqrt(abs(x))", "exp(x)",
+                                    "log(2 + x)", "sin(x)", "cos(x)", "(2 + x)^0.5", "x^3"])
+def test_enclosure_ends_round_outward(source):
+    # the endpoint arithmetic alone would give exactly the values at the box's ends
+    node = expr.parse(source)
+    lo, hi = expr._enclose(node, _box(1.0, 1.0))
+    ends = expr.evaluate(expr.Compiled(node), 0.0, np.array([-1.0, 1.0]))
+    assert lo < ends.min() and ends.max() < hi
+
+
+# lattice_expr's and the golden EXPR_DOC's coefficients (uniqueness solves up to level 4 = N + 1),
+# the oscillator's expression, and bounded powers and exponentials
+@pytest.mark.parametrize("source", ["0.5*sin(x)", "x/(1+abs(x)/8)", "sin(1000*(1+abs(x))^0.25)",
+                                    "x^2", "exp(x) - t", "log(1 + abs(x))", "sqrt(abs(x))/(1 + t)"])
+def test_expressions_proved_on_the_box_take_the_check_free_path(source):
+    assert not expr.Compiled(expr.parse(source)).on_box(1.0, math.exp(4.0)).checked
+
+
+@pytest.mark.parametrize("source,x,message", [
+    ("log(x)", -1.0, "^log of a non-positive value$"),
+    ("1/x", 0.0, "^division by zero$"),
+    ("x^0.5", -4.0, r"^invalid power \(negative base or zero to a negative exponent\)$"),
+    ("exp(x)", 1000.0, r"^non-finite result from exp\(x\)$"),
+])
+def test_checks_that_may_fire_on_the_box_are_kept(source, x, message):
+    # level 7: the box reaches e^7 > 709, where exp overflows
+    compiled = expr.Compiled(expr.parse(source))
+    boxed = compiled.on_box(1.0, math.exp(7.0))
+    assert boxed.checked
+    for form in (compiled, boxed):
+        with pytest.raises(expr.EvalDomainError, match=message):
+            expr.evaluate(form, 0.0, np.array([0.5, x]))
+
+
+def test_box_form_returns_fresh_arrays():
+    xs = np.array([-1.0, 0.5])
+    for source in ("x", "2", "t"):
+        out = expr.evaluate(expr.Compiled(expr.parse(source)).on_box(1.0, 1.0), 0.5, xs)
+        assert out is not xs and out.shape == xs.shape and out.flags.writeable
+
+
+def test_builtin_coefficients_keep_their_path():
+    assert all(psi.on_box(1.0, 2.0) is psi for psi in BUILTINS.values())

@@ -715,6 +715,17 @@ class TestCli:
         assert cli.main(["--out", str(tmp_path / "inflated"), "verify-moments", cfgp]) == 0
         assert "violations': 0" in capsys.readouterr().out
 
+    def test_bounded_regime_hint_on_the_moment_pilot(self, tmp_path, capsys):
+        # bounded_sigma is on already: the hint points at the orders and the sup bound, not at
+        # the unbounded regime's L_sigma, inflation or bounded_sigma
+        doc = json.loads((ROOT / "scripts" / "configs" / "pilot_moments.json").read_text())
+        doc.update(bounded_sigma=True, sigma="oscillator", orders=[1, 2])
+        assert cli.main(["--out", str(tmp_path), "verify-moments", self.write_config(tmp_path, doc)]) == 1
+        err = capsys.readouterr().err
+        assert ("k=1 below the admissible minimum 2 (use orders >= 2, and set constants.sigma_sup "
+                "if the diffusion declares no sup-norm bound)") in err
+        assert "inflate_L_sigma" not in err
+
     def test_verify_moments_roundtrip_and_exit_codes(self, tmp_path, capsys):
         cfgp = self.write_config(tmp_path, base_doc())
         assert cli.main(["--out", str(tmp_path / "o1"), "verify-moments", cfgp]) == 0

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from shelab import harness
+from shelab import expr, harness
 from shelab.coeff import Coefficient, truncated_fn
 from shelab.grid import GridSpec
 from heat_reference import initial_convolution
@@ -685,6 +685,65 @@ class TestCoefficientGroups:
     def test_groups_are_checked_like_the_main_levels(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             solve_batch((1.0,), ZERO, LINEAR, *self.ARGS, groups=[((2.0, 1.0), ZERO, LINEAR)])
+
+
+class TestCheckFreeCoefficients:
+    """Expression coefficients run on the clamp box without the checks their enclosure proves dead."""
+
+    @staticmethod
+    def spy_checked(monkeypatch):
+        """``compiled.checked`` of every ``expr.evaluate`` call from now on."""
+        seen, evaluate = [], expr.evaluate
+
+        def spy(compiled, t, x):
+            seen.append(compiled.checked)
+            return evaluate(compiled, t, x)
+
+        monkeypatch.setattr(expr, "evaluate", spy)
+        return seen
+
+    def test_the_benchmark_coefficients_take_the_check_free_path(self, monkeypatch):
+        # lattice_expr's and EXPR_DOC's coefficients at their levels and uniqueness's N + 1,
+        # the re-parse riding as a group
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("x/(1+abs(x)/8)")
+        g = mkgrid(R=1.0, T=0.05)
+        seen = self.spy_checked(monkeypatch)
+        solve_batch((0.0, 1.0, 2.0, 3.0, 4.0), b, sigma, InitialCondition.constant(1.0), g, 3, [0, 1], [0],
+                    [0], pairs=[(3.0, 4.0)], groups=[((3.0, 4.0), Coefficient.parse(b.name), Coefficient.parse(sigma.name))])
+        assert len(seen) == 4 * g.n_steps and not any(seen)
+        # builtins keep their own path and never reach expr.evaluate
+        solve_batch((1.0,), ZERO, LINEAR, InitialCondition.constant(1.0), g, 3, [0], [0], [0])
+        assert len(seen) == 4 * g.n_steps
+
+    def test_dead_rows_match_the_checked_path(self, monkeypatch):
+        # the check-free path is safe because no coefficient call sees a non-finite x: dead rows
+        # restart from u0 in the step they die.  A diffusion near the float limit kills rows at
+        # the upper levels and spares level 1; the same expressions wrapped as callables keep
+        # today's checked evaluate
+        g = mkgrid(R=1.0)
+        b, sigma = Coefficient.parse("0.5*sin(x)"), Coefficient.parse("1e308*sin(x)")
+        levels = (1.0, 5.0, 6.0)
+        rest = (InitialCondition.constant(1.0), g, 5, np.arange(12), np.arange(g.n_steps + 1), np.arange(g.n_points))
+
+        def checked(psi):
+            return Coefficient.from_callable(psi.name, lambda t, x: expr.evaluate(psi.compiled, t, x))
+
+        seen = self.spy_checked(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):  # the stencil overflows in the dying rows
+            boxed = solve_batch(levels, b, sigma, *rest, pairs=[(5.0, 6.0)])
+            assert seen and not any(seen)
+            seen.clear()
+            want = solve_batch(levels, checked(b), checked(sigma), *rest, pairs=[(5.0, 6.0)])
+            assert seen and all(seen)
+        assert_same_solution(boxed, want)
+        assert boxed.aborted[(1.0,)] == [] and 0 < len(boxed.aborted[(5.0,)]) < 12
+
+    def test_a_non_finite_initial_row_keeps_the_checks(self):
+        # the box premise needs a finite u0: a NaN row is met by today's error, not run unchecked
+        g = mkgrid(R=1.0, T=0.01)
+        with pytest.raises(expr.EvalDomainError, match="non-finite result"):
+            solve_batch((1.0,), Coefficient.parse("0.5*sin(x)"), LINEAR, lambda xs: np.full_like(xs, np.nan), g, 3,
+                        [0], [0], [0])
 
 
 def reference_lattice(g, b, sigma, u0, level, seed, rep):
