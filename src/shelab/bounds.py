@@ -15,7 +15,7 @@ for audit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,15 @@ __all__ = [
 _MAX_EXP = math.log(np.finfo(float).max)  # ~709.78
 
 
-@dataclass(frozen=True)
-class ProblemConstants:
+class _ConstantsFields(NamedTuple):
+    drift_growth: float = 0.0  # sup |b(t,x)| / (1+|x|)
+    diffusion_growth: float = 0.0  # sup |sigma(t,x)| / (1+|x|)
+    u0_sup: float = 0.0
+    diffusion_sup: float | None = None
+    proof_constant: float = 2.0
+
+
+class ProblemConstants(_ConstantsFields):
     """Growth/sup constants of a coefficient pair plus the free proof constant.
 
     ``diffusion_sup`` is set only in the bounded-diffusion regime.  The
@@ -45,13 +52,10 @@ class ProblemConstants:
     and recorded in every report.
     """
 
-    drift_growth: float = 0.0  # sup |b(t,x)| / (1+|x|)
-    diffusion_growth: float = 0.0  # sup |sigma(t,x)| / (1+|x|)
-    u0_sup: float = 0.0
-    diffusion_sup: float | None = None
-    proof_constant: float = 2.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("drift_growth", "diffusion_growth", "u0_sup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -59,6 +63,7 @@ class ProblemConstants:
             raise ValueError("diffusion_sup must be non-negative")
         if not self.proof_constant > 1:
             raise ValueError("proof constant must exceed 1")
+        return self
 
     def inflate_diffusion_growth(self) -> "ProblemConstants":
         """Enlarge the diffusion growth constant until sqrt(L_b)/L_s^2 <= 2.
@@ -71,17 +76,16 @@ class ProblemConstants:
         """
         lb = self.drift_growth
         if lb == 0:
-            return self if self.diffusion_growth > 0 else replace(self, diffusion_growth=1.0)
+            return self if self.diffusion_growth > 0 else ProblemConstants(lb, 1.0, *self[2:])
         needed = math.sqrt(math.sqrt(lb) / 2.0)  # (L_b/4)^(1/4) without underflow at subnormal L_b
         while math.sqrt(lb) / needed ** 2 > 2.0:
             needed = math.nextafter(needed, math.inf)
         if self.diffusion_growth >= needed:
             return self
-        return replace(self, diffusion_growth=needed)
+        return ProblemConstants(lb, needed, *self[2:])  # u0_sup, diffusion_sup, proof_constant kept
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """A positive quantity carried as its natural log."""
 
     log_value: float
@@ -94,8 +98,7 @@ class BoundValue:
         return math.exp(self.log_value)
 
 
-@dataclass(frozen=True)
-class BoundOutcome:
+class BoundOutcome(NamedTuple):
     bound: BoundValue | None
     valid: bool
     failed_clause: str | None = None
@@ -105,8 +108,7 @@ class BoundOutcome:
         return cls(bound=bound, valid=False, failed_clause=clause)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Comparison of a bound against a Monte Carlo estimate, in log-space."""
 
     bound_log: float | None
@@ -236,8 +238,7 @@ def beta_for_convergence(k: float, level_lip_sigma: float, diffusion_growth: flo
     return 16.0 * a0 ** 4 * k * k * level_lip_sigma ** 4
 
 
-@dataclass(frozen=True)
-class ConvergenceThresholds:
+class ConvergenceThresholds(NamedTuple):
     c_T: float
     N_T: float
     N0: float | None  # smallest sampled level with L_{N,sigma} >= 1, if any

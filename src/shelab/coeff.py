@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,18 +56,23 @@ _MAX_GRID_POINTS = 20_000_000
 _CHUNK_POINTS = 1 << 14
 
 
-@dataclass(frozen=True)
-class TruncationLevel:
+class _LevelFields(NamedTuple):
+    level: float
+
+
+class TruncationLevel(_LevelFields):
     """Clamp level ``N``; state arguments are clipped to [-e^N, e^N].
 
     ``N = 0`` (clamp bound 1) is allowed as a boundary case.
     """
 
-    level: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.level >= 0 and math.isfinite(self.level)):
             raise ValueError(f"clamp level must be non-negative and finite, got {self.level}")
+        return self
 
     @property
     def clamp_bound(self) -> float:
@@ -80,27 +85,31 @@ def _as_level(level) -> TruncationLevel:
     return TruncationLevel(float(level))
 
 
-@dataclass(frozen=True)
-class Coefficient:
+class _CoefficientFields(NamedTuple):
+    name: str
+    ast: _expr.Node | None = None
+    declared_growth: float | None = None
+    declared_sup: float | None = None
+
+
+class Coefficient(_CoefficientFields):
     """Evaluable space-time function with optional declared constants.
 
     ``declared_growth`` is a user-supplied upper bound for the linear-growth
     constant; the grid estimator below never exceeds it by more than its own
     tolerance, which the test suite enforces for the builtins.
-    ``declared_sup`` is a sup-norm bound for bounded coefficients.
+    ``declared_sup`` is a sup-norm bound for bounded coefficients.  Outside
+    equality, hashing and repr: ``fn``, a builtin's callable, and
+    ``compiled``, this object's own compiled form of ``ast``, never shared
+    between coefficients.
     """
 
-    name: str
-    ast: _expr.Node | None = None
-    fn: object | None = field(default=None, compare=False)
-    declared_growth: float | None = None
-    declared_sup: float | None = None
-    # this object's own compiled form of ``ast``; never shared between coefficients
-    compiled: _expr.Compiled | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.ast is not None:
-            object.__setattr__(self, "compiled", _expr.Compiled(self.ast))
+    # fn comes last, after the fields in their order: copy and pickle pass those positionally
+    def __new__(cls, name, ast=None, declared_growth=None, declared_sup=None, fn=None):
+        self = super().__new__(cls, name, ast, declared_growth, declared_sup)
+        self.fn = fn
+        self.compiled = None if ast is None else _expr.Compiled(ast)
+        return self
 
     @classmethod
     def parse(cls, source: str) -> "Coefficient":
@@ -232,10 +241,11 @@ def _eval_checked(psi, t, xs):
         vals = np.asarray(psi(t, xs), dtype=float)
     except _expr.EvalDomainError as err:
         raise ArithmeticError(f"{psi.name}: {err} somewhere on the estimation grid at t={t}") from err
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise ArithmeticError(f"{psi.name} is non-finite at (t={t}, x={xs[j]})")
+    if psi.ast is None:  # an expression's checked path has already raised on a non-finite value
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ArithmeticError(f"{psi.name} is non-finite at (t={t}, x={xs[j]})")
     return vals
 
 
@@ -308,8 +318,7 @@ def level_constants(b: Coefficient, sigma: Coefficient, level):
     return lip_b, lip_sigma
 
 
-@dataclass
-class AssumptionVerdict:
+class AssumptionVerdict(NamedTuple):
     """Finite-range evidence for the clamp-level regularity conditions.
 
     ``regime`` records which reference rate the diffusion constants were

@@ -38,7 +38,6 @@ memory does not grow with the ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -186,8 +185,7 @@ class MomentEstimate(NamedTuple):
                    root_mean=mean ** (1.0 / order))
 
 
-@dataclass(frozen=True)
-class TailEstimate:
+class TailEstimate(NamedTuple):
     count: int
     p_hat: float
     lo: float
@@ -223,8 +221,7 @@ def _probe_coords(batch, grid):
     return batch.probe_step_idx * grid.dt, -grid.R + batch.probe_x_idx * grid.dx
 
 
-@dataclass
-class Ensemble:
+class Ensemble(NamedTuple):
     """Samples of one clamp level's solution at the probe lattice."""
 
     probe_times: np.ndarray  # (nt,) lattice times, strictly positive except optional t=0
@@ -337,8 +334,7 @@ def tail_probability(ensemble: Ensemble, threshold: float, t: float, x: float) -
     return estimate
 
 
-@dataclass
-class PairEnsemble:
+class PairEnsemble(NamedTuple):
     """Pathwise differences u_{N+1} - u_N under common noise, at the probes."""
 
     probe_times: np.ndarray

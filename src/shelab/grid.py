@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,15 @@ class GridError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class _GridFields(NamedTuple):
+    R: float
+    dx: float
+    dt: float
+    T: float
+    boundary: str = "dirichlet"
+
+
+class GridSpec(_GridFields):
     """Lattice on [-R, R] x [0, T] with spacing ``dx`` and step ``dt``.
 
     The explicit scheme for a diffusion coefficient 1/2 is stable iff
@@ -28,13 +35,10 @@ class GridSpec:
     only warns since it may be intentional in tests.
     """
 
-    R: float
-    dx: float
-    dt: float
-    T: float
-    boundary: str = "dirichlet"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("R", "dx", "dt", "T"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
@@ -56,6 +60,7 @@ class GridSpec:
                 f"window R={self.R:g} is below 4*sqrt(T)={4.0 * math.sqrt(self.T):g}; "
                 "window-truncation error may be visible"
             )
+        return self
 
     @property
     def n_points(self) -> int:
@@ -78,10 +83,4 @@ class GridSpec:
         return m
 
     def describe(self) -> dict:
-        return {
-            "R": self.R,
-            "dx": self.dx,
-            "dt": self.dt,
-            "T": self.T,
-            "boundary": self.boundary,
-        }
+        return self._asdict()

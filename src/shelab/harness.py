@@ -42,7 +42,6 @@ import re
 import sys
 import warnings
 from json.encoder import encode_basestring_ascii as _json_string
-from dataclasses import dataclass, field, asdict
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -138,8 +137,7 @@ def _check_keys(obj, allowed, where):
     _require(not unknown, f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     raw: dict  # the validated document, a private copy
     drift: _coeff.Coefficient
     diffusion: _coeff.Coefficient
@@ -159,11 +157,7 @@ class ExperimentConfig:
     probe_times: tuple | None  # explicit times, or None for evenly spaced
     probe_n_times: int
     assumption_levels: tuple
-    config_hash: str = field(init=False)  # sha256 of ``raw``, computed once
-
-    def __post_init__(self):
-        doc = json.dumps(self.raw, sort_keys=True, separators=(",", ":")).encode("utf-8")
-        object.__setattr__(self, "config_hash", hashlib.sha256(doc).hexdigest())
+    config_hash: str  # sha256 of ``raw``
 
     @property
     def hash16(self) -> str:
@@ -289,6 +283,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
             raise
         raise ConfigError(f"u0: {err}") from err
 
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return ExperimentConfig(
         raw=doc,
         drift=drift,
@@ -309,6 +304,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
         probe_times=None if times is None else tuple(float(t) for t in times),
         probe_n_times=n_times,
         assumption_levels=tuple(float(v) for v in assumption_levels),
+        config_hash=hashlib.sha256(canonical).hexdigest(),
     )
 
 
@@ -460,14 +456,24 @@ def _record(cfg: ExperimentConfig, experiment: str, N, verdict: str, k=None, t=N
 # the experiments that produce a ResultSet; the name and the config hash make up exported file names
 _EXPERIMENT_NAMES = ("verify-moments", "verify-tails", "convergence", "uniqueness")
 _HEX = re.compile("[0-9a-f]+")
+_EMPTY = object()  # a ResultSet field not given
 
 
-@dataclass
-class ResultSet:
+class _ResultFields(NamedTuple):
     experiment: str
     records: list
-    diagnostics: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    diagnostics: dict
+    provenance: dict
+
+
+class ResultSet(_ResultFields):
+    __slots__ = ()
+
+    def __new__(cls, experiment, records, diagnostics=_EMPTY, provenance=_EMPTY):
+        """``diagnostics`` and ``provenance`` default to a new empty dict each."""
+        diagnostics = {} if diagnostics is _EMPTY else diagnostics
+        provenance = {} if provenance is _EMPTY else provenance
+        return super().__new__(cls, experiment, records, diagnostics, provenance)
 
     def to_dict(self) -> dict:
         return {
@@ -522,7 +528,7 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
         "orders": list(cfg.orders),
         "probe_times": [s * g.dt for s in np.asarray(probe_steps).tolist()],
         "probe_xs": [-g.R + j * g.dx for j in np.asarray(probe_x_idx).tolist()],
-        "aborted": [asdict(a) for a in aborted],
+        "aborted": [a._asdict() for a in aborted],
     }
     if constants is not None:
         prov["constants"] = {
@@ -714,7 +720,7 @@ def run_truncation_convergence(cfg: ExperimentConfig, threads: int = 1) -> Resul
             "decay_slopes_vs_N32": slopes,
             "plateau_level": plateau_level,
             "active_levels": sorted({N for rows in table.values() for N, v, a in rows if a}),
-            "thresholds": {"c_T": thresholds.c_T, "N_T": thresholds.N_T, "N0": thresholds.N0},
+            "thresholds": thresholds._asdict(),
         },
         provenance=_provenance(cfg, "convergence", probe_steps, probe_x_idx,
                                constants, notes, aborted_all),
@@ -821,7 +827,7 @@ def _assert_identical(a: _solver.FieldTrajectory, b: _solver.FieldTrajectory, wh
 
 def run_assumption_check(cfg: ExperimentConfig) -> dict:
     verdict = _coeff.check_assumption(cfg.drift, cfg.diffusion, list(cfg.assumption_levels))
-    doc = asdict(verdict)
+    doc = verdict._asdict()
     doc["config_hash"] = cfg.config_hash
     doc["package_version"] = __version__
     return doc

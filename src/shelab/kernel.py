@@ -8,7 +8,7 @@ the test suite cross-checks it by quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,26 +40,28 @@ def kernel_l2_norm_sq(r):
     return 0.5 / math.sqrt(math.pi * r)
 
 
-@dataclass(frozen=True)
-class InitialCondition:
-    """Bounded measurable initial profile: constant, indicator, or expression.
-
-    ``bound`` is a sup-norm bound, used by the closed-form bound calculators.
-    """
-
+class _InitialFields(NamedTuple):
     kind: str  # constant | indicator | expr
     value: float = 0.0
     interval: tuple = (0.0, 0.0)
     source: str = ""
     bound: float = 0.0
-    # the compiled form of ``source`` for expression profiles, built once
-    compiled: _expr.Compiled | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+
+class InitialCondition(_InitialFields):
+    """Bounded measurable initial profile: constant, indicator, or expression.
+
+    ``bound`` is a sup-norm bound, used by the closed-form bound calculators.
+    ``compiled``, outside equality, hashing and repr, is the compiled form of
+    ``source`` for expression profiles, built once.
+    """
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not math.isfinite(self.bound):
             raise ValueError("initial profile must have a finite sup-norm bound")
-        if self.kind == "expr":
-            object.__setattr__(self, "compiled", _expr.Compiled(_expr.parse(self.source)))
+        self.compiled = _expr.Compiled(_expr.parse(self.source)) if self.kind == "expr" else None
+        return self
 
     @classmethod
     def constant(cls, c: float) -> "InitialCondition":

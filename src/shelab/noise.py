@@ -50,7 +50,7 @@ concurrent callers share nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Philox
@@ -91,19 +91,24 @@ _LOG_SERIES = tuple(1.0 / k for k in range(19, 0, -2))  # atanh series in s^2, h
 _CHUNK = 1 << 15  # draws per central pass: its three scratch rows stay in L2
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Identifies one replication's noise realisation on a grid."""
-
+class _NoiseFields(NamedTuple):
     seed: int
     replication: int
     grid: GridSpec
 
-    def __post_init__(self):
+
+class NoiseSpec(_NoiseFields):
+    """Identifies one replication's noise realisation on a grid."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if not 0 <= int(self.replication) < 2 ** 64:
             raise ValueError("replication index must fit in 64 bits")
+        return self
 
 
 def _plan(m, j, row: int):
@@ -273,8 +278,7 @@ def standard_normals(seed: int, replication, m, j, n_points=None):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class NoiseField:
+class NoiseField(NamedTuple):
     """Immutable lattice of increments ``dW[m, j]`` with variance dt*dx."""
 
     spec: NoiseSpec

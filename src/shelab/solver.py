@@ -65,7 +65,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -186,15 +186,14 @@ def _advance_into(src, dst, t, dw_dx, coefficients, grid, clamp, x_buf, lap, inc
         dst.reshape(-1)[seams].reshape(-1, width)[:, :4] = flat[seams].reshape(-1, width)[:, :4]
 
 
-@dataclass(frozen=True)
-class FieldTrajectory:
+class FieldTrajectory(NamedTuple):
     """Solution values on the full (n_steps+1, n_points) lattice."""
 
     values: np.ndarray
     grid: GridSpec
     level: float
     noise_spec: NoiseSpec
-    provenance: dict = field(default_factory=dict)
+    provenance: dict
 
     @property
     def path_max_abs(self) -> float:
@@ -252,15 +251,13 @@ def field_trajectories(sol, levels, b, sigma, u0, grid, noise_spec) -> list:
     return trajs
 
 
-@dataclass(frozen=True)
-class AbortRecord:
+class AbortRecord(NamedTuple):
     replication: int
     step: int
     cell: int
 
 
-@dataclass
-class BatchSolution:
+class BatchSolution(NamedTuple):
     """Probe-restricted output of one :func:`solve_batch` call: all its replications, however chunked.
 
     ``samples[i]`` has shape (B, n_probe_times, n_probe_cells) and holds the
@@ -411,54 +408,56 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         if 0 in slot_of_step:
             samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., probe_x_idx]
 
-        for m in range(grid.n_steps):
-            if m % block == 0:
-                noise = None  # the previous block is never read again: free it before drawing
-                steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
-                noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, hi - lo)
-                np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
-                np.divide(noise, grid.dx, out=noise)
-            _advance_into(src, dst, m * grid.dt, noise[:, m % block], coefficients, grid, clamp, x_buf, scratch, inc)
-            state = dst[..., 1:-1]
+        # rows that overflow to inf or NaN are kept as abort records: no float warning per step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(grid.n_steps):
+                if m % block == 0:
+                    noise = None  # the previous block is never read again: free it before drawing
+                    steps = np.arange(m, min(m + block, grid.n_steps), dtype=np.uint64)[:, None]
+                    noise = standard_normals(seed, reps_col, steps, cells, J)  # (n, block, hi - lo)
+                    np.multiply(noise, scale, out=noise)  # dW, of variance dt dx
+                    np.divide(noise, grid.dx, out=noise)
+                _advance_into(src, dst, m * grid.dt, noise[:, m % block], coefficients, grid, clamp, x_buf, scratch, inc)
+                state = dst[..., 1:-1]
 
-            # |.|.max is NaN or inf exactly on the rows that are no longer finite; the pads
-            # of the flat |.| pass are left out
-            np.abs(dst, out=scratch)
-            scratch[..., 1:-1].max(axis=-1, out=row_max)
-            finite = np.isfinite(row_max)
-            if not finite.all():
-                newly_dead = alive & ~finite
-                if newly_dead.any():
-                    death_step[newly_dead] = m
-                    death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
-                    alive &= finite
-                    any_dead = True
-                    if not alive.any():
-                        break
-            if any_dead:
-                # dead rows are still advanced (from u0) every step: they add
-                # nothing to path max or sup difference, whatever they regrow to
-                dead = ~alive
-                state[dead] = row0
-                row_max[dead] = 0.0
-            np.maximum(path_max, row_max, out=path_max)
-            if pairs:
-                for p, (i, j) in enumerate(pairs):
-                    np.subtract(dst[j], dst[i], out=diff_buf[p])
-                np.abs(diff_buf, out=diff_buf)
-                diff_buf[..., 1:-1].max(axis=-1, out=diff)
-                both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
+                # |.|.max is NaN or inf exactly on the rows that are no longer finite; the pads
+                # of the flat |.| pass are left out
+                np.abs(dst, out=scratch)
+                scratch[..., 1:-1].max(axis=-1, out=row_max)
+                finite = np.isfinite(row_max)
+                if not finite.all():
+                    newly_dead = alive & ~finite
+                    if newly_dead.any():
+                        death_step[newly_dead] = m
+                        death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
+                        alive &= finite
+                        any_dead = True
+                        if not alive.any():
+                            break
                 if any_dead:
-                    pair_dead = ~(alive[lo_idx] & alive[hi_idx])
-                    diff[pair_dead] = 0.0
-                    both_max[pair_dead] = 0.0
-                np.maximum(sup_diff, diff, out=sup_diff)
-                np.maximum(pair_max, both_max, out=pair_max)
+                    # dead rows are still advanced (from u0) every step: they add
+                    # nothing to path max or sup difference, whatever they regrow to
+                    dead = ~alive
+                    state[dead] = row0
+                    row_max[dead] = 0.0
+                np.maximum(path_max, row_max, out=path_max)
+                if pairs:
+                    for p, (i, j) in enumerate(pairs):
+                        np.subtract(dst[j], dst[i], out=diff_buf[p])
+                    np.abs(diff_buf, out=diff_buf)
+                    diff_buf[..., 1:-1].max(axis=-1, out=diff)
+                    both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
+                    if any_dead:
+                        pair_dead = ~(alive[lo_idx] & alive[hi_idx])
+                        diff[pair_dead] = 0.0
+                        both_max[pair_dead] = 0.0
+                    np.maximum(sup_diff, diff, out=sup_diff)
+                    np.maximum(pair_max, both_max, out=pair_max)
 
-            slot = slot_of_step.get(m + 1)
-            if slot is not None:
-                samples[:, :, slot, :] = state[..., probe_x_idx]
-            src, dst = dst, src
+                slot = slot_of_step.get(m + 1)
+                if slot is not None:
+                    samples[:, :, slot, :] = state[..., probe_x_idx]
+                src, dst = dst, src
 
     chunk = chunk_replications(L, J)
     spans = [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
@@ -507,8 +506,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         ))
         pair_start += len(g_pairs)
     main, *extra = solutions
-    main.groups = tuple(extra)
-    return main
+    return main._replace(groups=tuple(extra))
 
 
 # -- trajectory persistence ---------------------------------------------------

@@ -77,6 +77,18 @@ class TestLinearGrowth:
         with pytest.raises(ArithmeticError, match="non-finite"):
             linear_growth_constant(bad, (-10, 10))
 
+    @pytest.mark.parametrize("psi, message", [
+        # an expression: its checked evaluation raises on the first non-finite value
+        (Coefficient.parse("exp(x)"),
+         r"^exp\(x\): non-finite result from exp\(x\) somewhere on the estimation grid at t=0\.01$"),
+        # a builtin: the grid estimator scans its values and names the first non-finite point
+        (Coefficient.from_callable("bad", lambda t, x: np.where(x >= 1000.0, np.inf, x)),
+         r"^bad is non-finite at \(t=0\.01, x=1000\.0\)$"),
+    ], ids=["expression", "builtin"])
+    def test_each_kind_of_coefficient_names_its_non_finite_value(self, psi, message):
+        with pytest.raises(ArithmeticError, match=message):
+            linear_growth_constant(psi, (-1000, 1000))
+
     def test_refining_never_decreases(self):
         for psi in (SQUARE, OSC):
             coarse = linear_growth_constant(psi, (-4, 4), resolution=2.0 ** -6)

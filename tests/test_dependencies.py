@@ -52,6 +52,14 @@ def test_shelab_imports_no_scipy():
     assert hits == []
 
 
+def test_shelab_starts_without_dataclasses():
+    # every record type is a NamedTuple: no class is built by dataclass code generation at import
+    code = "import sys, shelab.cli, shelab.harness\nprint('dataclasses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def pinned_files() -> dict:
     """Every file a digest of test_golden pins: ``(command, config) -> {file name template: sha256}``."""
     runs = {}

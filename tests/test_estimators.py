@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -340,9 +339,9 @@ class TestTailProbability:
         ens = grid_ensemble(vals, times, xs)
         got = tail_estimates(ens, 1.5)
         want = [tail_probability(ens, 1.5, t, x) for t in times for x in xs]
-        assert [dataclasses.astuple(e) for e in got] == [dataclasses.astuple(e) for e in want]
+        assert [tuple(e) for e in got] == [tuple(e) for e in want]
         hits = [int(np.sum(np.abs(vals[:, it, ix]) >= 1.5)) for it in range(2) for ix in range(3)]
-        assert [dataclasses.astuple(e) for e in got] == [(40, h / 40, *wilson_interval(h, 40)) for h in hits]
+        assert [tuple(e) for e in got] == [(40, h / 40, *wilson_interval(h, 40)) for h in hits]
         assert hits[1] >= 7 and hits[5] >= 3
 
     @pytest.mark.parametrize("threshold", [0.0, -1.0])

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -296,7 +295,7 @@ class TestMomentExperiment:
         bomb = Coefficient.from_callable(
             "bomb", lambda t, x: np.where(np.abs(x) > tau, np.inf, 0.0), declared_growth=0.0
         )
-        cfg = dataclasses.replace(cfg, drift=bomb)
+        cfg = cfg._replace(drift=bomb)
         with pytest.raises(ExperimentError, match="budget"):
             run_moment_verification(cfg)
 

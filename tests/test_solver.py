@@ -1,4 +1,4 @@
-import dataclasses
+import hashlib
 import json
 import math
 import subprocess
@@ -516,7 +516,7 @@ class TestStackedLevels:
                "replications": 64, "levels": [1.0, 3.0], "orders": [2.0], "seed": 4,
                "probes": {"times": [0.1, 0.25], "x_stride": 20}}
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 5.0, np.inf, 0.0))
-        cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
+        cfg = harness.parse_config(doc)._replace(drift=bomb)
         steps, xs = harness._probe_indices(cfg)
         aborted = harness._collect(cfg, cfg.levels, steps, xs).aborted
         assert aborted[(1.0,)] == [] and len(aborted[(3.0,)]) == 13
@@ -546,7 +546,7 @@ class TestStackedLevels:
                "replications": 8, "levels": [1.0, 2.0], "orders": [2.0], "seed": 5,
                "probes": {"times": [0.25], "x_stride": 20}}
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0))
-        cfg = dataclasses.replace(harness.parse_config(doc), drift=bomb)
+        cfg = harness.parse_config(doc)._replace(drift=bomb)
         steps, xs = harness._probe_indices(cfg)
         if chunk is None:
             assert solver.chunk_replications(len(cfg.levels), cfg.grid.n_points) == 1
@@ -570,7 +570,7 @@ class TestStackedLevels:
                "probes": {"times": [0.25], "x_stride": 20}}
         cfg = harness.parse_config(doc)
         bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 2.5, np.inf, 0.0), declared_growth=0.0)
-        cfg = dataclasses.replace(cfg, drift=bomb)
+        cfg = cfg._replace(drift=bomb)
         monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 5)
         steps, xs = harness._probe_indices(cfg)
         batch = harness._collect(cfg, cfg.levels, steps, xs, threads=2, pairs=[(1.0, 2.0)])
@@ -594,6 +594,23 @@ class TestStackedLevels:
             f"{len(records)} of 32 replications aborted (> 1% budget); first at replication "
             f"{first.replication}, step {first.step}, cell {first.cell}"
         )
+
+    def test_overflowing_rows_abort_without_a_float_warning(self):
+        # sigma near the float maximum overflows the stencil within a few steps at levels 5 and 6;
+        # those rows become abort records, and no step may warn on the way
+        g = GridSpec(R=2.0, dx=0.1, dt=0.005, T=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_batch((1.0, 5.0, 6.0), Coefficient.parse("0"), Coefficient.parse("1e308*sin(x)"),
+                              InitialCondition.constant(1.0), g, 3, range(4), np.arange(g.n_steps + 1),
+                              np.arange(g.n_points))
+        path_max = np.stack([sol.path_max_abs[(level,)] for level in sol.levels])
+        assert hashlib.sha256(sol.samples.tobytes()).hexdigest() == (
+            "f32c591cacc2802d0d25fb29f1dd065573eac93b88e87031660cd218de218a72")
+        assert hashlib.sha256(path_max.tobytes()).hexdigest() == (
+            "e673054968d5bba1d0b1ba81b335af8b9dd11940f28dd5daa767c1724cb619ae")
+        assert {key: [tuple(a) for a in records] for key, records in sol.aborted.items()} == {
+            (1.0,): [], (5.0,): [(1, 10, 35)], (6.0,): [(3, 4, 15), (0, 5, 1), (2, 9, 28), (1, 12, 6)]}
 
 
 def assert_same_solution(got, want):
