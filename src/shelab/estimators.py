@@ -113,8 +113,10 @@ def _raise_nonfinite(x: np.ndarray, order: float):
     """Raise what ``float.as_integer_ratio`` raises for the first non-finite
     power or squared power, scanning column by column."""
     for col in x.T:
-        y = np.abs(col) ** order
-        for v in (y, y * y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = np.abs(col) ** order
+            y2 = y * y
+        for v in (y, y2):
             bad = ~np.isfinite(v)
             if bad.any():
                 float(v[bad.argmax()]).as_integer_ratio()  # ValueError (NaN) or OverflowError
@@ -130,8 +132,10 @@ def _power_sums(x: np.ndarray, order: float):
     for c0 in range(0, m, width):
         cols = x[:, c0:c0 + width]
         for r0 in range(0, n, _ROWS):
-            y = np.abs(cols[r0:r0 + _ROWS]) ** order
-            y2 = y * y
+            # an overflow raises below as float.as_integer_ratio would, with no float warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = np.abs(cols[r0:r0 + _ROWS]) ** order
+                y2 = y * y
             if not np.isfinite(y2).all():
                 _raise_nonfinite(cols, order)
             sum_pow[c0:c0 + width] += _bucket_sums(y)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -137,8 +138,10 @@ def reference_sum(values) -> int:
 
 
 def reference_power_sums(column, k):
-    y = np.abs(np.asarray(column, dtype=float)) ** k
-    return reference_sum(y), reference_sum(y * y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.abs(np.asarray(column, dtype=float)) ** k
+        y2 = y * y
+    return reference_sum(y), reference_sum(y2)
 
 
 edge_floats = st.one_of(
@@ -210,6 +213,12 @@ class TestBucketedSum:
             lk_norm(one_probe_ensemble([1e160, 1.0]), 1, 1.0, 0.0)
         with pytest.raises(ValueError):
             lk_norm(one_probe_ensemble([float("nan"), 1.0]), 2, 1.0, 0.0)
+
+    def test_overflow_raises_without_a_float_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                moment_estimates(one_probe_ensemble([1.0, 1e200]), 2)
 
 
 class TestMomentEstimates:
