@@ -98,17 +98,14 @@ __all__ = [
 # 2-core Xeon with 2 MiB L2 per core): 51 ms at 2^13, 46 at 2^14, 48 at 2^15, 50 at 2^16.
 # At 2^14 a chunk's five padded buffers take 0.6 MiB next to its 1 MiB noise block
 _BLOCK_DRAWS = 1 << 14
-# a standard_normals call draws a block of steps: at most _SPAN_DRAWS per replication
-# and, in all, _NOISE_DRAWS (1 MiB) when the chunks run inline or _POOL_NOISE_DRAWS
-# (2 MiB) when they run on pool threads.  Each replication's span costs one generator
-# seek (a few microseconds), which ~1,000 draws amortise; longer spans only grow the
-# buffer.  Inline (2-core host), 2^17 and 2^18 timed even on criterion 2's grids
-# (coarse 4.9-5.6 s against 5.3-5.9 s), and 2^17 took moments_dense's peak RSS from
-# 43.0 to 41.1 MB (2^16: 41.0).  On pool threads the per-call work (the seeks and the
-# normal map's ~90 ufunc calls) of two chunks contends for the GIL, so fewer calls pay:
-# criterion 2's two grids took 12.2-14.1 s at --threads 2 with 2^18, 14.2-15.0 s with 2^17
+# a standard_normals call draws a block of steps: at most _NOISE_DRAWS (1 MiB) in all and
+# _SPAN_DRAWS per replication, inline or on pool threads.  Each replication's span costs
+# one generator seek (a few microseconds), which ~1,000 draws amortise; longer spans only
+# grow the buffer.  2^17 against 2^18 (2-core host): moments_dense's peak RSS 43.0 ->
+# 41.1 MB (2^16: 41.0, no lower); criterion 2's grids at one thread timed even (coarse
+# 4.9-5.6 s against 5.3-5.9 s), and at --threads 2 the difference stayed inside the
+# host's run-to-run spread (see ROADMAP item 1)
 _NOISE_DRAWS = 1 << 17
-_POOL_NOISE_DRAWS = 1 << 18
 _SPAN_DRAWS = 1 << 13
 
 
@@ -334,8 +331,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     each with its own state buffers, are advanced into their columns,
     inline or on ``min(threads, chunks, cores)`` pool threads.  Each chunk
     draws its noise with one ``standard_normals`` call per block of steps
-    (up to ``_NOISE_DRAWS`` draws inline or ``_POOL_NOISE_DRAWS`` on pool
-    threads, ``_SPAN_DRAWS`` per replication), in
+    (up to ``_NOISE_DRAWS`` draws, ``_SPAN_DRAWS`` per replication), in
     which each replication's draws are one contiguous range of its Philox
     stream, and only for the cells a step writes.  A draw depends only on
     ``(seed, replication, m, j, J)``, J the grid's cell count, so neither
@@ -389,11 +385,6 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         np.zeros((L, B), dtype=int),  # death cell
     )
 
-    chunk = chunk_replications(L, J)
-    spans = [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
-    workers = min(threads, len(spans), os.cpu_count() or 1)
-    noise_draws = _POOL_NOISE_DRAWS if workers > 1 else _NOISE_DRAWS
-
     def advance(span):
         # the chunk's columns of the outputs
         samples, path_max, pair_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
@@ -413,7 +404,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         alive = np.ones((L, n), dtype=bool)
         any_dead = False
         reps_col = reps[span, None, None]
-        block = max(1, min(noise_draws // (n * J), _SPAN_DRAWS // J))
+        block = max(1, min(_NOISE_DRAWS // (n * J), _SPAN_DRAWS // J))
 
         if 0 in slot_of_step:
             samples[:, :, slot_of_step[0], :] = src[..., 1:-1][..., probe_x_idx]
@@ -469,6 +460,9 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                     samples[:, :, slot, :] = state[..., probe_x_idx]
                 src, dst = dst, src
 
+    chunk = chunk_replications(L, J)
+    spans = [slice(start, min(start + chunk, B)) for start in range(0, B, chunk)]
+    workers = min(threads, len(spans), os.cpu_count() or 1)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(advance, spans))

@@ -201,10 +201,12 @@ class TestBucketedSum:
         with pytest.raises((OverflowError, ValueError)) as want:
             reference_power_sums(values, k)
         ens = one_probe_ensemble(values)
-        with pytest.raises(want.type):
-            lk_norm(ens, k, 1.0, 0.0)
-        with pytest.raises(want.type):
-            moment_estimates(ens, k)
+        with warnings.catch_warnings():  # the error alone: no numpy RuntimeWarning beside it
+            warnings.simplefilter("error")
+            with pytest.raises(want.type):
+                lk_norm(ens, k, 1.0, 0.0)
+            with pytest.raises(want.type):
+                moment_estimates(ens, k)
 
     def test_non_finite_error_kinds(self):
         with pytest.raises(OverflowError):
@@ -213,12 +215,6 @@ class TestBucketedSum:
             lk_norm(one_probe_ensemble([1e160, 1.0]), 1, 1.0, 0.0)
         with pytest.raises(ValueError):
             lk_norm(one_probe_ensemble([float("nan"), 1.0]), 2, 1.0, 0.0)
-
-    def test_overflow_raises_without_a_float_warning(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(OverflowError):
-                moment_estimates(one_probe_ensemble([1.0, 1e200]), 2)
 
 
 class TestMomentEstimates:

@@ -1,11 +1,9 @@
-import contextlib
 import hashlib
 import json
 import math
 import subprocess
 import sys
 import tracemalloc
-import types
 import warnings
 
 import numpy as np
@@ -978,33 +976,6 @@ def test_one_noise_block_is_alive_per_chunk():
     block = 8 * n * 8 * (J - 2)
     chunk = 8 * n * (4 * (J + 2) + (J - 2))  # padded: state twice, increments, scratch; clipped written cells
     assert (peak - chunk) / block < 2.5
-
-
-def test_pooled_chunks_draw_larger_noise_blocks(monkeypatch):
-    # two chunks of 202 replications x 81 cells over 20 steps: inline each chunk draws blocks
-    # of 8 steps (8 + 8 + 4), on pool threads blocks of 16 (16 + 4); a stub pool runs them inline
-    g = mkgrid(T=0.1)
-    n = solver.chunk_replications(1, g.n_points)
-    args = ((1.0,), ZERO, LINEAR, InitialCondition.constant(1.0), g, 5, np.arange(2 * n),
-            np.arange(g.n_steps + 1), np.arange(g.n_points))
-    drawn = []
-
-    def recorded(*a):
-        noise = standard_normals(*a)
-        drawn.append(noise.size)
-        return noise
-
-    monkeypatch.setattr(solver, "standard_normals", recorded)
-    monkeypatch.setattr(solver.os, "cpu_count", lambda: 2)
-    inline = solve_batch(*args, threads=1)
-    inline_drawn = drawn.copy()
-    drawn.clear()
-    monkeypatch.setattr(solver, "ThreadPoolExecutor",
-                        lambda max_workers: contextlib.nullcontext(types.SimpleNamespace(map=map)))
-    pooled = solve_batch(*args, threads=2)
-    assert max(inline_drawn) <= solver._NOISE_DRAWS < max(drawn) <= solver._POOL_NOISE_DRAWS
-    assert len(inline_drawn) == 6 and len(drawn) == 4
-    np.testing.assert_array_equal(pooled.samples, inline.samples)
 
 
 def test_trajectory_dump_roundtrip(tmp_path):
