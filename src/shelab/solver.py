@@ -102,9 +102,11 @@ _BLOCK_DRAWS = 1 << 14
 # _SPAN_DRAWS per replication, inline or on pool threads.  Each replication's span costs
 # one generator seek (a few microseconds), which ~1,000 draws amortise; longer spans only
 # grow the buffer.  2^17 against 2^18 (2-core host): moments_dense's peak RSS 43.0 ->
-# 41.1 MB (2^16: 41.0, no lower); criterion 2's grids at one thread timed even (coarse
-# 4.9-5.6 s against 5.3-5.9 s), and at --threads 2 the difference stayed inside the
-# host's run-to-run spread (see ROADMAP item 1)
+# 41.1 MB (2^16: 41.0, no lower), and criterion 2's grids at one thread timed even
+# (coarse 4.9-5.6 s against 5.3-5.9 s).  On pool threads two chunks' per-call work
+# (the seeks, the normal map's ~90 ufunc calls) contends for the GIL: at --threads 2
+# criterion 2's test took 17.8 s against 15.9 s (medians of 10 alternating pairs),
+# a cost no benchmark workload measures yet (ROADMAP item 1)
 _NOISE_DRAWS = 1 << 17
 _SPAN_DRAWS = 1 << 13
 
