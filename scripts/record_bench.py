@@ -4,9 +4,11 @@
 
 The base revision is exported with ``git archive`` into a temporary
 directory, so an interrupted run leaves no worktree registered in ``.git``.
-The change side is this checkout's working tree: run the script before
-committing a change (``--base HEAD``), or name its parent afterwards
-(``--base HEAD~1``).
+The change side is this checkout's working tree, copied into a temporary
+directory too (its tracked and untracked files, as git lists them, ignored
+ones left out), so both sides run from the same kind of tree.  Run the
+script before committing a change (``--base HEAD``), or name its parent
+afterwards (``--base HEAD~1``).
 
 Pair ``i`` runs ``benchmark/run.py --trace 0`` for every workload of
 BENCHMARK.json on both sides with seed ``--seed + i`` and the run length
@@ -50,6 +52,16 @@ def export_revision(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(dest, filter="data")
     return commit
+
+
+def export_checkout(dest: Path) -> None:
+    """Copy this checkout's tracked and untracked files, ignored ones left out, as its working tree holds them, under ``dest``."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], cwd=ROOT,
+                            check=True, capture_output=True).stdout
+    for name in map(os.fsdecode, filter(None, listed.split(b"\0"))):
+        if (ROOT / name).is_file():  # a tracked file deleted from the working tree is listed too
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def describe_checkout() -> str:
@@ -181,13 +193,14 @@ def main(argv=None) -> int:
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     seeds = [args.seed + i for i in range(args.pairs)]
 
-    with tempfile.TemporaryDirectory(prefix="shelab-bench-base-") as tmp:
-        base_root = Path(tmp)
-        base_commit = export_revision(args.base, base_root)
-        same_benchmark = benchmark_files(base_root, spec["paths"]) == benchmark_files(ROOT, spec["paths"])
+    with tempfile.TemporaryDirectory(prefix="shelab-bench-base-") as base_tmp, \
+            tempfile.TemporaryDirectory(prefix="shelab-bench-change-") as change_tmp:
+        sides = {"base": Path(base_tmp), "change": Path(change_tmp)}
+        base_commit = export_revision(args.base, sides["base"])
+        export_checkout(sides["change"])
+        same_benchmark = benchmark_files(sides["base"], spec["paths"]) == benchmark_files(sides["change"], spec["paths"])
         if not same_benchmark:
             print("warning: the benchmark differs between the base and this checkout", file=sys.stderr)
-        sides = {"base": base_root, "change": ROOT}
         runs = {w: {side: [] for side in sides} for w in workloads}
         for i, seed in enumerate(seeds):
             order = ("base", "change") if i % 2 == 0 else ("change", "base")

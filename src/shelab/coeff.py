@@ -252,19 +252,32 @@ def _eval_checked(psi, t, xs):
 def _grid_values(psi, grid: _StepGrid, overlap: int = 0):
     """``(xs, psi(t, xs))`` for each time of ``_times(psi)`` and each run of ``grid.chunks(overlap)``.
 
-    A failing run is re-evaluated with its time's whole grid, so that the
-    error names the first failure a whole-grid evaluation meets: two runs can
-    fail at different expression nodes, and a domain error precedes the
-    finiteness check.
+    A failure raises the error a whole-grid evaluation meets first: two runs
+    can fail at different expression checks, and the whole grid fails at
+    the one that comes first in evaluation order (a domain check before the
+    finiteness check).  So once a run fails, the time's other runs are
+    evaluated too, run by run, and the failure of least
+    ``EvalDomainError.rank`` is raised; of equal ranks the first run's,
+    which names a builtin's first non-finite point.
     """
     for t in _times(psi):
+        failure = None
         for xs in grid.chunks(overlap):
             try:
                 vals = _eval_checked(psi, t, xs)
-            except ArithmeticError:
-                _eval_checked(psi, t, grid.points())
-                raise
-            yield xs, vals
+            except ArithmeticError as err:
+                if failure is None or _rank(err) < _rank(failure):
+                    failure = err
+                continue
+            if failure is None:
+                yield xs, vals
+        if failure is not None:
+            raise failure
+
+
+def _rank(err) -> float:
+    """Where the check behind an ``_eval_checked`` error comes in evaluation order (see ``EvalDomainError``)."""
+    return getattr(err.__cause__, "rank", math.inf)
 
 
 def linear_growth_constant(

@@ -2,8 +2,9 @@
 
 An :class:`Ensemble` holds solution samples at a declared probe lattice (a
 subset of (time, space) points) for every completed replication; aborted
-replications are excluded from estimates (the solver's batch keeps the
-abort list).  The estimators are
+replications are excluded from estimates (every probe sample of an aborted
+run is NaN in the solver's batch, which also keeps the abort list).  The
+estimators are
 
 * ``lk_norm``: sample moment E|u(t,x)|^k with a CLT confidence interval,
   reported as the raw power mean with its k-th root, for orders

@@ -34,6 +34,7 @@ order on the same arrays, and a dropped check only read them.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from typing import NamedTuple
@@ -76,7 +77,16 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Raised when evaluation hits a domain violation or non-finite value."""
+    """Raised when evaluation hits a domain violation or non-finite value.
+
+    ``rank`` orders an expression's checks as evaluation meets them: its
+    node checks are numbered in post-order (children left to right), and
+    the final finiteness check of :func:`evaluate` comes after them all.
+    """
+
+    def __init__(self, message, rank=math.inf):
+        super().__init__(message)
+        self.rank = rank
 
 
 class Num(NamedTuple):
@@ -300,12 +310,15 @@ def _reads_t(node) -> bool:
     return False
 
 
-def _compile(node, box=None):
+def _compile(node, box=None, ranks=None):
     """Closure ``(t, x) -> value`` for ``node``; children evaluate left to right.
 
     With a ``box`` (see :meth:`Compiled.on_box`), a node whose enclosure on
-    it is proved (:func:`_enclose`) is compiled without its check.
+    it is proved (:func:`_enclose`) is compiled without its check.  Each
+    check takes the next number of ``ranks`` after its children are
+    compiled, so the numbers follow evaluation order; its error carries it.
     """
+    ranks = itertools.count() if ranks is None else ranks
     if isinstance(node, Num):
         value = float(node.value)
         return lambda t, x: value
@@ -314,18 +327,19 @@ def _compile(node, box=None):
             return lambda t, x: x
         return lambda t, x: t
     if isinstance(node, Neg):
-        arg = _compile(node.arg, box)
+        arg = _compile(node.arg, box, ranks)
         return lambda t, x: np.negative(arg(t, x))
     if isinstance(node, BinOp):
-        left, right = _compile(node.left, box), _compile(node.right, box)
+        left, right = _compile(node.left, box, ranks), _compile(node.right, box, ranks)
         if node.op in _ARITH or _proved(node, box):
             ufunc = _ARITH.get(node.op, np.divide if node.op == "/" else np.power)
             return lambda t, x: ufunc(left(t, x), right(t, x))
+        rank = next(ranks)
         if node.op == "/":
             def divide(t, x):
                 a, b = left(t, x), right(t, x)
                 if _any(b == 0):
-                    raise EvalDomainError("division by zero")
+                    raise EvalDomainError("division by zero", rank)
                 return np.divide(a, b)
 
             return divide
@@ -335,23 +349,24 @@ def _compile(node, box=None):
             # both of which numpy maps to nan/inf silently
             out = np.power(left(t, x), right(t, x))
             if not np.isfinite(out).all():
-                raise EvalDomainError("invalid power (negative base or zero to a negative exponent)")
+                raise EvalDomainError("invalid power (negative base or zero to a negative exponent)", rank)
             return out
 
         return power
     if isinstance(node, Call):
-        args = [_compile(a, box) for a in node.args]
+        args = [_compile(a, box, ranks) for a in node.args]
         if node.name in ("min", "max"):
             ufunc = np.minimum if node.name == "min" else np.maximum
             first, second = args
             return lambda t, x: ufunc(first(t, x), second(t, x))
         (arg,) = args
         checked = node.name in ("log", "sqrt") and not _proved(node, box)
+        rank = next(ranks) if checked else None
         if checked and node.name == "log":
             def log(t, x):
                 a = arg(t, x)
                 if _any(a <= 0):
-                    raise EvalDomainError("log of a non-positive value")
+                    raise EvalDomainError("log of a non-positive value", rank)
                 return np.log(a)
 
             return log
@@ -359,7 +374,7 @@ def _compile(node, box=None):
             def sqrt(t, x):
                 a = arg(t, x)
                 if _any(a < 0):
-                    raise EvalDomainError("sqrt of a negative value")
+                    raise EvalDomainError("sqrt of a negative value", rank)
                 return np.sqrt(a)
 
             return sqrt

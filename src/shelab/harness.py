@@ -277,11 +277,15 @@ def parse_config(doc: dict) -> ExperimentConfig:
             u0 = InitialCondition.from_expression(u0_doc["source"], u0_doc.get("bound"))
         else:
             raise ConfigError(f"u0.kind must be constant, indicator, or expr, got {kind!r}")
-        u0(grid.xs)  # the solver's first row; an explicit bound skips from_expression's sampling
+        # the solver's first row; an explicit bound skips from_expression's sampling
+        top = float(np.max(np.abs(u0(grid.xs))))
     except (KeyError, ValueError, ArithmeticError) as err:
         if isinstance(err, ConfigError):
             raise
         raise ConfigError(f"u0: {err}") from err
+    # every moment and tail bound takes u0.bound as sup |u0|
+    _require("bound" not in u0_doc or top <= u0.bound,
+             f"u0.bound {u0.bound!r} is below max |u0| = {top!r} on the lattice")
 
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return ExperimentConfig(
@@ -546,6 +550,16 @@ def _provenance(cfg: ExperimentConfig, experiment, probe_steps, probe_x_idx, con
 # -- batch collection -----------------------------------------------------------
 
 
+def _solve(*args, **kwargs):
+    """:func:`solver.solve_batch`, with a coefficient's failure raised as an :class:`ExperimentError`."""
+    try:
+        return _solver.solve_batch(*args, **kwargs)
+    except ArithmeticError as err:
+        # coefficient domain violation (log of a non-positive state, ...):
+        # the whole batch shares the failure, unlike per-replication overflow
+        raise ExperimentError(f"coefficient evaluation failed during simulation: {err}") from err
+
+
 def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1, pairs=()):
     """Solve all replications at every given clamp level in one :func:`solver.solve_batch` pass,
     tracking the coupled ``pairs`` of those levels.
@@ -553,14 +567,8 @@ def _collect(cfg: ExperimentConfig, levels, probe_steps, probe_x_idx, threads=1,
     The solver chunks the replications and runs the chunks on up to
     ``threads`` threads; neither changes a bit of the result.
     """
-    try:
-        return _solver.solve_batch(levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid, cfg.seed,
-                                   np.arange(cfg.replications), probe_steps, probe_x_idx,
-                                   pairs=pairs, threads=threads)
-    except ArithmeticError as err:
-        # coefficient domain violation (log of a non-positive state, ...):
-        # the whole batch shares the failure, unlike per-replication overflow
-        raise ExperimentError(f"coefficient evaluation failed during simulation: {err}") from err
+    return _solve(levels, cfg.drift, cfg.diffusion, cfg.u0, cfg.grid, cfg.seed, np.arange(cfg.replications),
+                  probe_steps, probe_x_idx, pairs=pairs, threads=threads)
 
 
 def _abort_budget(aborted, cfg):
@@ -745,10 +753,9 @@ def run_uniqueness_coupling(cfg: ExperimentConfig, threads: int = 1) -> ResultSe
     # read under the first coefficient pair, and the top level under the second pair as
     # its own coefficient group, the re-solve compared with the first pair's top level
     # through the same-level pair (top, top)
-    first = _solver.solve_batch(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, cfg.u0, g,
-                                cfg.seed, reps, (), (),
-                                pairs=[(bottom, bottom + 1.0), (top, top + 1.0), (top, top)],
-                                threads=threads, groups=[((top,), b2, s2)])
+    first = _solve(tuple(sorted({bottom, bottom + 1.0, top, top + 1.0})), b1, s1, cfg.u0, g, cfg.seed, reps, (), (),
+                   pairs=[(bottom, bottom + 1.0), (top, top + 1.0), (top, top)],
+                   threads=threads, groups=[((top,), b2, s2)])
     (second,) = first.groups
     path_max, sup_diff, aborted = first.path_max_abs, first.sup_abs_diff, first.aborted
     reparse_diff, aborted_2 = second.sup_abs_diff[(top, top)], second.aborted[(top,)]

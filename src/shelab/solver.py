@@ -56,7 +56,10 @@ arrays.  The coefficients' results and the gathered probe cells are the
 only arrays allocated per step, and one noise block is alive per chunk: a
 block depends only on its counters, so the previous one is released before
 the next is drawn.  The bookkeeping reads finiteness off the per-row max
-of ``|u|``, which is NaN or inf exactly when a row is not finite.
+of ``|u|``, which is NaN or inf exactly when a row is not finite.  An
+aborted run has no statistics: a dead row's probe samples and path max, and
+the path max and sup difference of every pair holding it, are set to NaN
+once, after the loop.
 """
 
 from __future__ import annotations
@@ -264,11 +267,11 @@ class BatchSolution(NamedTuple):
     """Probe-restricted output of one :func:`solve_batch` call: all its replications, however chunked.
 
     ``samples[i]`` has shape (B, n_probe_times, n_probe_cells) and holds the
-    solution at clamp level ``levels[i]``; a replication's samples at a
-    level are NaN from the step it aborted at that level onward.  The per-run data
-    is keyed by a tuple of levels: ``(N,)`` for the solve at each level and
-    ``(N, N + 1)`` for each coupled pair the solve was asked to track, whose
-    run ends at the first abort of either level.  ``groups`` holds the
+    solution at clamp level ``levels[i]``.  The per-run data is keyed by a
+    tuple of levels: ``(N,)`` for the solve at each level and ``(N, N + 1)``
+    for each coupled pair the solve was asked to track, which aborts at the
+    first abort of either level.  An aborted run has no statistics: its probe
+    samples, path max and sup difference are all NaN.  ``groups`` holds the
     solutions of the further coefficient groups the call advanced, in order.
     """
 
@@ -276,9 +279,9 @@ class BatchSolution(NamedTuple):
     probe_step_idx: np.ndarray
     probe_x_idx: np.ndarray
     samples: np.ndarray  # (len(levels), B, nt, nx)
-    path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels, until the run's abort
-    # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|, until the pair's abort; in a group,
-    # (N, N) -> (B,) sup |u_N - u_N of the main group|, until either row's abort
+    path_max_abs: dict  # key -> (B,) max |u| over the lattice and the key's levels; NaN if the run aborted
+    # (N, N + 1) -> (B,) pathwise sup |u_{N+1} - u_N|; in a group, (N, N) -> (B,)
+    # sup |u_N - u_N of the main group|; NaN if either row aborted
     sup_abs_diff: dict
     aborted: dict  # key -> [AbortRecord], by step, then position in the batch
     groups: tuple = ()  # a BatchSolution per further coefficient group
@@ -312,8 +315,8 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     level's bits equal those of a solve at that level alone.  Liveness, path
     max and aborts are kept per (level, replication), and for each coupled
     pair ``(N, N + 1)`` of ``pairs`` (two of ``levels`` exactly one apart;
-    none by default), with the pair's sup difference.  This is the
-    package's one stepping loop.
+    none by default), with the pair's sup difference; every statistic of an
+    aborted run is NaN.  This is the package's one stepping loop.
 
     ``groups`` lists further ``(levels, b, sigma)`` coefficient groups,
     each advanced as further rows of the same stacked state: the step's
@@ -325,8 +328,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     bits a separate call would give.  A same-level pair ``(N, N)`` in
     ``pairs`` (N one of ``levels``) couples level N across the groups
     instead: each group that also solves N tracks the sup difference of its
-    row there from the main row at N, as its ``sup_abs_diff[(N, N)]``, until
-    either row aborts.
+    row there from the main row at N, as its ``sup_abs_diff[(N, N)]``.
 
     The outputs are allocated once for all B replications; chunks of
     :func:`chunk_replications` replications (sized by every group's rows),
@@ -357,7 +359,6 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
         for level in (v for v in main_across if v in g_levels):
             g_across.append((level, len(pairs)))
             pairs.append((main_levels.index(level), rows.start + g_levels.index(level)))
-    lo_idx, hi_idx = [i for i, _ in pairs], [j for _, j in pairs]
     reps = np.asarray(replications, dtype=np.uint64)
     L, B, J = len(row_levels), reps.size, grid.n_points
     probe_step_idx = np.asarray(probe_step_idx, dtype=int)
@@ -381,7 +382,6 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     outputs = (
         np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan),  # samples
         np.full((L, B), float(np.max(np.abs(row0)))),  # path max per level
-        np.full((len(pairs), B), float(np.max(np.abs(row0)))),  # path max per pair
         np.zeros((len(pairs), B)),  # sup difference per pair
         np.full((L, B), grid.n_steps),  # death step
         np.zeros((L, B), dtype=int),  # death cell
@@ -389,7 +389,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
 
     def advance(span):
         # the chunk's columns of the outputs
-        samples, path_max, pair_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
+        samples, path_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
         n = span.stop - span.start
         # per-chunk buffers: the padded state (double-buffered), the increments, one padded
         # scratch (the Laplacian, then |state| and |pair differences|) and the clipped
@@ -438,24 +438,16 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                         if not alive.any():
                             break
                 if any_dead:
-                    # dead rows are still advanced (from u0) every step: they add
-                    # nothing to path max or sup difference, whatever they regrow to
-                    dead = ~alive
-                    state[dead] = row0
-                    row_max[dead] = 0.0
+                    # dead rows are still advanced, from u0 every step; what they add to
+                    # path max and sup difference is overwritten after the loop
+                    state[~alive] = row0
                 np.maximum(path_max, row_max, out=path_max)
                 if pairs:
                     for p, (i, j) in enumerate(pairs):
                         np.subtract(dst[j], dst[i], out=diff_buf[p])
                     np.abs(diff_buf, out=diff_buf)
                     diff_buf[..., 1:-1].max(axis=-1, out=diff)
-                    both_max = np.maximum(row_max[lo_idx], row_max[hi_idx])
-                    if any_dead:
-                        pair_dead = ~(alive[lo_idx] & alive[hi_idx])
-                        diff[pair_dead] = 0.0
-                        both_max[pair_dead] = 0.0
                     np.maximum(sup_diff, diff, out=sup_diff)
-                    np.maximum(pair_max, both_max, out=pair_max)
 
                 slot = slot_of_step.get(m + 1)
                 if slot is not None:
@@ -471,10 +463,15 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     else:
         for span in spans:
             advance(span)
-    samples, path_max, pair_max, sup_diff, death_step, death_cell = outputs
+    samples, path_max, sup_diff, death_step, death_cell = outputs
 
-    # a replication's probes after the step it died at are NaN
-    samples[probe_step_idx > death_step[:, :, None]] = np.nan
+    # an aborted run has no statistics: every probe sample and the path max of a row that
+    # died, and the sup difference of every pair one of whose rows died, are NaN
+    dead = death_step < grid.n_steps
+    samples[dead] = np.nan
+    path_max[dead] = np.nan
+    for p, (i, j) in enumerate(pairs):
+        sup_diff[p, dead[i] | dead[j]] = np.nan
 
     def records(step, cell):
         dead = np.flatnonzero(step < grid.n_steps)
@@ -492,7 +489,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
             hi_first = (death_step[j] < death_step[i]) | (
                 (death_step[j] == death_step[i]) & (death_cell[j] < death_cell[i]))
             key = (row_levels[i], row_levels[j])
-            path_max_abs[key] = pair_max[p]
+            path_max_abs[key] = np.maximum(path_max[i], path_max[j])
             sup_abs_diff[key] = sup_diff[p]
             aborted[key] = records(np.where(hi_first, death_step[j], death_step[i]),
                                    np.where(hi_first, death_cell[j], death_cell[i]))

@@ -459,6 +459,25 @@ class TestChunkedGrids:
             coeff._eval_checked(psi, 0.01, coeff._StepGrid(-4.0, 4.0, 0.25, False).points(0, 16))
 
 
+def test_a_failing_check_holds_no_whole_grid():
+    # the linear-growth grids miss x = -2000 and 2000; the Lipschitz grid of the top window
+    # [-e^8, e^8] (12 M points) holds both.  Its runs meet the division at -2000 first, but the
+    # log, failing at 2000, comes first in evaluation order: the error names the log, as the
+    # whole grid evaluated at once does (which traced a 294 MB peak), and the failure stays
+    # under the passing path's bound
+    b, sigma = Coefficient.parse("log(abs(x - 2000)) + 1/(x + 2000)"), Coefficient.parse("x/(1+abs(x)/8)")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArithmeticError) as exc:
+            check_assumption(b, sigma, [5.0, 6.0, 7.0, 8.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == ("log(abs(x - 2000)) + 1/(x + 2000): log of a non-positive value somewhere on the "
+                              "estimation grid at t=0.01")
+    assert peak < 4e6
+
+
 def test_check_assumption_holds_no_whole_grid():
     # at [1, 2, 3, 12] the top window's grid is coarsened to 20 M points: built whole, it
     # traced an 800 MB peak; in runs of _CHUNK_POINTS points the traced peak (tracemalloc

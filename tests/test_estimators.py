@@ -411,6 +411,25 @@ class TestEnsembleFromBatch:
         assert not np.shares_memory(ens.samples, batch.samples)
         np.testing.assert_array_equal(ens.samples, batch.samples[1, [0, 1, 2, 3, 5]])
 
+    def test_a_run_aborted_after_the_last_probe_is_dropped(self):
+        from shelab.coeff import Coefficient
+        from shelab.kernel import InitialCondition
+        from shelab.solver import solve_batch
+
+        # the drift turns infinite where the clipped state exceeds 2 after t = 0.05: the level-1.5
+        # runs stay at u0 = 3 and all abort at step 11, after both probe steps (2 and 4), while
+        # level 0.5 clips them to 1.65 and never aborts
+        g, _ = self.batch()
+        zero = Coefficient.from_source("zero")
+        late = Coefficient.from_callable("late", lambda t, x: np.where((t > 0.05) & (x > 2.0), np.inf, 0.0))
+        batch = solve_batch((0.5, 1.5), late, zero, InitialCondition.constant(3.0), g, 1, np.arange(4),
+                            [2, 4], [5, x_index(g, 0.0)], pairs=[(0.5, 1.5)])
+        assert [(a.replication, a.step) for a in batch.aborted[(1.5,)]] == [(r, 11) for r in range(4)]
+        assert batch.aborted[(0.5,)] == []
+        assert Ensemble.from_batch(batch, g, 0.5).count == 4
+        assert Ensemble.from_batch(batch, g, 1.5).count == 0
+        assert PairEnsemble.from_batch(batch, g, 0.5).count == 0
+
 
 class TestCoupledSupDifference:
     def test_inactive_clamps_give_exact_zero(self):

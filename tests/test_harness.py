@@ -126,6 +126,9 @@ class TestConfigRejection:
             # an explicit bound skips sampling the profile; the lattice still evaluates it
             (lambda d: d.update(u0={"kind": "expr", "source": "log(x)", "bound": 1.0}),
              "u0: log of a non-positive value"),
+            # every bound takes u0.bound as sup |u0|: one below the lattice's max would be fed to them all
+            (lambda d: d.update(u0={"kind": "expr", "source": "3*cos(x)", "bound": 0.5}),
+             "u0.bound 0.5 is below max \\|u0\\| = 3.0 on the lattice"),
             (lambda d: d["grid"].update(R=1e308, dx=1.0, dt=1.0), "grid: .*too many lattice points"),
             (lambda d: d["grid"].update(R=1e7, dx=0.1), "resource budget: .* space-time points"),
             (lambda d: d["grid"].update(T=1e9, dt=0.005), "resource budget: .* space-time points"),
@@ -756,6 +759,15 @@ class TestCli:
         )
         assert cli.main(["verify-moments", cfgp]) == 2
         assert "experiment failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify-moments", "convergence", "uniqueness"])
+    def test_a_coefficient_failure_reads_the_same_from_every_experiment(self, command, tmp_path, capsys):
+        # log(x) fails once a state turns non-positive; the growth constants are given, so no
+        # estimator grid meets the log first and each experiment fails in its solve
+        doc = base_doc(b="log(x)", sigma="one", constants={"c": 2.0, "L_b": 1.0, "L_sigma": 1.0})
+        assert cli.main(["--out", str(tmp_path), command, self.write_config(tmp_path, doc)]) == 2
+        assert capsys.readouterr().err == (
+            "experiment failure: coefficient evaluation failed during simulation: log of a non-positive value\n")
 
     def test_seed_override_changes_estimates_not_hash_column(self, tmp_path):
         cfgp = self.write_config(tmp_path, base_doc())

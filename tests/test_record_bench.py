@@ -102,3 +102,48 @@ def test_both_sides_run_in_the_same_empty_bytecode_state(monkeypatch, tmp_path):
         assert record_bench.run_once(tmp_path / side, "moments_dense", 1, 1)["ok"]
     assert seen == [("base", "1", False, []), ("change", "1", False, [])]
     assert (tmp_path / "base" / "src" / "shelab").is_dir()  # only the caches went
+
+
+def test_both_sides_run_from_temporary_copies(monkeypatch, tmp_path):
+    # a small checkout with a committed base, an edited and a deleted tracked file, an untracked
+    # file and an ignored one: the change side is a copy of the working tree as git lists it,
+    # the base a copy of the commit, and neither side runs in the checkout itself
+    repo = tmp_path / "checkout"
+    (repo / "benchmark").mkdir(parents=True)
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "paths": ["benchmark"], "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}))
+    (repo / "benchmark" / "run.py").write_text("")
+    (repo / "code.py").write_text("base")
+    (repo / "gone.py").write_text("base")
+    (repo / ".gitignore").write_text("/ignored.txt\n")
+
+    def git(*argv):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.org", *argv], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    (repo / "code.py").write_text("change")
+    (repo / "gone.py").unlink()
+    (repo / "new.py").write_text("untracked")
+    (repo / "ignored.txt").write_text("ignored")
+    seen = []
+
+    def fake_run_once(root, workload, seed, seconds, trace=0):
+        files = sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+        seen.append((root, files, (root / "code.py").read_text()))
+        return {"ok": True, "metrics": {"wall_s": 1.0}, "result_sha256": {}, "machine": {}, "error": ""}
+
+    monkeypatch.setattr(record_bench, "ROOT", repo)
+    monkeypatch.setattr(record_bench, "run_once", fake_run_once)
+    assert record_bench.main(["--pr", "1", "--seed", "1"]) == 0
+    assert len(seen) == 2 * (record_bench.MIN_PAIRS + 1)
+    roots = {root for root, _, _ in seen}
+    assert len(roots) == 2 and repo not in roots and not any(root.exists() for root in roots)
+    assert all(root.name.startswith("shelab-bench-") and repo not in root.parents for root in roots)
+    contents = {(tuple(files), code) for _, files, code in seen}
+    assert contents == {((".gitignore", "BENCHMARK.json", "benchmark/run.py", "code.py", "gone.py"), "base"),
+                        ((".gitignore", "BENCHMARK.json", "benchmark/run.py", "code.py", "new.py"), "change")}
+    assert json.loads((repo / "BENCH_1.json").read_text())["benchmark_identical"] is True

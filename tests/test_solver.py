@@ -131,7 +131,8 @@ class TestStepExplicit:
         assert (exc.value.step, exc.value.cell) == (4, 18)
         batch = solve_batch((5.0,), explode, ZERO, u0, g, 0, np.arange(2), np.array([4, 5]), np.array([18]))
         assert [(a.replication, a.step, a.cell) for a in batch.aborted[(5.0,)]] == [(0, 4, 18), (1, 4, 18)]
-        assert np.all(batch.samples[0, :, 0] == 0.0) and np.all(np.isnan(batch.samples[0, :, 1]))
+        # an aborted run has no statistics, not even the probe at step 4, before the abort
+        assert np.isnan(batch.samples).all() and np.isnan(batch.path_max_abs[(5.0,)]).all()
 
 
 class TestSolveTruncated:
@@ -349,7 +350,7 @@ class TestStackedLevels:
         for i, level in enumerate(levels):
             alone = solve_batch((level,), b, sigma, u0, g, seed, reps, steps, cells)
             assert np.array_equal(stacked.samples[i], alone.samples[0], equal_nan=True)
-            assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)])
+            assert np.array_equal(stacked.path_max_abs[(level,)], alone.path_max_abs[(level,)], equal_nan=True)
             assert stacked.aborted[(level,)] == alone.aborted[(level,)]
         assert sorted(stacked.sup_abs_diff) == pairs
         for lo, hi in pairs:
@@ -358,7 +359,7 @@ class TestStackedLevels:
             for got, want in ((stacked.sup_abs_diff, alone.sup_abs_diff),
                               (stacked.path_max_abs, alone.path_max_abs),
                               (stacked.aborted, alone.aborted)):
-                assert np.array_equal(got[(lo, hi)], want[(lo, hi)])
+                assert np.array_equal(got[(lo, hi)], want[(lo, hi)], equal_nan=True)
         return stacked
 
     def assert_matches_reference_loop(self, g, b, sigma, u0, levels, seed, rep):
@@ -440,8 +441,12 @@ class TestStackedLevels:
         for level in levels[:3]:
             assert stacked.aborted[(level,)] == [] and np.isfinite(stacked.samples[levels.index(level)]).all()
         assert stacked.aborted[(0.5, 1.5)] == []
-        for r in reps:
-            assert np.isnan(stacked.samples[3, r, -1]).all() == (int(r) in dead)
+        # an aborted run has no statistics: every probe of a dead row and its path max are NaN, and
+        # so are its pair's path max and sup difference; every live run is finite
+        died = np.isin(reps, list(dead))
+        assert np.isnan(stacked.samples[3, died]).all() and np.isfinite(stacked.samples[3, ~died]).all()
+        for stats in (stacked.path_max_abs[(2.0,)], stacked.path_max_abs[(1.0, 2.0)], stacked.sup_abs_diff[(1.0, 2.0)]):
+            assert np.array_equal(np.isnan(stats), died)
 
     def test_pairs_are_tracked_only_on_request(self):
         # the bomb kills some level-2 runs, so the pair (1, 2) has abort records
@@ -459,12 +464,33 @@ class TestStackedLevels:
             assert np.array_equal(sol.samples, every.samples, equal_nan=True)
             assert (0.5, 1.5) not in sol.path_max_abs and (0.5, 1.5) not in sol.aborted
             for key in sol.path_max_abs:
-                assert np.array_equal(sol.path_max_abs[key], every.path_max_abs[key])
+                assert np.array_equal(sol.path_max_abs[key], every.path_max_abs[key], equal_nan=True)
                 assert sol.aborted[key] == every.aborted[key]
-        assert np.array_equal(one.sup_abs_diff[(1.0, 2.0)], every.sup_abs_diff[(1.0, 2.0)])
+        assert np.array_equal(one.sup_abs_diff[(1.0, 2.0)], every.sup_abs_diff[(1.0, 2.0)], equal_nan=True)
         for bad in [(0.5, 1.0), (2.0, 3.0), (1.0,), (0.5, 1.5, 2.5)]:
             with pytest.raises(ValueError, match="coupled pair"):
                 solve_batch(levels, *args, pairs=[bad])
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_pair_path_max_is_the_max_over_both_lattices(self, threads, monkeypatch):
+        # a pair's path max is derived from its two levels' after the loop: for every pair run that
+        # did not abort it is the max of |u| over both levels' whole lattices, for one that did NaN
+        g = mkgrid()
+        levels = (0.5, 1.0, 1.5, 2.0)
+        bomb = Coefficient.from_callable("bomb", lambda t, x: np.where(x > 6.0, np.inf, 0.0))  # kills level-2 runs
+        monkeypatch.setattr(solver, "chunk_replications", lambda n_levels, n_points: 5)
+        reps = np.arange(16)
+        sol = solve_batch(levels, bomb, LINEAR, InitialCondition.constant(1.0), g, 5, reps, np.arange(g.n_steps + 1),
+                          np.arange(g.n_points), pairs=[(0.5, 1.5), (1.0, 2.0)], threads=threads)
+        assert sol.aborted[(1.0, 2.0)] and sol.aborted[(0.5, 1.5)] == []
+        for lo, hi in [(0.5, 1.5), (1.0, 2.0)]:
+            aborted = {a.replication for a in sol.aborted[(lo, hi)]}
+            both = sol.samples[[levels.index(lo), levels.index(hi)]]
+            for r in reps:
+                if r in aborted:
+                    assert np.isnan(sol.path_max_abs[(lo, hi)][r])
+                else:
+                    assert sol.path_max_abs[(lo, hi)][r] == np.abs(both[:, r]).max()
 
     def test_lattice_views_raise_at_their_own_abort(self):
         g = mkgrid()
@@ -477,16 +503,17 @@ class TestStackedLevels:
         with pytest.raises(SolverBlowupError) as exc:
             field_trajectories(sol, (1.5, 2.5), bomb, LINEAR, u0, g, spec)
         assert (exc.value.step, exc.value.cell) == (0, 1)
-        # the pair's path max stops at its abort (step 0: only u0 counts); level 1.5's own goes on
-        assert sol.path_max_abs[(1.5, 2.5)][0] == 10.0 < low.path_max_abs == sol.path_max_abs[(1.5,)][0]
-        assert sol.sup_abs_diff[(1.5, 2.5)][0] == 0.0
+        # the aborted pair has no statistics; level 1.5's own run goes on
+        assert np.isnan(sol.path_max_abs[(1.5, 2.5)][0]) and np.isnan(sol.sup_abs_diff[(1.5, 2.5)][0])
+        assert np.isnan(sol.path_max_abs[(2.5,)][0]) and np.isnan(sol.samples[2]).all()
+        assert 10.0 < low.path_max_abs == sol.path_max_abs[(1.5,)][0]
 
     @pytest.mark.parametrize("boundary", ["dirichlet", "periodic"])
     def test_dead_rows_add_nothing_after_their_abort(self, boundary):
         # dead rows restart from u0 and are still advanced; a drift that is
         # huge at exactly u0's value after t = 0 regrows them (to about 5000)
-        # every later step, and none of that may reach a path max or a sup
-        # difference
+        # every later step, and none of that may reach a sample, a path max or
+        # a sup difference: an aborted run has no statistics
         g = mkgrid(boundary=boundary)
         u0 = InitialCondition.constant(1.0)
         levels, reps = (1.0, 2.0), np.arange(12)
@@ -500,11 +527,14 @@ class TestStackedLevels:
         assert 0 < len(dead) < len(reps) and sol.aborted[(1.0,)] == []
         assert sol.aborted[(1.0, 2.0)] == sol.aborted[(2.0,)]
         for r in reps:
-            last = dead.get(int(r), g.n_steps)  # the lattice up to the abort: time indices 0..last
-            lattice = sol.samples[:, r, :last + 1]
-            assert np.isfinite(lattice).all()
-            for i, level in enumerate(levels):
-                assert sol.path_max_abs[(level,)][r] == np.nanmax(np.abs(sol.samples[i, r]))
+            lattice = sol.samples[:, r]
+            # level 1 never dies: its run is whole whether or not level 2's died beside it
+            assert np.isfinite(lattice[0]).all() and sol.path_max_abs[(1.0,)][r] == np.abs(lattice[0]).max()
+            if int(r) in dead:
+                assert np.isnan(lattice[1]).all() and np.isnan(sol.path_max_abs[(2.0,)][r])
+                assert np.isnan(sol.path_max_abs[(1.0, 2.0)][r]) and np.isnan(sol.sup_abs_diff[(1.0, 2.0)][r])
+                continue
+            assert np.isfinite(lattice).all() and sol.path_max_abs[(2.0,)][r] == np.abs(lattice[1]).max()
             assert sol.path_max_abs[(1.0, 2.0)][r] == np.abs(lattice).max()
             assert sol.sup_abs_diff[(1.0, 2.0)][r] == np.abs(lattice[1] - lattice[0]).max()
 
@@ -605,10 +635,11 @@ class TestStackedLevels:
                               InitialCondition.constant(1.0), g, 3, range(4), np.arange(g.n_steps + 1),
                               np.arange(g.n_points))
         path_max = np.stack([sol.path_max_abs[(level,)] for level in sol.levels])
+        # the samples and path maxima of the five aborted rows are NaN
         assert hashlib.sha256(sol.samples.tobytes()).hexdigest() == (
-            "f32c591cacc2802d0d25fb29f1dd065573eac93b88e87031660cd218de218a72")
+            "8ebeaaca4121bdffd9ba84c507bcc80dd29cd8e22d3c2cd08b7af28321644e38")
         assert hashlib.sha256(path_max.tobytes()).hexdigest() == (
-            "e673054968d5bba1d0b1ba81b335af8b9dd11940f28dd5daa767c1724cb619ae")
+            "47b7330e3212e3a020e2e652644694dc9c5d35d33f292b9119da493927fa353c")
         assert {key: [tuple(a) for a in records] for key, records in sol.aborted.items()} == {
             (1.0,): [], (5.0,): [(1, 10, 35)], (6.0,): [(3, 4, 15), (0, 5, 1), (2, 9, 28), (1, 12, 6)]}
 
@@ -621,7 +652,7 @@ def assert_same_solution(got, want):
         a, b = getattr(got, name), getattr(want, name)
         assert list(a) == list(b)
         for key in a:
-            assert np.array_equal(a[key], b[key])
+            assert np.array_equal(a[key], b[key], equal_nan=True)
 
 
 class TestCoefficientGroups:
@@ -673,9 +704,13 @@ class TestCoefficientGroups:
         assert list(same.sup_abs_diff) == [(1.5, 1.5)] and not same.sup_abs_diff[(1.5, 1.5)].any()
         want = np.abs(shifted.samples[1] - main).max(axis=(1, 2))
         assert want.all() and np.array_equal(shifted.sup_abs_diff[(1.5, 1.5)], want)
-        # a dead row adds nothing from the step it died at; its later samples are NaN
+        # a dead row has no statistics: its samples and its sup difference from the main row are NaN
         assert 0 < len(bombed.aborted[(1.5,)]) < len(reps)
-        assert np.array_equal(bombed.sup_abs_diff[(1.5, 1.5)], np.nanmax(np.abs(bombed.samples[0] - main), axis=(1, 2)))
+        dead = np.isnan(bombed.sup_abs_diff[(1.5, 1.5)])
+        assert np.flatnonzero(dead).tolist() == sorted(a.replication for a in bombed.aborted[(1.5,)])
+        assert np.isnan(bombed.samples[0, dead]).all() and np.isfinite(bombed.samples[0, ~dead]).all()
+        assert np.array_equal(bombed.sup_abs_diff[(1.5, 1.5)][~dead],
+                              np.abs(bombed.samples[0, ~dead] - main[~dead]).max(axis=(1, 2)))
         assert apart.sup_abs_diff == {}
         # without groups the pair tracks nothing; a level it does not solve is rejected
         assert_same_solution(solve_batch((1.0, 1.5), b, sigma, *self.ARGS, pairs=[(1.5, 1.5)]),
@@ -781,8 +816,8 @@ class TestFlatStep:
 
     def assert_rows_match_reference(self, sol, b, sigma, u0, g, seed, reps):
         """Every level of ``sol`` (probing the whole lattice) against the reference loop, bit for bit:
-        samples, path max, aborts and pair sup differences; returns the reference lattices, each
-        cut at its row's abort, by level and replication."""
+        samples, path max, aborts and pair sup differences, all NaN for a run that aborted; returns
+        the reference lattices by level and replication, None for a row that aborted."""
         refs = {}
         for i, level in enumerate(sol.levels):
             aborts = []
@@ -790,18 +825,21 @@ class TestFlatStep:
                 ref = reference_lattice(g, b, sigma, u0, level, seed, rep)
                 if not np.isfinite(ref[-1]).all():  # died in step len(ref) - 2
                     aborts.append((rep, len(ref) - 2, int(np.flatnonzero(~np.isfinite(ref[-1]))[0])))
-                    ref = ref[:-1]
+                    assert np.isnan(sol.samples[i, r]).all() and np.isnan(sol.path_max_abs[(level,)][r])
+                    refs[level, r] = None
+                    continue
                 refs[level, r] = ref
-                assert np.array_equal(sol.samples[i, r, :len(ref)], ref)
-                assert np.isnan(sol.samples[i, r, len(ref):]).all()
+                assert np.array_equal(sol.samples[i, r], ref)
                 assert sol.path_max_abs[(level,)][r] == np.abs(ref).max()
             assert sorted((a.replication, a.step, a.cell) for a in sol.aborted[(level,)]) == sorted(aborts)
         for lo, hi in (key for key in sol.sup_abs_diff if key[0] != key[1]):
             for r in range(len(reps)):
-                k = min(len(refs[lo, r]), len(refs[hi, r]))  # the pair's run ends at either row's abort
-                assert sol.sup_abs_diff[(lo, hi)][r] == np.abs(refs[hi, r][:k] - refs[lo, r][:k]).max()
-                assert sol.path_max_abs[(lo, hi)][r] == max(np.abs(refs[lo, r][:k]).max(),
-                                                            np.abs(refs[hi, r][:k]).max())
+                sup_diff, path_max = sol.sup_abs_diff[(lo, hi)][r], sol.path_max_abs[(lo, hi)][r]
+                if refs[lo, r] is None or refs[hi, r] is None:  # the pair aborted with either row
+                    assert np.isnan(sup_diff) and np.isnan(path_max)
+                    continue
+                assert sup_diff == np.abs(refs[hi, r] - refs[lo, r]).max()
+                assert path_max == max(np.abs(refs[lo, r]).max(), np.abs(refs[hi, r]).max())
         return refs
 
     @pytest.mark.parametrize("threads", [1, 2])
