@@ -398,7 +398,9 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
 
     Verdict is ``fail`` outright when a sampled constant is non-finite or a
     linear-growth estimate keeps growing with the window size (no linear
-    growth means the conditions cannot hold at all).
+    growth means the conditions cannot hold at all).  It is ``fail`` too
+    when a coefficient fails somewhere on an estimation grid; the failure's
+    message is the verdict's note.
     """
     levels = [float(N) for N in levels]
     if len(levels) < 4:
@@ -410,36 +412,35 @@ def check_assumption(b: Coefficient, sigma: Coefficient, levels) -> AssumptionVe
 
     notes = []
     n_max = math.exp(levels[-1])
-
-    # linear growth must stabilise as the window widens
-    for psi in (b, sigma):
-        try:
+    try:
+        # linear growth must stabilise as the window widens
+        for psi in (b, sigma):
             g_small = linear_growth_constant(psi, (-n_max, n_max))
             g_large = linear_growth_constant(psi, (-10 * n_max, 10 * n_max))
-        except ArithmeticError as err:
-            notes.append(str(err))
-            return _failed_verdict(levels, notes)
-        if g_large > 2.0 * max(g_small, 1e-300):
-            notes.append(
-                f"linear-growth estimate of {psi.name!r} diverges with window size "
-                f"({g_small:.6g} -> {g_large:.6g})"
-            )
-            return _failed_verdict(levels, notes)
+            if g_large > 2.0 * max(g_small, 1e-300):
+                notes.append(
+                    f"linear-growth estimate of {psi.name!r} diverges with window size "
+                    f"({g_small:.6g} -> {g_large:.6g})"
+                )
+                return _failed_verdict(levels, notes)
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        pairs = [level_constants(b, sigma, N) for N in levels]
-    lip_b = [p[0] for p in pairs]
-    lip_sigma = [p[1] for p in pairs]
-    if not all(map(math.isfinite, lip_b + lip_sigma)):
-        notes.append("non-finite Lipschitz constant on the sampled range")
-        return _failed_verdict(levels, notes, lip_b=lip_b, lip_sigma=lip_sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            pairs = [level_constants(b, sigma, N) for N in levels]
+        lip_b = [p[0] for p in pairs]
+        lip_sigma = [p[1] for p in pairs]
+        if not all(map(math.isfinite, lip_b + lip_sigma)):
+            notes.append("non-finite Lipschitz constant on the sampled range")
+            return _failed_verdict(levels, notes, lip_b=lip_b, lip_sigma=lip_sigma)
+
+        # bounded diffusion detection: sup |sigma| stops growing with the window
+        sup_small = _sup_abs(sigma, math.exp(levels[0]))
+        sup_large = _sup_abs(sigma, n_max)
+    except ArithmeticError as err:  # a coefficient fails somewhere on an estimation grid
+        notes.append(str(err))
+        return _failed_verdict(levels, notes)
     if min(lip_sigma) == 0.0:
         notes.append("zero diffusion Lipschitz estimate on the range; ratio series floored at 1e-300")
-
-    # bounded diffusion detection: sup |sigma| stops growing with the window
-    sup_small = _sup_abs(sigma, math.exp(levels[0]))
-    sup_large = _sup_abs(sigma, n_max)
     bounded = sup_large <= 1.05 * max(sup_small, 1e-300)
     regime = "sigma-bounded" if bounded else "sigma-unbounded"
     reference = (

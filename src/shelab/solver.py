@@ -56,10 +56,11 @@ arrays.  The coefficients' results and the gathered probe cells are the
 only arrays allocated per step, and one noise block is alive per chunk: a
 block depends only on its counters, so the previous one is released before
 the next is drawn.  The bookkeeping reads finiteness off the per-row max
-of ``|u|``, which is NaN or inf exactly when a row is not finite.  An
-aborted run has no statistics: a dead row's probe samples and path max, and
-the path max and sup difference of every pair holding it, are set to NaN
-once, after the loop.
+of ``|u|``, which is NaN or inf exactly when a row is not finite.  A row
+records where it died as one position, ``step * J + cell``; ``n_steps * J``
+means alive.  A pair is two rows.  Its first abort is the smaller of its
+rows' positions.  An aborted run has no statistics: its samples, path max
+and sup difference are set to NaN once, after the loop.
 """
 
 from __future__ import annotations
@@ -287,20 +288,33 @@ class BatchSolution(NamedTuple):
     groups: tuple = ()  # a BatchSolution per further coefficient group
 
 
-def _group_layout(levels, pairs=()):
-    """One coefficient group's levels, checked, with its coupled pairs as indices into its levels,
-    and the levels of its same-level pairs ``(N, N)``."""
-    levels = tuple(_as_level(v).level for v in levels)
-    if not all(a < b_ for a, b_ in zip(levels, levels[1:])):
-        raise ValueError(f"clamp levels must be strictly increasing, got {levels}")
+def _layout(levels, b, sigma, pairs, groups):
+    """The stacked rows of a :func:`solve_batch` call, every group's rows in order, main group first.
+
+    Returns the rows' levels, each coefficient group's ``(rows, b, sigma)``
+    and every tracked pair as ``(row, row, holder group)``.  A coupled pair
+    ``(N, N + 1)`` is held by the main group.  A same-level pair ``(N, N)``
+    is held by each further group that also solves N, as its row at N
+    against the main row at N.
+    """
+    row_levels, coefficients = (), []
+    for g_levels, g_b, g_sigma in [(levels, b, sigma), *groups]:
+        g_levels = tuple(_as_level(v).level for v in g_levels)
+        if not all(a < b_ for a, b_ in zip(g_levels, g_levels[1:])):
+            raise ValueError(f"clamp levels must be strictly increasing, got {g_levels}")
+        coefficients.append((slice(len(row_levels), len(row_levels) + len(g_levels)), g_b, g_sigma))
+        row_levels += g_levels
+    main = row_levels[coefficients[0][0]]
     requested = {tuple(_as_level(v).level for v in pair) for pair in pairs}
-    across = sorted(pair[0] for pair in requested if len(pair) == 2 and pair[0] == pair[1] and pair[0] in levels)
-    requested -= {(v, v) for v in across}
+    same = sorted(pair[0] for pair in requested if len(pair) == 2 and pair[0] == pair[1] and pair[0] in main)
+    requested -= {(v, v) for v in same}
     for pair in requested:
-        if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(levels):
-            raise ValueError(f"coupled pair {pair} is not two of the solved levels {levels} exactly one apart")
-    pairs = sorted((levels.index(lo), levels.index(hi)) for lo, hi in requested)
-    return levels, pairs, across
+        if len(pair) != 2 or pair[1] != pair[0] + 1.0 or not set(pair) <= set(main):
+            raise ValueError(f"coupled pair {pair} is not two of the solved levels {main} exactly one apart")
+    table = sorted((main.index(lo), main.index(hi), 0) for lo, hi in requested)
+    for g, (rows, _, _) in enumerate(coefficients[1:], 1):
+        table += [(main.index(v), rows.start + row_levels[rows].index(v), g) for v in same if v in row_levels[rows]]
+    return row_levels, coefficients, table
 
 
 def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
@@ -313,10 +327,12 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     one clip of the state to the per-level bounds and one call of each
     coefficient for all levels.  The arithmetic is elementwise, so every
     level's bits equal those of a solve at that level alone.  Liveness, path
-    max and aborts are kept per (level, replication), and for each coupled
-    pair ``(N, N + 1)`` of ``pairs`` (two of ``levels`` exactly one apart;
-    none by default), with the pair's sup difference; every statistic of an
-    aborted run is NaN.  This is the package's one stepping loop.
+    max and death are kept per (level, replication).  A death is one
+    position ``step * J + cell``.  Each coupled pair ``(N, N + 1)`` of
+    ``pairs`` (two of ``levels`` exactly one apart; none by default) is two
+    rows.  It keeps its sup difference, and it aborts at the smaller of its
+    rows' death positions.  Every statistic of an aborted run is NaN.  This
+    is the package's one stepping loop.
 
     ``groups`` lists further ``(levels, b, sigma)`` coefficient groups,
     each advanced as further rows of the same stacked state: the step's
@@ -344,21 +360,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     at step 0.  Every level is sampled, in ``levels`` order: ``samples``
     is (len(levels), B, len(probe_step_idx), len(probe_x_idx)).
     """
-    layouts = [_group_layout(levels, pairs)] + [_group_layout(g_levels) for g_levels, _, _ in groups]
-    # every group's rows stacked in order; pairs index the stack
-    row_levels, pairs, coefficients = [], [], []
-    for (g_levels, g_pairs, _), (g_b, g_sigma) in zip(layouts, [(b, sigma)] + [g[1:] for g in groups]):
-        start = len(row_levels)
-        row_levels += g_levels
-        pairs += [(start + i, start + j) for i, j in g_pairs]
-        coefficients.append((slice(start, len(row_levels)), g_b, g_sigma))
-    # same-level pairs (N, N), after every coupled pair: each further group's row at N against
-    # the main row; across[g] lists group g's as (N, index into pairs)
-    (main_levels, _, main_across), across = layouts[0], [[] for _ in layouts]
-    for (g_levels, _, _), (rows, _, _), g_across in zip(layouts[1:], coefficients[1:], across[1:]):
-        for level in (v for v in main_across if v in g_levels):
-            g_across.append((level, len(pairs)))
-            pairs.append((main_levels.index(level), rows.start + g_levels.index(level)))
+    row_levels, coefficients, pairs = _layout(levels, b, sigma, pairs, groups)
     reps = np.asarray(replications, dtype=np.uint64)
     L, B, J = len(row_levels), reps.size, grid.n_points
     probe_step_idx = np.asarray(probe_step_idx, dtype=int)
@@ -379,17 +381,17 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     scale = math.sqrt(grid.dt * grid.dx)
 
     # the outputs, once for all B replications; a chunk writes only its own columns
+    alive_at = grid.n_steps * J  # the death position of a row that never died
     outputs = (
         np.full((L, B, probe_step_idx.size, probe_x_idx.size), np.nan),  # samples
         np.full((L, B), float(np.max(np.abs(row0)))),  # path max per level
         np.zeros((len(pairs), B)),  # sup difference per pair
-        np.full((L, B), grid.n_steps),  # death step
-        np.zeros((L, B), dtype=int),  # death cell
+        np.full((L, B), alive_at),  # death position step * J + cell
     )
 
     def advance(span):
         # the chunk's columns of the outputs
-        samples, path_max, sup_diff, death_step, death_cell = (a[:, span] for a in outputs)
+        samples, path_max, sup_diff, death = (a[:, span] for a in outputs)
         n = span.stop - span.start
         # per-chunk buffers: the padded state (double-buffered), the increments, one padded
         # scratch (the Laplacian, then |state| and |pair differences|) and the clipped
@@ -431,8 +433,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                 if not finite.all():
                     newly_dead = alive & ~finite
                     if newly_dead.any():
-                        death_step[newly_dead] = m
-                        death_cell[newly_dead] = np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
+                        death[newly_dead] = m * J + np.argmax(~np.isfinite(state[newly_dead]), axis=-1)
                         alive &= finite
                         any_dead = True
                         if not alive.any():
@@ -443,7 +444,7 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
                     state[~alive] = row0
                 np.maximum(path_max, row_max, out=path_max)
                 if pairs:
-                    for p, (i, j) in enumerate(pairs):
+                    for p, (i, j, _) in enumerate(pairs):
                         np.subtract(dst[j], dst[i], out=diff_buf[p])
                     np.abs(diff_buf, out=diff_buf)
                     diff_buf[..., 1:-1].max(axis=-1, out=diff)
@@ -463,49 +464,33 @@ def solve_batch(levels, b, sigma, u0, grid: GridSpec, seed: int, replications,
     else:
         for span in spans:
             advance(span)
-    samples, path_max, sup_diff, death_step, death_cell = outputs
+    samples, path_max, sup_diff, death = outputs
 
-    # an aborted run has no statistics: every probe sample and the path max of a row that
-    # died, and the sup difference of every pair one of whose rows died, are NaN
-    dead = death_step < grid.n_steps
-    samples[dead] = np.nan
-    path_max[dead] = np.nan
-    for p, (i, j) in enumerate(pairs):
-        sup_diff[p, dead[i] | dead[j]] = np.nan
+    # an aborted run has no statistics: every probe sample and the path max of a row that died
+    # are NaN, and so is a pair's sup difference from its first abort, the earlier of its rows'
+    samples[death < alive_at] = np.nan
+    path_max[death < alive_at] = np.nan
 
-    def records(step, cell):
-        dead = np.flatnonzero(step < grid.n_steps)
-        return [AbortRecord(int(reps[r]), int(step[r]), int(cell[r]))
-                for r in dead[np.argsort(step[dead], kind="stable")]]
+    def records(death):
+        dead = np.flatnonzero(death < alive_at)
+        return [AbortRecord(int(reps[r]), *divmod(int(death[r]), J))
+                for r in dead[np.argsort(death[dead] // J, kind="stable")]]
 
-    solutions, pair_start = [], 0
-    for (g_levels, g_pairs, _), (rows, _, _), g_across in zip(layouts, coefficients, across):
-        path_max_abs, sup_abs_diff, aborted = {}, {}, {}
-        for r, level in enumerate(g_levels, rows.start):
-            path_max_abs[(level,)] = path_max[r]
-            aborted[(level,)] = records(death_step[r], death_cell[r])
-        for p, (i, j) in enumerate(pairs[pair_start:pair_start + len(g_pairs)], pair_start):
-            # the pair's run ends at the first (step, cell) at which either level blew up
-            hi_first = (death_step[j] < death_step[i]) | (
-                (death_step[j] == death_step[i]) & (death_cell[j] < death_cell[i]))
-            key = (row_levels[i], row_levels[j])
+    stats = [({}, {}, {}) for _ in coefficients]  # each group's path_max_abs, sup_abs_diff, aborted
+    for (rows, _, _), (path_max_abs, _, aborted) in zip(coefficients, stats):
+        for r in range(rows.start, rows.stop):
+            path_max_abs[(row_levels[r],)] = path_max[r]
+            aborted[(row_levels[r],)] = records(death[r])
+    for p, (i, j, g) in enumerate(pairs):
+        path_max_abs, sup_abs_diff, aborted = stats[g]
+        key, first = (row_levels[i], row_levels[j]), np.minimum(death[i], death[j])
+        sup_diff[p, first < alive_at] = np.nan
+        sup_abs_diff[key] = sup_diff[p]
+        if g == 0:  # a coupled pair (N, N + 1) is a run too; a same-level pair keeps its sup difference alone
             path_max_abs[key] = np.maximum(path_max[i], path_max[j])
-            sup_abs_diff[key] = sup_diff[p]
-            aborted[key] = records(np.where(hi_first, death_step[j], death_step[i]),
-                                   np.where(hi_first, death_cell[j], death_cell[i]))
-        for level, p in g_across:
-            sup_abs_diff[(level, level)] = sup_diff[p]
-        solutions.append(BatchSolution(
-            levels=g_levels,
-            probe_step_idx=probe_step_idx,
-            probe_x_idx=probe_x_idx,
-            samples=samples[rows],
-            path_max_abs=path_max_abs,
-            sup_abs_diff=sup_abs_diff,
-            aborted=aborted,
-        ))
-        pair_start += len(g_pairs)
-    main, *extra = solutions
+            aborted[key] = records(first)
+    main, *extra = [BatchSolution(row_levels[rows], probe_step_idx, probe_x_idx, samples[rows], *group)
+                    for (rows, _, _), group in zip(coefficients, stats)]
     return main._replace(groups=tuple(extra))
 
 

@@ -827,6 +827,22 @@ class TestCli:
         printed = capsys.readouterr().out
         assert "verdict: pass" in printed
 
+    # a coefficient that fails on an estimation grid is a fail verdict, whichever grid it fails on:
+    # log(x) on the linear-growth grids, 1/(x-2000) on level 8's Lipschitz grid alone
+    @pytest.mark.parametrize("over,note", [
+        ({"b": "log(x)"}, "log(x): log of a non-positive value somewhere on the estimation grid at t=0.01"),
+        ({"b": "1/(x-2000)", "assumption_levels": [5, 6, 7, 8]},
+         "1/(x-2000): division by zero somewhere on the estimation grid at t=0.01"),
+    ], ids=["linear-growth", "lipschitz"])
+    def test_check_assumptions_fails_a_coefficient_that_fails_on_its_grid(self, tmp_path, capsys, over, note):
+        cfgp = self.write_config(tmp_path, base_doc(**over))
+        out = tmp_path / "asm"
+        assert cli.main(["--out", str(out), "check-assumptions", cfgp]) == 0
+        assert "verdict: fail" in capsys.readouterr().out
+        (written,) = out.glob("assumptions_*.json")
+        doc = json.loads(written.read_text())
+        assert doc["verdict"] == "fail" and doc["notes"] == [note]
+
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README_JSON = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)

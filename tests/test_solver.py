@@ -563,6 +563,27 @@ class TestStackedLevels:
         assert lo.step == hi.step == 0 and lo.cell < hi.cell
         assert [(a.step, a.cell) for a in stacked.aborted[(2.0, 3.0)]] == [(0, lo.cell)] * 2
 
+    def test_a_death_at_the_last_step_and_cell_is_recorded(self):
+        # the last death position a run can have, step n_steps - 1 at cell J - 1, is one below
+        # the alive position n_steps * J.  The bomb fires there for the level-1 row alone: the
+        # state is 2 everywhere, which level 0 clips to 1.  The pair aborts where level 1 does
+        g = mkgrid(R=0.4, T=0.02, boundary="periodic")
+        J, last = g.n_points, g.n_steps - 1
+
+        def bomb(t, x):
+            fires = (t == last * g.dt) & (np.arange(J) == J - 1) & (x > 1.5)
+            return np.where(fires, np.inf, np.zeros_like(x))
+
+        sol = solve_batch((0.0, 1.0), Coefficient.from_callable("bomb", bomb), ZERO, InitialCondition.constant(2.0),
+                          g, 0, np.arange(3), np.arange(g.n_steps + 1), np.arange(J), pairs=[(0.0, 1.0)])
+        died = [solver.AbortRecord(r, last, J - 1) for r in range(3)]
+        assert sol.aborted == {(0.0,): [], (1.0,): died, (0.0, 1.0): died}
+        assert np.isnan(sol.samples[1]).all() and (sol.samples[0] == 2.0).all()
+        assert (sol.path_max_abs[(0.0,)] == 2.0).all()
+        for key in ((1.0,), (0.0, 1.0)):
+            assert np.isnan(sol.path_max_abs[key]).all()
+        assert np.isnan(sol.sup_abs_diff[(0.0, 1.0)]).all()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("R,chunk", [(4.0, 4), (820.0, None)])
     def test_abort_records_do_not_depend_on_chunking(self, R, chunk, threads, monkeypatch):
